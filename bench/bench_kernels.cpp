@@ -4,8 +4,9 @@
 // (including the block-count ablation called out in DESIGN.md), greedy
 // MIS, face identification, Delaunay insertion, and the exact geometric
 // predicates' fast path. Emits BENCH_kernels.json with the CSR-vs-BSR
-// format comparison. PROM_BENCH_SMOKE=1 shrinks every problem and caps
-// the measuring time (the CI smoke lane).
+// format comparison and the single-vs-blocked dense LDL^T solve.
+// PROM_BENCH_SMOKE=1 shrinks every problem and caps the measuring time
+// (the CI smoke lane).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,6 +30,7 @@
 #include "graph/order.h"
 #include "la/backend.h"
 #include "la/bsr.h"
+#include "la/dense.h"
 #include "la/smoother_kernels.h"
 #include "la/smoothers.h"
 #include "mesh/generate.h"
@@ -495,6 +497,33 @@ int run_format_comparison() {
                                    b, xs);
     benchmark::DoNotOptimize(xs.data());
   });
+  // Dense LDL^T solve of one block-Jacobi block: 167 rows is the block
+  // size of 6 blocks per 1000 unknowns on the perfbench box problems. One
+  // column alone vs 8 columns in one blocked call.
+  const idx nb = 167;
+  la::DenseMatrix blk(nb, nb);
+  for (idx j = 0; j < nb; ++j) {
+    for (idx i = j + 1; i < nb; ++i) {
+      blk(i, j) = blk(j, i) = rng.next_real() - 0.5;
+    }
+    blk(j, j) = nb;
+  }
+  const la::DenseLdlt ldlt(blk);
+  std::vector<real> rb(static_cast<std::size_t>(nb) * 8), xb(rb.size());
+  for (real& v : rb) v = rng.next_real() - 0.5;
+  // Tens of microseconds per call: the full repetition count stays cheap
+  // in the smoke lane and steadies the best-of.
+  const int reps_ldlt = 7;
+  const int iters_ldlt = 200;
+  const double ldlt_k1 = best_mean_ns(reps_ldlt, iters_ldlt, [&] {
+    ldlt.solve(std::span<const real>(rb).first(nb),
+               std::span<real>(xb).first(nb));
+    benchmark::DoNotOptimize(xb.data());
+  });
+  const double ldlt_k8 = best_mean_ns(reps_ldlt, iters_ldlt, [&] {
+    ldlt.solve(rb, xb, 8);
+    benchmark::DoNotOptimize(xb.data());
+  });
   // Fine-level scale point (>= 100k unknowns non-smoke: the n=32 box has
   // 33^3 * 3 = 107,811 free dofs). Here the assembled matrix blows out of
   // cache and the bytes/dof model decides the apply speed — the
@@ -523,6 +552,7 @@ int run_format_comparison() {
 
   const double spmv_speedup = csr_spmv / bsr_spmv;
   const double sweep_speedup = csr_sweep / bsr_sweep;
+  const double ldlt_col_speedup = ldlt_k1 / (ldlt_k8 / 8);
   const double csr_bytes = csr_bytes_per_dof(a);
   const double bsr_bytes = bsr3_bytes_per_dof(ab);
   const double mf_bytes = mf.core().apply_bytes_per_row();
@@ -535,15 +565,17 @@ int run_format_comparison() {
       "  jacobi    csr %8.0f ns  bsr3 %8.0f ns  speedup %.2fx\n"
       "  ns/dof    csr %8.2f     bsr3 %8.2f     mf %8.2f\n"
       "  bytes/dof csr %8.1f     bsr3 %8.1f     mf %8.1f\n"
+      "  ldlt n=%d k=1 %8.0f ns  k=8 %8.0f ns  (%.2fx per column)\n"
       "fine-level scale point (%d unknowns):\n"
       "  ns/dof    csr %8.2f     mf %8.2f\n"
       "  bytes/dof csr %8.1f     mf %8.1f  (mf %s csr)\n",
       a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
       spmv_speedup, mf_apply, csr_spmv / mf_apply, csr_sweep, bsr_sweep,
       sweep_speedup, csr_spmv / a.nrows, bsr_spmv / a.nrows,
-      mf_apply / a.nrows, csr_bytes, bsr_bytes, mf_bytes, a_s.nrows,
-      csr_spmv_s / a_s.nrows, mf_apply_s / a_s.nrows, csr_bytes_s,
-      mf_bytes_s, mf_bytes_s < csr_bytes_s ? "<" : ">=");
+      mf_apply / a.nrows, csr_bytes, bsr_bytes, mf_bytes, nb, ldlt_k1,
+      ldlt_k8, ldlt_col_speedup, a_s.nrows, csr_spmv_s / a_s.nrows,
+      mf_apply_s / a_s.nrows, csr_bytes_s, mf_bytes_s,
+      mf_bytes_s < csr_bytes_s ? "<" : ">=");
 
   std::FILE* json = std::fopen("BENCH_kernels.json", "w");
   if (json == nullptr) {
@@ -561,6 +593,8 @@ int run_format_comparison() {
                "\"vs_csr_spmv\": %.3f},\n"
                "  \"bytes_per_dof\": {\"csr\": %.1f, \"bsr3\": %.1f, "
                "\"mf\": %.1f},\n"
+               "  \"ldlt_solve\": {\"n\": %d, \"k1_ns\": %.1f, "
+               "\"k8_ns\": %.1f, \"k8_col_speedup\": %.3f},\n"
                "  \"mf_scale\": {\"unknowns\": %d, "
                "\"csr_ns_per_dof\": %.3f, \"mf_ns_per_dof\": %.3f, "
                "\"csr_bytes_per_dof\": %.1f, \"mf_bytes_per_dof\": %.1f}\n"
@@ -568,8 +602,9 @@ int run_format_comparison() {
                a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
                spmv_speedup, csr_sweep, bsr_sweep, sweep_speedup, mf_apply,
                mf_apply / a.nrows, csr_spmv / mf_apply, csr_bytes, bsr_bytes,
-               mf_bytes, a_s.nrows, csr_spmv_s / a_s.nrows,
-               mf_apply_s / a_s.nrows, csr_bytes_s, mf_bytes_s);
+               mf_bytes, nb, ldlt_k1, ldlt_k8, ldlt_col_speedup, a_s.nrows,
+               csr_spmv_s / a_s.nrows, mf_apply_s / a_s.nrows, csr_bytes_s,
+               mf_bytes_s);
   std::fclose(json);
   std::printf("wrote BENCH_kernels.json\n");
   return 0;

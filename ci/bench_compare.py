@@ -7,18 +7,24 @@ Series are the time-valued leaves of each BENCH file (keys ending in
 `_ns` / `_s`, or the literal `ns`), flattened to dotted names; rows of a
 `sweep` array are keyed by their identifying fields (ranks / threads / k /
 level) so the same configuration is compared across runs. Derived ratio
-series (`speedup`, `*_per_s`) are *not* gated — they are quotients of two
-gated times and would double-count the same regression — and tiny
-baselines below the noise floor are skipped, since a smoke-sized bench
-cannot measure them meaningfully.
+series (`speedup`, `*_per_s`) are *not* gated against the baseline —
+they are quotients of two gated times and would double-count the same
+regression — and tiny baselines below the noise floor are skipped, since
+a smoke-sized bench cannot measure them meaningfully.
+
+Some files also carry ratio invariants (RATIO_RULES): a derived ratio
+in the fresh output must stay at or above a fixed minimum, whatever the
+baseline says. For BENCH_kernels.json the bsr3 SpMV and Jacobi sweep
+must not be slower than CSR. A baseline refresh therefore cannot lock
+in a regression of one format against another.
 
 A series present in the baseline but missing from the fresh output fails
 the gate (a renamed or dropped series must come with a baseline refresh,
 see the README's "Refreshing bench baselines"); brand-new series pass
 with a note and start gating once committed to the baseline.
 
-Exit status: 0 = within tolerance, 1 = regression or missing series,
-2 = usage/IO error. Stdlib only.
+Exit status: 0 = within tolerance, 1 = regression, broken ratio
+invariant or missing series, 2 = usage/IO error. Stdlib only.
 """
 
 from __future__ import annotations
@@ -35,6 +41,13 @@ KEY_FIELDS = ("ranks", "threads", "k", "level")
 # a shared CI runner (timer resolution + scheduler jitter).
 DEFAULT_FLOOR_NS = 10_000.0  # 10 us
 DEFAULT_FLOOR_S = 1e-3  # 1 ms
+
+# Per-file ratio invariants: (series, minimum) checked on the fresh output.
+RATIO_RULES = {
+    # speedup = csr_ns / bsr3_ns: the node-block format must not lose to CSR.
+    "BENCH_kernels.json": (("spmv.speedup", 1.0),
+                           ("jacobi_sweep.speedup", 1.0)),
+}
 
 DEFAULT_FILES = ("BENCH_kernels.json", "BENCH_halo.json", "BENCH_service.json",
                  "BENCH_equations.json", "BENCH_refine.json")
@@ -126,6 +139,23 @@ def compare_file(
     return failures
 
 
+def check_ratios(name: str, fresh: dict[str, float]) -> list[str]:
+    failures: list[str] = []
+    for series, minimum in RATIO_RULES.get(name, ()):
+        if series not in fresh:
+            failures.append(f"{name}: ratio series '{series}' missing from "
+                            "fresh output")
+            continue
+        got = fresh[series]
+        verdict = "  ok  "
+        if got < minimum:
+            verdict = " FAIL "
+            failures.append(f"{name}: {series} = {got:g} is below the "
+                            f"invariant minimum {minimum:g}")
+        print(f"{verdict}{name}:{series} {got:g} (minimum {minimum:g})")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Fail on bench throughput regressions vs baselines.")
@@ -160,6 +190,7 @@ def main() -> int:
         compared += 1
         failures += compare_file(name, baseline, fresh, args.tol,
                                  args.floor_ns, args.floor_s)
+        failures += check_ratios(name, fresh)
 
     if compared == 0 and not failures:
         print("bench_compare: no baselines found — nothing gated")

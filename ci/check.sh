@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The one-command CI gate: optimized build + tier-1 test suite, the same
-# suite again under Address/UB sanitizers, then the ThreadSanitizer race
-# gate (ci/tsan.sh). Everything a PR must pass.
+# suite again on an AVX2 + FMA build and under Address/UB sanitizers, then
+# the ThreadSanitizer race gate (ci/tsan.sh). Everything a PR must pass.
 #
 # By default only tier-1 tests run (`ctest -L tier1`) — the fast PR gate.
-# Pass --full to also run slow-labelled tests in both configurations, the
+# Pass --full to also run slow-labelled tests in every configuration, the
 # nightly-style full lane.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,6 +47,13 @@ cmake --build --preset release -j"$(nproc)"
 ccache_epilogue release
 ctest --test-dir build-release --output-on-failure -j"$(nproc)" \
   "${label_args[@]}"
+
+# The same tier-1 suite built for AVX2 + FMA: the bitwise suites must
+# hold on the wider ISA too (no FMA contraction, see CMakeLists.txt).
+cmake --preset avx2
+cmake --build --preset avx2 -j"$(nproc)"
+ccache_epilogue avx2
+ctest --preset avx2 -j"$(nproc)" "${label_args[@]}"
 
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j"$(nproc)"

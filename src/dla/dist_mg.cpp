@@ -206,9 +206,9 @@ struct DistCycleView {
     const int nl = h->num_levels();
     const DistMgLevel& lv = h->level(nl - 1);
     if (lv.direct != nullptr || lv.direct_lu != nullptr) {
-      // One allgatherv carries every column; the factor-solve is already
-      // local and runs per column in order. Same active-subset rule as
-      // the scalar path.
+      // One allgatherv carries every column; the factor-solve is local.
+      // The LDL^T factor solves all columns in one blocked call, the LU
+      // one column at a time. Same active-subset rule as the scalar path.
       const int active = h->active_ranks(nl - 1);
       la::MultiVec b_full;
       if (active < comm->size()) {
@@ -218,16 +218,19 @@ struct DistCycleView {
       } else {
         b_full = dist_gather_all_mv(*comm, lv.a.row_dist(), b);
       }
-      const idx b0 = lv.a.row_dist().begin(comm->rank());
-      std::vector<real> x_full(static_cast<std::size_t>(b_full.rows()));
-      for (int j = 0; j < b.cols(); ++j) {
-        if (lv.direct != nullptr) {
-          lv.direct->solve(b_full.col(j), x_full);
-        } else {
-          lv.direct_lu->solve(b_full.col(j), x_full);
+      la::MultiVec x_full(b_full.rows(), b.cols());
+      if (lv.direct != nullptr) {
+        lv.direct->solve(b_full, x_full);
+      } else {
+        for (int j = 0; j < b.cols(); ++j) {
+          lv.direct_lu->solve(b_full.col(j), x_full.col(j));
         }
+      }
+      const idx b0 = lv.a.row_dist().begin(comm->rank());
+      for (int j = 0; j < b.cols(); ++j) {
+        const real* fj = x_full.col_data(j);
         real* xj = x.col_data(j);
-        for (idx i = 0; i < lv.local_n(); ++i) xj[i] = x_full[b0 + i];
+        for (idx i = 0; i < lv.local_n(); ++i) xj[i] = fj[b0 + i];
       }
     } else {
       for (int s = 0; s < 4; ++s) lv.smooth_mv(*comm, b, x);

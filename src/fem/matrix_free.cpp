@@ -10,7 +10,6 @@
 #include "fem/quadrature.h"
 #include "fem/shape.h"
 #include "geom/mat3.h"
-#include "la/block_kernels.h"
 #include "la/simd.h"
 #include "obs/trace.h"
 
@@ -27,6 +26,14 @@ using la::RealPack;
 /// same element count as fem/assembly.cpp's kCellGrain / 4.
 constexpr idx kBatchGrain = 4;
 constexpr idx kRowGrain = 1024;
+
+/// y(0..2) += m * x for a row-major 3x3 operand held per entry in a pack:
+/// each lane is an independent 3x3 op on one element.
+void block3_madd(const RealPack* m, const RealPack* x, RealPack* y) {
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) y[r] += m[r * 3 + c] * x[c];
+  }
+}
 
 /// Reals per quadrature point in the geo_ stream: w = gauss_w * detJ plus
 /// the row-major J^{-1}.
@@ -202,10 +209,9 @@ void pass_a_batch(const RefRule& rule, const real* geo, const real* mean,
     const RealPack tr_sig = sigma[0] + sigma[4] + sigma[8];
 
     // Nodal forces: y_{a,k} += w ((sigma g_a)_k + gm_{a,k} tr sigma).
-    // sigma g_a is the shared 3x3 microkernel at pack granularity.
     for (int a = 0; a < nen; ++a) {
       RealPack sv[3] = {la::pack_zero(), la::pack_zero(), la::pack_zero()};
-      la::block3_madd(sigma, g[a], sv);
+      block3_madd(sigma, g[a], sv);
       for (int k = 0; k < 3; ++k) {
         acc[a * 3 + k] += w * (sv[k] + gm[a][k] * tr_sig);
       }

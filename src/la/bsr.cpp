@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "common/flops.h"
 #include "common/parallel.h"
-#include "la/block_kernels.h"
 
 namespace prom::la {
 namespace {
@@ -60,9 +59,7 @@ bool invert_block(const real* in, real* out) {
   return true;
 }
 
-/// out(0..BS) = block row i times x. For BS == 3 the inner op is the
-/// shared vectorized microkernel (la/block_kernels.h); otherwise the
-/// reference scalar loop. Either way each scalar row accumulates in
+/// out(0..BS) = block row i times x. Each scalar row accumulates in
 /// ascending block-column then ascending scalar-column order, so the
 /// result is bit-identical to the scalar CSR walk of the same row.
 template <int BS>
@@ -71,25 +68,15 @@ inline void block_row_times(const std::vector<nnz_t>& browptr,
                             const std::vector<real>& vals,
                             std::span<const real> x, idx i, real* out) {
   constexpr int kBlockSize = BS * BS;
-  if constexpr (BS == 3) {
-    RealPack acc = pack_zero();
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const real* xj = x.data() + static_cast<std::size_t>(bcolidx[k]) * BS;
-      block3_row_madd(blk, xj, acc);
+  real acc[BS] = {};
+  for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
+    const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
+    const real* xj = x.data() + static_cast<std::size_t>(bcolidx[k]) * BS;
+    for (int r = 0; r < BS; ++r) {
+      for (int c = 0; c < BS; ++c) acc[r] += blk[r * BS + c] * xj[c];
     }
-    for (int r = 0; r < BS; ++r) out[r] = pack_lane(acc, r);
-  } else {
-    real acc[BS] = {};
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const real* xj = x.data() + static_cast<std::size_t>(bcolidx[k]) * BS;
-      for (int r = 0; r < BS; ++r) {
-        for (int c = 0; c < BS; ++c) acc[r] += blk[r * BS + c] * xj[c];
-      }
-    }
-    for (int r = 0; r < BS; ++r) out[r] = acc[r];
   }
+  for (int r = 0; r < BS; ++r) out[r] = acc[r];
 }
 
 }  // namespace
@@ -193,35 +180,20 @@ inline void block_row_times_mv(const std::vector<nnz_t>& browptr,
                                const real* const* xp, int ncol, idx i,
                                real out[][BS]) {
   constexpr int kBlockSize = BS * BS;
-  if constexpr (BS == 3) {
-    RealPack acc[kMaxRhsBlock];
-    for (int j = 0; j < ncol; ++j) acc[j] = pack_zero();
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const std::size_t xoff = static_cast<std::size_t>(bcolidx[k]) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        block3_row_madd(blk, xp[j] + xoff, acc[j]);
-      }
-    }
+  real acc[kMaxRhsBlock][BS] = {};
+  for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
+    const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
+    const std::size_t xoff = static_cast<std::size_t>(bcolidx[k]) * BS;
     for (int j = 0; j < ncol; ++j) {
-      for (int r = 0; r < BS; ++r) out[j][r] = pack_lane(acc[j], r);
-    }
-  } else {
-    real acc[kMaxRhsBlock][BS] = {};
-    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-      const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-      const std::size_t xoff = static_cast<std::size_t>(bcolidx[k]) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int r = 0; r < BS; ++r) {
-          for (int c = 0; c < BS; ++c) {
-            acc[j][r] += blk[r * BS + c] * xp[j][xoff + c];
-          }
+      for (int r = 0; r < BS; ++r) {
+        for (int c = 0; c < BS; ++c) {
+          acc[j][r] += blk[r * BS + c] * xp[j][xoff + c];
         }
       }
     }
-    for (int j = 0; j < ncol; ++j) {
-      for (int r = 0; r < BS; ++r) out[j][r] = acc[j][r];
-    }
+  }
+  for (int j = 0; j < ncol; ++j) {
+    for (int r = 0; r < BS; ++r) out[j][r] = acc[j][r];
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/config.h"
 #include "common/error.h"
+#include "la/multivec.h"
 
 namespace prom::la {
 
@@ -55,8 +56,20 @@ class DenseLdlt {
   bool ok() const { return ok_; }
   idx n() const { return n_; }
 
-  /// Solves A x = b. Requires ok().
-  void solve(std::span<const real> b, std::span<real> x) const;
+  /// Solves A X = B for k columns stored row-interleaved: entry (i, j) of
+  /// B and X sits at [i * k + j], so k = 1 is a plain vector. b and x are
+  /// either the same span or disjoint. Requires ok().
+  ///
+  /// This is the factor's only substitution kernel. Column j gets exactly
+  /// the arithmetic of a k = 1 solve of that column: the forward pass runs
+  /// column-oriented (for each c, update rows i > c, contiguous in the
+  /// column-major factor) and the backward pass dot-oriented, but each
+  /// entry still sees its subtractions one at a time in ascending index
+  /// order. So column j is bitwise equal to solving it alone, at any k.
+  void solve(std::span<const real> b, std::span<real> x, int k = 1) const;
+
+  /// Column-blocked solve of the columns of b through the kernel above.
+  void solve(const MultiVec& b, MultiVec& x) const;
 
  private:
   idx n_ = 0;

@@ -1,19 +1,29 @@
-// Fixed-width SIMD pack for the explicitly vectorized kernels (the
-// matrix-free element kernel in fem/matrix_free.cpp and the 3x3 block
-// microkernel in la/block_kernels.h).
+// Fixed-width SIMD packs for the explicitly vectorized kernels. Both
+// vectorize across independent work items, never along an accumulation
+// chain:
 //
-// The width is a compile-time constant, kSimdLanes = 4 doubles (one AVX
-// register, two SSE registers, or four scalar ops — the compiler lowers the
-// generic vector to whatever the target provides). It is deliberately NOT
-// runtime-dispatched: every lane performs an independent IEEE-754 binary64
-// operation, identical to the scalar expression, so results are the same
-// bits on every ISA and at every thread count — lane width is part of the
-// data layout, not of the rounding behaviour. (The project builds without
-// -ffast-math and without FMA contraction, see the top-level CMakeLists.)
+//  - RealPack, kSimdLanes = 4 doubles: the matrix-free element kernel in
+//    fem/matrix_free.cpp, one lane per element;
+//  - RealPair, 2 doubles: the column-blocked dense LDL^T solve in
+//    la/dense.cpp, one lane per right-hand side.
 //
-// On GNU-compatible compilers the pack is a vector_size extension type and
-// the operators compile to vector instructions; elsewhere a plain array
-// with per-lane loops produces the same values (just slower).
+// Every lane performs an independent IEEE-754 binary64 operation, identical
+// to the scalar expression, so results are the same bits on every ISA and
+// at every thread count — lane width is part of the data layout, not of
+// the rounding behaviour. The project builds with -fno-fast-math and
+// -ffp-contract=off (top-level and src/ CMakeLists), so no multiply-add is
+// fused into an FMA even on a target that has one.
+//
+// The widths are compile-time constants, not runtime-dispatched. On the
+// baseline x86-64 target (SSE2) a RealPack operation lowers to two
+// registers and RealPair to exactly one; a kernel that keeps several packs
+// live across a loop therefore uses RealPair, because arrays of RealPack
+// spill to the stack there.
+//
+// On GNU-compatible compilers the packs are vector_size extension types
+// and the operators compile to vector instructions. Elsewhere RealPack is
+// a plain array with per-lane loops that produces the same values (just
+// slower), and RealPair is not defined: its users fall back to scalars.
 #pragma once
 
 #include <cstring>
@@ -29,6 +39,12 @@ inline constexpr int kSimdLanes = 4;
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PROM_SIMD_VECTOR_EXT 1
+#endif
+
+#ifdef PROM_SIMD_VECTOR_EXT
+/// Two doubles, one SSE2 register. Native vector type: arithmetic with a
+/// scalar operand broadcasts it.
+typedef real RealPair __attribute__((vector_size(2 * sizeof(real))));
 #endif
 
 /// A pack of kSimdLanes doubles with elementwise arithmetic.
@@ -96,10 +112,7 @@ inline RealPack pack_load(const real* p) {
 /// Unaligned store of kSimdLanes contiguous doubles.
 inline void pack_store(real* p, RealPack a) { std::memcpy(p, &a, sizeof(a)); }
 
-/// Single lane read (lane index must be in [0, kSimdLanes)).
-inline real pack_lane(RealPack a, int lane) { return a.v[lane]; }
-
-/// Single lane write.
+/// Single lane write (lane index must be in [0, kSimdLanes)).
 inline void pack_set_lane(RealPack& a, int lane, real s) { a.v[lane] = s; }
 
 }  // namespace prom::la

@@ -259,23 +259,24 @@ void block_jacobi_sweep_mv(const B& be, const Op& a,
   PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol);
   MultiVec r(n, ncol);
   be.residual_mv(a, b, x, r);
+  // Each block solves all k columns in one blocked LDL^T call on the
+  // row-interleaved gather (entry (li, j) at li * ncol + j).
   common::parallel_for(
       0, static_cast<idx>(blocks.size()), kSmootherBlockGrain,
       [&](idx kb, idx ke) {
-        std::vector<real> rb, xb;
+        std::vector<real> rb;
         for (idx k = kb; k < ke; ++k) {
           const auto& block = blocks[k];
-          rb.resize(block.size());
-          xb.resize(block.size());
-          for (int j = 0; j < ncol; ++j) {
-            const real* rj = r.col_data(j);
-            real* xj = x.col_data(j);
-            for (std::size_t li = 0; li < block.size(); ++li) {
-              rb[li] = rj[block[li]];
+          rb.resize(block.size() * ncol);
+          for (std::size_t li = 0; li < block.size(); ++li) {
+            for (int j = 0; j < ncol; ++j) {
+              rb[li * ncol + j] = r.col_data(j)[block[li]];
             }
-            factors[k].solve(rb, xb);
-            for (std::size_t li = 0; li < block.size(); ++li) {
-              xj[block[li]] += omega * xb[li];
+          }
+          factors[k].solve(rb, rb, ncol);
+          for (std::size_t li = 0; li < block.size(); ++li) {
+            for (int j = 0; j < ncol; ++j) {
+              x.col_data(j)[block[li]] += omega * rb[li * ncol + j];
             }
           }
         }

@@ -96,9 +96,7 @@ struct HierarchyCycleView {
       h->level(l).r.spmv_transpose(xc.col(j), xf.col(j));
     }
   }
-  void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const {
-    for (int j = 0; j < b.cols(); ++j) coarse_solve(b.col(j), x.col(j));
-  }
+  void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const;
 };
 
 /// One V-cycle at `level` for A_level x = b, improving x in place.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
+#include "common/parallel.h"
+#include "la/operator.h"
+#include "la/smoother_kernels.h"
 #include "la/smoothers.h"
 #include "la/vec.h"
 #include "partition/greedy.h"
@@ -149,6 +153,45 @@ TEST(BlockJacobi, GraphPartitionedBlocksMatchPaperDensity) {
   EXPECT_EQ(blocks.size(), 3u);
   BlockJacobiSmoother smoother(a, blocks, 0.6);
   EXPECT_EQ(smoother.num_blocks(), 3);
+}
+
+// Column j of the column-blocked block-Jacobi sweep is bitwise equal to
+// the single-vector sweep on that column, at any column count and kernel
+// thread count (20 blocks span three kSmootherBlockGrain chunks).
+TEST(BlockJacobi, BlockedSweepMatchesSingleSweepBitwise) {
+  const Csr a = poisson2d(30);  // 900 unknowns
+  const idx n = a.nrows;
+  const auto blocks = contiguous_blocks(n, 20);
+  const auto factors = factor_diagonal_blocks(a, blocks);
+  const CsrOperator op(a);
+  const real omega = 0.6;
+  for (int k : {1, 3, 8, 16}) {
+    MultiVec b(n, k), x0(n, k);
+    for (int j = 0; j < k; ++j) {
+      for (idx i = 0; i < n; ++i) {
+        b.col_data(j)[i] = std::sin(0.37 * i + j);
+        x0.col_data(j)[i] = std::cos(0.11 * i - 2.0 * j);
+      }
+    }
+    common::set_kernel_threads(1);
+    std::vector<std::vector<real>> ref(k);
+    for (int j = 0; j < k; ++j) {
+      ref[j].assign(x0.col(j).begin(), x0.col(j).end());
+      block_jacobi_sweep(SerialBackend{}, op, blocks, factors, omega, b.col(j),
+                         ref[j]);
+    }
+    for (int threads : {1, 2, 8}) {
+      common::set_kernel_threads(threads);
+      MultiVec x = x0;
+      block_jacobi_sweep_mv(SerialBackend{}, op, blocks, factors, omega, b, x);
+      for (int j = 0; j < k; ++j) {
+        EXPECT_EQ(std::memcmp(x.col_data(j), ref[j].data(), n * sizeof(real)),
+                  0)
+            << "k=" << k << " threads=" << threads << " column " << j;
+      }
+    }
+  }
+  common::set_kernel_threads(0);
 }
 
 TEST(ContiguousBlocks, PartitionExactly) {
