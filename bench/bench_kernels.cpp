@@ -4,7 +4,8 @@
 // (including the block-count ablation called out in DESIGN.md), greedy
 // MIS, face identification, Delaunay insertion, and the exact geometric
 // predicates' fast path. Emits BENCH_kernels.json with the CSR-vs-BSR
-// format comparison and the single-vs-blocked dense LDL^T solve.
+// format comparison, the single-vs-blocked dense LDL^T solve and the
+// serial-vs-p=1-distributed Galerkin product.
 // PROM_BENCH_SMOKE=1 shrinks every problem and caps the measuring time
 // (the CI smoke lane).
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "common/rng.h"
 #include "coarsen/coarsen.h"
 #include "delaunay/delaunay.h"
+#include "dla/dist_setup.h"
 #include "fem/assembly.h"
 #include "fem/matrix_free.h"
 #include "geom/predicates.h"
@@ -35,6 +38,7 @@
 #include "la/smoothers.h"
 #include "mesh/generate.h"
 #include "partition/greedy.h"
+#include "parx/runtime.h"
 
 using namespace prom;
 
@@ -114,18 +118,10 @@ void BM_BlockJacobiSweep(benchmark::State& state) {
   // and sparser alternatives.
   const Assembled& a = assembled(10);
   const idx per1000 = static_cast<idx>(state.range(0));
-  std::vector<std::pair<idx, idx>> edges;
-  for (idx i = 0; i < a.stiffness.nrows; ++i) {
-    for (nnz_t k = a.stiffness.rowptr[i]; k < a.stiffness.rowptr[i + 1];
-         ++k) {
-      if (a.stiffness.colidx[k] > i) {
-        edges.emplace_back(i, a.stiffness.colidx[k]);
-      }
-    }
-  }
-  const graph::Graph g = graph::Graph::from_edges(a.stiffness.nrows, edges);
   const la::BlockJacobiSmoother smoother(
-      a.stiffness, partition::block_jacobi_blocks(g, per1000), 0.6);
+      a.stiffness,
+      partition::block_jacobi_blocks(la::pattern_graph(a.stiffness), per1000),
+      0.6);
   std::vector<real> b(a.stiffness.nrows, 1.0), x(a.stiffness.nrows, 0.0);
   for (auto _ : state) {
     smoother.smooth(b, x);
@@ -524,6 +520,32 @@ int run_format_comparison() {
     ldlt.solve(rb, xb, 8);
     benchmark::DoNotOptimize(xb.data());
   });
+  // The p=1 Galerkin gap: the serial triple product R A R^T against the
+  // distributed one on one rank (identity layout) for one coarsening
+  // level of the same box. Only the product is timed.
+  const graph::Graph vgraph = mesh.vertex_graph();
+  const auto level = coarsen::coarsen_level(
+      mesh.coords(), vgraph, coarsen::classify_mesh(mesh), 0, {});
+  std::vector<idx> coarse_free(3 * level.selected.size());
+  std::iota(coarse_free.begin(), coarse_free.end(), idx{0});
+  const la::Csr r = coarsen::expand_restriction_to_dofs(
+      level.r_vertex, dofmap.free_dofs(), coarse_free);
+  const int iters_g = kSmoke ? 3 : 5;
+  const double galerkin_serial = best_mean_ns(reps, iters_g, [&] {
+    const la::Csr coarse = la::galerkin_product(r, a);
+    benchmark::DoNotOptimize(coarse.vals.data());
+  });
+  double galerkin_dist = 0;
+  parx::Runtime::run(1, [&](parx::Comm& comm) {
+    const dla::DistCsr ad(comm, a, dla::RowDist::block(a.nrows, 1),
+                          dla::RowDist::block(a.ncols, 1));
+    const dla::DistCsr rd(comm, r, dla::RowDist::block(r.nrows, 1),
+                          dla::RowDist::block(r.ncols, 1));
+    galerkin_dist = best_mean_ns(reps, iters_g, [&] {
+      const dla::DistCsr coarse = dla::dist_galerkin_product(comm, rd, ad);
+      benchmark::DoNotOptimize(coarse.local_matrix().vals.data());
+    });
+  });
   // Fine-level scale point (>= 100k unknowns non-smoke: the n=32 box has
   // 33^3 * 3 = 107,811 free dofs). Here the assembled matrix blows out of
   // cache and the bytes/dof model decides the apply speed — the
@@ -553,6 +575,7 @@ int run_format_comparison() {
   const double spmv_speedup = csr_spmv / bsr_spmv;
   const double sweep_speedup = csr_sweep / bsr_sweep;
   const double ldlt_col_speedup = ldlt_k1 / (ldlt_k8 / 8);
+  const double galerkin_speedup = galerkin_serial / galerkin_dist;
   const double csr_bytes = csr_bytes_per_dof(a);
   const double bsr_bytes = bsr3_bytes_per_dof(ab);
   const double mf_bytes = mf.core().apply_bytes_per_row();
@@ -566,6 +589,7 @@ int run_format_comparison() {
       "  ns/dof    csr %8.2f     bsr3 %8.2f     mf %8.2f\n"
       "  bytes/dof csr %8.1f     bsr3 %8.1f     mf %8.1f\n"
       "  ldlt n=%d k=1 %8.0f ns  k=8 %8.0f ns  (%.2fx per column)\n"
+      "  galerkin  serial %8.0f ns  dist p=1 %8.0f ns  (%.2fx)\n"
       "fine-level scale point (%d unknowns):\n"
       "  ns/dof    csr %8.2f     mf %8.2f\n"
       "  bytes/dof csr %8.1f     mf %8.1f  (mf %s csr)\n",
@@ -573,7 +597,8 @@ int run_format_comparison() {
       spmv_speedup, mf_apply, csr_spmv / mf_apply, csr_sweep, bsr_sweep,
       sweep_speedup, csr_spmv / a.nrows, bsr_spmv / a.nrows,
       mf_apply / a.nrows, csr_bytes, bsr_bytes, mf_bytes, nb, ldlt_k1,
-      ldlt_k8, ldlt_col_speedup, a_s.nrows, csr_spmv_s / a_s.nrows,
+      ldlt_k8, ldlt_col_speedup, galerkin_serial, galerkin_dist,
+      galerkin_speedup, a_s.nrows, csr_spmv_s / a_s.nrows,
       mf_apply_s / a_s.nrows, csr_bytes_s, mf_bytes_s,
       mf_bytes_s < csr_bytes_s ? "<" : ">=");
 
@@ -595,6 +620,8 @@ int run_format_comparison() {
                "\"mf\": %.1f},\n"
                "  \"ldlt_solve\": {\"n\": %d, \"k1_ns\": %.1f, "
                "\"k8_ns\": %.1f, \"k8_col_speedup\": %.3f},\n"
+               "  \"galerkin_p1\": {\"serial_ns\": %.1f, \"dist_ns\": %.1f, "
+               "\"speedup\": %.3f},\n"
                "  \"mf_scale\": {\"unknowns\": %d, "
                "\"csr_ns_per_dof\": %.3f, \"mf_ns_per_dof\": %.3f, "
                "\"csr_bytes_per_dof\": %.1f, \"mf_bytes_per_dof\": %.1f}\n"
@@ -602,7 +629,8 @@ int run_format_comparison() {
                a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
                spmv_speedup, csr_sweep, bsr_sweep, sweep_speedup, mf_apply,
                mf_apply / a.nrows, csr_spmv / mf_apply, csr_bytes, bsr_bytes,
-               mf_bytes, nb, ldlt_k1, ldlt_k8, ldlt_col_speedup, a_s.nrows,
+               mf_bytes, nb, ldlt_k1, ldlt_k8, ldlt_col_speedup,
+               galerkin_serial, galerkin_dist, galerkin_speedup, a_s.nrows,
                csr_spmv_s / a_s.nrows, mf_apply_s / a_s.nrows, csr_bytes_s,
                mf_bytes_s);
   std::fclose(json);

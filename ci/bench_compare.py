@@ -15,8 +15,10 @@ a smoke-sized bench cannot measure them meaningfully.
 Some files also carry ratio invariants (RATIO_RULES): a derived ratio
 in the fresh output must stay at or above a fixed minimum, whatever the
 baseline says. For BENCH_kernels.json the bsr3 SpMV and Jacobi sweep
-must not be slower than CSR. A baseline refresh therefore cannot lock
-in a regression of one format against another.
+must not be slower than CSR, and the one-rank distributed Galerkin
+product must reach half the speed of the serial one. A baseline refresh
+therefore cannot lock in a regression of one format or stack against
+another.
 
 A series present in the baseline but missing from the fresh output fails
 the gate (a renamed or dropped series must come with a baseline refresh,
@@ -45,8 +47,11 @@ DEFAULT_FLOOR_S = 1e-3  # 1 ms
 # Per-file ratio invariants: (series, minimum) checked on the fresh output.
 RATIO_RULES = {
     # speedup = csr_ns / bsr3_ns: the node-block format must not lose to CSR.
+    # galerkin_p1.speedup = serial_ns / dist_ns: the distributed Galerkin
+    # product on one rank must run at least half as fast as the serial one.
     "BENCH_kernels.json": (("spmv.speedup", 1.0),
-                           ("jacobi_sweep.speedup", 1.0)),
+                           ("jacobi_sweep.speedup", 1.0),
+                           ("galerkin_p1.speedup", 0.5)),
 }
 
 DEFAULT_FILES = ("BENCH_kernels.json", "BENCH_halo.json", "BENCH_service.json",

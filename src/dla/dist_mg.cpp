@@ -19,18 +19,6 @@
 namespace prom::dla {
 namespace {
 
-graph::Graph graph_of_pattern(const la::Csr& a) {
-  std::vector<std::pair<idx, idx>> edges;
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      if (a.colidx[k] > i && a.colidx[k] < a.nrows) {
-        edges.emplace_back(i, a.colidx[k]);
-      }
-    }
-  }
-  return graph::Graph::from_edges(a.nrows, edges);
-}
-
 /// Redundant dense factorization of the (gathered, constant-size) coarsest
 /// operator, with the same diagonal-shift escalation as the serial build.
 std::unique_ptr<la::DenseLdlt> factor_coarse(const la::Csr& a) {
@@ -488,6 +476,7 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
       // The coarsest operator has constant size (§5): gather it and
       // factor redundantly on every rank — LU when the serial options ask
       // for the non-symmetric coarse solve, LDL^T otherwise.
+      const obs::Span span("setup.coarse_factor", l);
       if (mo.coarse_solver == mg::CoarseSolverKind::kDenseLu) {
         dl.direct_lu = factor_coarse_lu(dist_gather_matrix(comm, dl.a));
       } else {
@@ -495,6 +484,7 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
       }
       continue;
     }
+    const obs::Span span("setup.smoother", l);
     dl.kind = mo.smoother == mg::SmootherKind::kSymGaussSeidel
                   ? mg::SmootherKind::kBlockJacobi
                   : mo.smoother;
@@ -532,7 +522,7 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
       }
       default:
         dl.blocks = partition::block_jacobi_blocks(
-            graph_of_pattern(dl.local_diag), mo.bj_blocks_per_1000);
+            la::pattern_graph(dl.local_diag), mo.bj_blocks_per_1000);
         dl.factors = la::factor_diagonal_blocks(dl.local_diag, dl.blocks);
         break;
     }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,11 +70,12 @@ DistCsr dist_spgemm(parx::Comm& comm, const DistCsr& a, const DistCsr& b,
   const auto asked = comm.alltoallv(want);
 
   // Each owner replies with one fused message per requester — the row
-  // lengths, column ids and values of the requested rows back to back —
-  // instead of three separate collectives. Replies are drained in arrival
-  // order (slow peers never stall parsed ones); the assembly loop below
-  // walks the ghost list in fixed order, so the result is deterministic.
-  const la::Csr b_rows = local_rows_global_cols(b);
+  // lengths, global column ids and values of the requested rows back to
+  // back — instead of three separate collectives. Replies are drained in
+  // arrival order (slow peers never stall parsed ones); the assembly loop
+  // below walks the ghost list in fixed order, so the result is
+  // deterministic.
+  const la::Csr& bl = b.local_matrix();
   const idx b0 = bd.begin(rank);
   {
     std::vector<nnz_t> counts;
@@ -90,10 +89,10 @@ DistCsr dist_spgemm(parx::Comm& comm, const DistCsr& a, const DistCsr& b,
       for (idx grow : asked[r]) {
         PROM_CHECK(bd.owner(grow) == rank);
         const idx lr = grow - b0;
-        counts.push_back(b_rows.rowptr[lr + 1] - b_rows.rowptr[lr]);
-        for (nnz_t k = b_rows.rowptr[lr]; k < b_rows.rowptr[lr + 1]; ++k) {
-          cols.push_back(b_rows.colidx[k]);
-          vals.push_back(b_rows.vals[k]);
+        counts.push_back(bl.rowptr[lr + 1] - bl.rowptr[lr]);
+        for (nnz_t k = bl.rowptr[lr]; k < bl.rowptr[lr + 1]; ++k) {
+          cols.push_back(b.global_col(bl.colidx[k]));
+          vals.push_back(bl.vals[k]);
         }
       }
       std::vector<std::byte> msg;
@@ -128,65 +127,99 @@ DistCsr dist_spgemm(parx::Comm& comm, const DistCsr& a, const DistCsr& b,
   // Self-requests never happen: every ghost column is owned elsewhere.
   PROM_CHECK(want[rank].empty());
 
-  // Ghost-row table aligned with A's ghost slots (global columns).
-  la::Csr ghost_rows;
-  ghost_rows.nrows = a.num_ghosts();
-  ghost_rows.ncols = b.col_dist().global_size();
-  ghost_rows.rowptr.assign(static_cast<std::size_t>(ghost_rows.nrows) + 1, 0);
+  // Compact numbering of the columns this rank can reach: B's local
+  // columns plus those of the fetched ghost rows, in ascending global
+  // order (so sorting compact ids sorts global ids). The accumulator is
+  // sized by it, never by B's global column count.
+  std::vector<idx> reach(static_cast<std::size_t>(bl.ncols));
+  for (idx lc = 0; lc < bl.ncols; ++lc) reach[lc] = b.global_col(lc);
+  for (const GhostRowReply& rep : replies) {
+    reach.insert(reach.end(), rep.cols.begin(), rep.cols.end());
+  }
+  std::sort(reach.begin(), reach.end());
+  reach.erase(std::unique(reach.begin(), reach.end()), reach.end());
+  const auto compact = [&](idx g) {
+    return static_cast<idx>(
+        std::lower_bound(reach.begin(), reach.end(), g) - reach.begin());
+  };
+
+  // The B rows A's local columns select, in compact columns: row lc is
+  // B's owned row lc for an owned A column, then one fetched ghost row
+  // per A ghost slot.
+  la::Csr bx;
+  bx.nrows = bl.nrows + a.num_ghosts();
+  bx.ncols = static_cast<idx>(reach.size());
+  bx.rowptr.assign(static_cast<std::size_t>(bx.nrows) + 1, 0);
+  bx.colidx.reserve(bl.colidx.size());
+  bx.vals = bl.vals;
+  std::vector<idx> b_cmp(static_cast<std::size_t>(bl.ncols));
+  for (idx lc = 0; lc < bl.ncols; ++lc) b_cmp[lc] = compact(b.global_col(lc));
+  for (idx lc : bl.colidx) bx.colidx.push_back(b_cmp[lc]);
+  std::copy(bl.rowptr.begin(), bl.rowptr.end(), bx.rowptr.begin());
   std::vector<std::size_t> ccur(p, 0), ecur(p, 0);
   for (std::size_t g = 0; g < a.ghost_cols().size(); ++g) {
     const int o = bd.owner(a.ghost_cols()[g]);
     const GhostRowReply& rep = replies[o];
     const nnz_t nz = rep.counts[ccur[o]++];
     for (nnz_t t = 0; t < nz; ++t) {
-      ghost_rows.colidx.push_back(rep.cols[ecur[o]]);
-      ghost_rows.vals.push_back(rep.vals[ecur[o]]);
+      bx.colidx.push_back(compact(rep.cols[ecur[o]]));
+      bx.vals.push_back(rep.vals[ecur[o]]);
       ++ecur[o];
     }
-    ghost_rows.rowptr[g + 1] = static_cast<nnz_t>(ghost_rows.colidx.size());
+    bx.rowptr[bl.nrows + g + 1] = static_cast<nnz_t>(bx.colidx.size());
   }
 
-  // Local Gustavson over the owned rows. An output entry accumulates one
-  // term `+= av * bv` per A-column, from a zero seed, so its value depends
-  // only on the order the A-row entries are visited; visiting them in
-  // ascending *serial* column order (a_col_serial, when given) reproduces
-  // la::spgemm on the unpermuted matrices bit for bit.
+  // Local Gustavson over the owned rows with la::spgemm's marker and dense
+  // accumulator. An output entry accumulates one term `+= av * bv` per
+  // A-column, from a zero seed, so its value depends only on the order the
+  // A-row entries are visited; visiting them in ascending *serial* column
+  // order (a_col_serial, when given) reproduces la::spgemm on the
+  // unpermuted matrices bit for bit.
   const la::Csr& al = a.local_matrix();
-  const idx a_n_own = a.col_dist().local_size(rank);
+  PROM_CHECK(al.ncols == bx.nrows);
+  std::vector<idx> term_key(static_cast<std::size_t>(al.ncols));
+  for (idx lc = 0; lc < al.ncols; ++lc) {
+    const idx gc = a.global_col(lc);
+    term_key[lc] = a_col_serial.empty() ? gc : a_col_serial[gc];
+  }
   la::Csr c;
   c.nrows = al.nrows;
   c.ncols = b.col_dist().global_size();
   c.rowptr.assign(static_cast<std::size_t>(c.nrows) + 1, 0);
   std::int64_t flops = 0;
-  std::unordered_map<idx, real> acc;
+  std::vector<real> acc(reach.size(), real{0});
+  std::vector<idx> marker(reach.size(), kInvalidIdx);
   std::vector<idx> cols_in_row;
   std::vector<std::pair<idx, nnz_t>> order;  // (term key, position in row)
   for (idx i = 0; i < al.nrows; ++i) {
-    acc.clear();
     cols_in_row.clear();
     order.clear();
     for (nnz_t ka = al.rowptr[i]; ka < al.rowptr[i + 1]; ++ka) {
-      const idx gc = a.global_col(al.colidx[ka]);
-      order.emplace_back(a_col_serial.empty() ? gc : a_col_serial[gc], ka);
+      order.emplace_back(term_key[al.colidx[ka]], ka);
     }
-    std::sort(order.begin(), order.end());
+    // Rows stored in key order already (every row at p = 1 under the
+    // identity permutation) skip the sort.
+    if (!std::is_sorted(order.begin(), order.end())) {
+      std::sort(order.begin(), order.end());
+    }
     for (const auto& [key, ka] : order) {
-      const idx lc = al.colidx[ka];
+      const idx row = al.colidx[ka];
       const real av = al.vals[ka];
-      const la::Csr& src = lc < a_n_own ? b_rows : ghost_rows;
-      const idx row = lc < a_n_own ? lc : lc - a_n_own;
-      for (nnz_t kb = src.rowptr[row]; kb < src.rowptr[row + 1]; ++kb) {
-        const idx col = src.colidx[kb];
-        const auto [it, inserted] = acc.try_emplace(col, real{0});
-        if (inserted) cols_in_row.push_back(col);
-        it->second += av * src.vals[kb];
-        flops += 2;
+      for (nnz_t kb = bx.rowptr[row]; kb < bx.rowptr[row + 1]; ++kb) {
+        const idx col = bx.colidx[kb];
+        if (marker[col] != i) {
+          marker[col] = i;
+          acc[col] = 0;
+          cols_in_row.push_back(col);
+        }
+        acc[col] += av * bx.vals[kb];
       }
+      flops += 2 * (bx.rowptr[row + 1] - bx.rowptr[row]);
     }
     std::sort(cols_in_row.begin(), cols_in_row.end());
     for (idx col : cols_in_row) {
-      c.colidx.push_back(col);
-      c.vals.push_back(acc.at(col));
+      c.colidx.push_back(reach[col]);
+      c.vals.push_back(acc[col]);
     }
     c.rowptr[i + 1] = static_cast<nnz_t>(c.colidx.size());
   }
@@ -219,31 +252,32 @@ DistCsr dist_transpose(parx::Comm& comm, const DistCsr& r) {
   const auto got_cols = comm.alltoallv(tcols);
   const auto got_vals = comm.alltoallv(tvals);
 
-  // Sort received triplets by (row, col); entries of R are unique, so the
-  // order is deterministic regardless of source rank.
-  std::vector<std::tuple<idx, idx, real>> trip;
-  for (int s = 0; s < p; ++s) {
-    for (std::size_t k = 0; k < got_rows[s].size(); ++k) {
-      trip.emplace_back(got_rows[s][k], got_cols[s][k], got_vals[s][k]);
-    }
-  }
-  std::sort(trip.begin(), trip.end(), [](const auto& x, const auto& y) {
-    return std::tie(std::get<0>(x), std::get<1>(x)) <
-           std::tie(std::get<0>(y), std::get<1>(y));
-  });
-
+  // Counting sort of the received entries by output row. Sources in rank
+  // order hold ascending column ranges, and each source's entries ascend
+  // in column within an output row, so the buckets come out sorted by
+  // (row, col) whatever the arrival order.
   la::Csr t;
   t.nrows = out_rows.local_size(rank);
   t.ncols = out_cols.global_size();
   t.rowptr.assign(static_cast<std::size_t>(t.nrows) + 1, 0);
   const idx t0 = out_rows.begin(rank);
-  for (const auto& [grow, gcol, v] : trip) {
-    PROM_CHECK(out_rows.owner(grow) == rank);
-    t.colidx.push_back(gcol);
-    t.vals.push_back(v);
-    t.rowptr[grow - t0 + 1] += 1;
+  for (int s = 0; s < p; ++s) {
+    for (idx grow : got_rows[s]) {
+      PROM_CHECK(grow >= t0 && grow < t0 + t.nrows);
+      ++t.rowptr[grow - t0 + 1];
+    }
   }
   for (idx i = 0; i < t.nrows; ++i) t.rowptr[i + 1] += t.rowptr[i];
+  t.colidx.resize(static_cast<std::size_t>(t.nnz()));
+  t.vals.resize(t.colidx.size());
+  std::vector<nnz_t> next(t.rowptr.begin(), t.rowptr.end() - 1);
+  for (int s = 0; s < p; ++s) {
+    for (std::size_t k = 0; k < got_rows[s].size(); ++k) {
+      const nnz_t pos = next[got_rows[s][k] - t0]++;
+      t.colidx[pos] = got_cols[s][k];
+      t.vals[pos] = got_vals[s][k];
+    }
+  }
 
   return DistCsr::from_local_rows(comm, t, out_rows, out_cols);
 }

@@ -6,6 +6,12 @@
 // mirrors la::spgemm exactly (ascending-column Gustavson), so the
 // distributed coarse operators are bit-identical to the serial Galerkin
 // chain under the setup permutation.
+//
+// Cost: every step is O(local nnz) plus per-row sorts. The transpose
+// buckets received entries by output row; the product uses la::spgemm's
+// marker array and dense accumulator, sized by the columns this rank can
+// reach (B's local columns plus those of the fetched ghost rows, in a
+// compact numbering), never by B's global column count.
 #pragma once
 
 #include "dla/dist_csr.h"

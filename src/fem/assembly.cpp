@@ -1,9 +1,11 @@
 #include "fem/assembly.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "obs/trace.h"
 
 namespace prom::fem {
 namespace {
@@ -123,6 +125,8 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
   const idx nchunks = common::chunk_count(0, mesh.num_cells(), kCellGrain);
   std::vector<ChunkOut> outs(static_cast<std::size_t>(nchunks));
 
+  // Element kernels, then the merge into the force vector and CSR.
+  std::optional<obs::Span> phase(std::in_place, "assembly.elements");
   common::parallel_for(0, mesh.num_cells(), kCellGrain, [&](idx eb, idx ee) {
     ChunkOut& co = outs[eb / kCellGrain];
     if (want_stiffness) {
@@ -190,6 +194,7 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
   // Deterministic merge: chunk order == cell order, and contributions are
   // applied one by one, so the accumulation order (and therefore every
   // rounding) matches the serial loop.
+  phase.emplace("assembly.merge");
   std::size_t total_triplets = 0;
   for (const ChunkOut& co : outs) {
     total_triplets += co.triplets.size();

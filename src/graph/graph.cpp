@@ -8,25 +8,39 @@ namespace prom::graph {
 
 Graph Graph::from_edges(idx num_vertices,
                         std::span<const std::pair<idx, idx>> edges) {
-  std::vector<std::pair<idx, idx>> dir;
-  dir.reserve(edges.size() * 2);
+  // Counting sort of the directed pairs (u, v) and (v, u) by source.
+  std::vector<nnz_t> start(static_cast<std::size_t>(num_vertices) + 1, 0);
   for (const auto& [u, v] : edges) {
     PROM_CHECK(u >= 0 && u < num_vertices && v >= 0 && v < num_vertices);
     if (u == v) continue;
-    dir.emplace_back(u, v);
-    dir.emplace_back(v, u);
+    ++start[u + 1];
+    ++start[v + 1];
   }
-  std::sort(dir.begin(), dir.end());
-  dir.erase(std::unique(dir.begin(), dir.end()), dir.end());
+  for (idx v = 0; v < num_vertices; ++v) start[v + 1] += start[v];
+  std::vector<idx> nbr(static_cast<std::size_t>(start[num_vertices]));
+  {
+    std::vector<nnz_t> next(start.begin(), start.end() - 1);
+    for (const auto& [u, v] : edges) {
+      if (u == v) continue;
+      nbr[next[u]++] = v;
+      nbr[next[v]++] = u;
+    }
+  }
 
+  // Sort and dedupe each neighbour list, compacting towards the front.
   Graph g;
   g.nv_ = num_vertices;
   g.xadj_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
-  g.adj_.resize(dir.size());
-  for (const auto& [u, v] : dir) g.xadj_[u + 1]++;
-  for (idx v = 0; v < num_vertices; ++v) g.xadj_[v + 1] += g.xadj_[v];
-  std::vector<nnz_t> next(g.xadj_.begin(), g.xadj_.end() - 1);
-  for (const auto& [u, v] : dir) g.adj_[next[u]++] = v;
+  auto out = nbr.begin();
+  for (idx v = 0; v < num_vertices; ++v) {
+    const auto first = nbr.begin() + start[v];
+    const auto last = nbr.begin() + start[v + 1];
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    for (auto it = first; it != unique_end; ++it) *out++ = *it;
+    g.xadj_[v + 1] = out - nbr.begin();
+  }
+  g.adj_.assign(nbr.begin(), out);
   return g;
 }
 

@@ -16,7 +16,12 @@ class Graph {
   Graph() = default;
 
   /// Builds a simple undirected graph from an edge list; duplicate edges
-  /// and self-loops are dropped, and both directions are stored.
+  /// and self-loops are dropped, and both directions are stored. Each
+  /// adjacency list is the sorted set of neighbours, so the result does
+  /// not depend on the edges' order or orientation. O(E + V) plus the
+  /// per-vertex sorts: a counting sort of the directed pairs by source,
+  /// then a sort and dedupe of each neighbour list. Every vertex id is
+  /// range-checked.
   static Graph from_edges(idx num_vertices,
                           std::span<const std::pair<idx, idx>> edges);
 

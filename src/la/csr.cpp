@@ -301,33 +301,67 @@ real Csr::symmetry_error() const {
 
 Csr Csr::from_triplets(idx nrows, idx ncols,
                        std::span<const Triplet> triplets) {
-  std::vector<Triplet> t(triplets.begin(), triplets.end());
-  std::sort(t.begin(), t.end(), [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  // Stable counting sort by row: bucket i holds row i's (col, value)
+  // pairs in emission order. Every range is checked before any write.
+  std::vector<nnz_t> start(static_cast<std::size_t>(nrows) + 1, 0);
+  for (const Triplet& t : triplets) {
+    PROM_CHECK(t.row >= 0 && t.row < nrows && t.col >= 0 && t.col < ncols);
+    ++start[t.row + 1];
+  }
+  for (idx i = 0; i < nrows; ++i) start[i + 1] += start[i];
+  std::vector<idx> bcol(triplets.size());
+  std::vector<real> bval(triplets.size());
+  {
+    std::vector<nnz_t> next(start.begin(), start.end() - 1);
+    for (const Triplet& t : triplets) {
+      const nnz_t pos = next[t.row]++;
+      bcol[pos] = t.col;
+      bval[pos] = t.value;
+    }
+  }
+
+  // One pass per row with a marker array and a dense accumulator: each
+  // (i, j) sums its duplicates from a zero seed in bucket (= emission)
+  // order. The row's unique entries, column-sorted, are written back over
+  // the front of the buckets (never past the bucket being read), and the
+  // result is copied out at its exact size.
   Csr m;
   m.nrows = nrows;
   m.ncols = ncols;
   m.rowptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
-  m.colidx.reserve(t.size());
-  m.vals.reserve(t.size());
-  for (std::size_t i = 0; i < t.size();) {
-    PROM_CHECK(t[i].row >= 0 && t[i].row < nrows && t[i].col >= 0 &&
-               t[i].col < ncols);
-    real sum = 0;
-    const idx row = t[i].row, col = t[i].col;
-    while (i < t.size() && t[i].row == row && t[i].col == col) {
-      sum += t[i].value;
-      ++i;
+  std::vector<idx> marker(static_cast<std::size_t>(ncols), kInvalidIdx);
+  std::vector<real> acc(static_cast<std::size_t>(ncols));
+  nnz_t out = 0;
+  for (idx i = 0; i < nrows; ++i) {
+    const nnz_t row_begin = out;
+    for (nnz_t k = start[i]; k < start[i + 1]; ++k) {
+      const idx c = bcol[k];
+      if (marker[c] != i) {
+        marker[c] = i;
+        acc[c] = 0;
+        bcol[out++] = c;
+      }
+      acc[c] += bval[k];
     }
-    m.colidx.push_back(col);
-    m.vals.push_back(sum);
-    m.rowptr[row + 1] = static_cast<nnz_t>(m.colidx.size());
+    std::sort(bcol.begin() + row_begin, bcol.begin() + out);
+    for (nnz_t k = row_begin; k < out; ++k) bval[k] = acc[bcol[k]];
+    m.rowptr[i + 1] = out;
   }
-  for (idx r = 0; r < nrows; ++r) {
-    m.rowptr[r + 1] = std::max(m.rowptr[r + 1], m.rowptr[r]);
-  }
+  m.colidx.assign(bcol.begin(), bcol.begin() + out);
+  m.vals.assign(bval.begin(), bval.begin() + out);
   return m;
+}
+
+graph::Graph pattern_graph(const Csr& a) {
+  std::vector<std::pair<idx, idx>> edges;
+  for (idx i = 0; i < a.nrows; ++i) {
+    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
+      if (a.colidx[k] > i && a.colidx[k] < a.nrows) {
+        edges.emplace_back(i, a.colidx[k]);
+      }
+    }
+  }
+  return graph::Graph::from_edges(a.nrows, edges);
 }
 
 Csr Csr::identity(idx n) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "graph/graph.h"
 #include "la/multivec.h"
 
 namespace prom::la {
@@ -85,7 +86,13 @@ struct Csr {
   real symmetry_error() const;
 
   /// Builds from triplets; duplicate (i, j) entries are summed (the finite
-  /// element assembly convention).
+  /// element assembly convention). O(nnz + nrows + ncols): a stable
+  /// counting sort by row, then one pass per row with a marker array and a
+  /// dense accumulator, and a sort of each row's unique columns. Summation
+  /// order: the duplicates of (i, j) sum from a zero seed in emission
+  /// order (their order in `triplets`), as Bsr::from_block_triplets sums
+  /// blocks. Every triplet's range is checked before anything is written,
+  /// and the result is allocated at its exact size.
   static Csr from_triplets(idx nrows, idx ncols,
                            std::span<const Triplet> triplets);
 
@@ -101,6 +108,12 @@ Csr spgemm(const Csr& a, const Csr& b);
 /// The Galerkin triple product R A R^T (the paper's coarse grid operator,
 /// §3). R is n_coarse x n_fine, A is n_fine x n_fine.
 Csr galerkin_product(const Csr& r, const Csr& a);
+
+/// Adjacency graph of the pattern of `a`: one edge {i, j} per stored
+/// (i, j) with i < j < a.nrows — the diagonal and the columns past the
+/// square leading block (a distributed local block's ghost columns) are
+/// skipped. For a structurally symmetric `a` that is its whole graph.
+graph::Graph pattern_graph(const Csr& a);
 
 /// Drops stored entries with |value| <= tol (tidies coarse operators).
 Csr drop_small(const Csr& a, real tol);

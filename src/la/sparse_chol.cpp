@@ -18,14 +18,7 @@ SparseCholesky::SparseCholesky(const Csr& a, const Options& opts)
 
   // Fill-reducing preordering on the matrix adjacency graph.
   if (opts.use_rcm && n > 1) {
-    std::vector<std::pair<idx, idx>> edges;
-    for (idx i = 0; i < n; ++i) {
-      for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-        if (a.colidx[k] > i) edges.emplace_back(i, a.colidx[k]);
-      }
-    }
-    const graph::Graph g = graph::Graph::from_edges(n, edges);
-    perm_ = graph::reverse_cuthill_mckee(g);
+    perm_ = graph::reverse_cuthill_mckee(pattern_graph(a));
   } else {
     perm_.resize(static_cast<std::size_t>(n));
     std::iota(perm_.begin(), perm_.end(), idx{0});

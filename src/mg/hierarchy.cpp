@@ -14,18 +14,6 @@
 namespace prom::mg {
 namespace {
 
-/// Adjacency graph of a (structurally symmetric) sparse matrix.
-graph::Graph graph_of_matrix(const la::Csr& a) {
-  std::vector<std::pair<idx, idx>> edges;
-  edges.reserve(static_cast<std::size_t>(a.nnz()));
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      if (a.colidx[k] > i) edges.emplace_back(i, a.colidx[k]);
-    }
-  }
-  return graph::Graph::from_edges(a.nrows, edges);
-}
-
 std::unique_ptr<la::Smoother> make_smoother(const la::Csr& a,
                                             const MgOptions& opts) {
   switch (opts.smoother) {
@@ -34,7 +22,7 @@ std::unique_ptr<la::Smoother> make_smoother(const la::Csr& a,
     case SmootherKind::kSymGaussSeidel:
       return std::make_unique<la::SymmetricGaussSeidel>(a);
     case SmootherKind::kBlockJacobi: {
-      auto blocks = partition::block_jacobi_blocks(graph_of_matrix(a),
+      auto blocks = partition::block_jacobi_blocks(la::pattern_graph(a),
                                                    opts.bj_blocks_per_1000);
       return std::make_unique<la::BlockJacobiSmoother>(a, std::move(blocks),
                                                        opts.omega);

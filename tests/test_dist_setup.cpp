@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -104,6 +106,81 @@ TEST(DistSetup, OneRankMatchesSerialTripleProduct) {
     }
   });
 }
+
+/// `g` (a gathered level operator in the level's global numbering) in
+/// serial numbering: global id k is serial id perm[k], rows re-sorted.
+la::Csr unpermute(const la::Csr& g, const std::vector<idx>& perm) {
+  std::vector<idx> global_of(perm.size());
+  for (std::size_t k = 0; k < perm.size(); ++k) global_of[perm[k]] = k;
+  la::Csr s;
+  s.nrows = g.nrows;
+  s.ncols = g.ncols;
+  s.rowptr.assign(static_cast<std::size_t>(g.nrows) + 1, 0);
+  std::vector<std::pair<idx, real>> row;
+  for (idx i = 0; i < g.nrows; ++i) {
+    const idx gi = global_of[i];
+    row.clear();
+    for (nnz_t k = g.rowptr[gi]; k < g.rowptr[gi + 1]; ++k) {
+      row.emplace_back(perm[g.colidx[k]], g.vals[k]);
+    }
+    std::sort(row.begin(), row.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [c, v] : row) {
+      s.colidx.push_back(c);
+      s.vals.push_back(v);
+    }
+    s.rowptr[i + 1] = static_cast<nnz_t>(s.colidx.size());
+  }
+  return s;
+}
+
+class DistSetupRanks : public ::testing::TestWithParam<int> {};
+
+// At p > 1 dist_spgemm also multiplies ghost rows fetched from other
+// ranks. Visiting every row's terms in serial-key order still gives each
+// output entry the same terms in the same order as the serial chain, so
+// every level's operator is bitwise the serial one under permutation(l).
+TEST_P(DistSetupRanks, GalerkinMatchesSerialBitwise) {
+  const int p = GetParam();
+  const app::ModelProblem prob = app::make_box_problem(6);
+  fem::FeProblem fe(prob.mesh, prob.materials, prob.dofmap);
+  fem::LinearSystem sys = fem::assemble_linear_system(fe);
+  mg::MgOptions mo;
+  mo.coarsest_max_dofs = 30;
+  la::Csr stiffness = sys.stiffness;
+  const mg::Hierarchy full =
+      mg::Hierarchy::build(prob.mesh, prob.dofmap, std::move(stiffness), mo);
+  const mg::Hierarchy grids = mg::Hierarchy::build_grids(
+      prob.mesh, prob.dofmap, std::move(sys.stiffness), mo);
+  ASSERT_GE(full.num_levels(), 3);
+  const std::vector<Vec3> coords(prob.mesh.coords().begin(),
+                                 prob.mesh.coords().end());
+  const std::vector<idx> owner = partition::rcb_partition(coords, p);
+  parx::Runtime::run(p, [&](parx::Comm& comm) {
+    const DistHierarchy dist = DistHierarchy::build(comm, grids, owner);
+    ASSERT_EQ(dist.num_levels(), full.num_levels());
+    for (int l = 1; l < dist.num_levels(); ++l) {
+      // Every level is split across ranks, so the ghost-row path runs.
+      EXPECT_LT(dist.level(l).a.local_rows(),
+                dist.level(l).a.row_dist().global_size());
+      const la::Csr got = unpermute(dist_gather_matrix(comm, dist.level(l).a),
+                                    dist.permutation(l));
+      const la::Csr& ref = full.level(l).a;
+      ASSERT_EQ(got.nrows, ref.nrows) << "level " << l;
+      ASSERT_EQ(got.rowptr, ref.rowptr) << "level " << l;
+      ASSERT_EQ(got.colidx, ref.colidx) << "level " << l;
+      EXPECT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
+                            got.vals.size() * sizeof(real)),
+                0)
+          << "level " << l;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, DistSetupRanks, ::testing::Values(2, 3, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "p" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace prom::dla

@@ -174,9 +174,9 @@ TEST_F(AssemblyFixture, BcCouplingMatchesExplicitProduct) {
 
 TEST_F(AssemblyFixture, BlockedAssemblyMatchesScalar) {
   // The node-block assembly path must reproduce the scalar one: same rhs
-  // bit for bit (identical accumulation order), same stiffness entries to
-  // the triplet-reordering tolerance, identity pivots on every
-  // constrained diagonal slot, zeros elsewhere in constrained rows/cols.
+  // and stiffness entries bit for bit (both merges sum duplicates in cell
+  // order), identity pivots on every constrained diagonal slot, zeros
+  // elsewhere in constrained rows/cols.
   FeProblem scalar_problem(mesh_, {Material{}}, dofmap_);
   const LinearSystem sys = assemble_linear_system(scalar_problem);
   FeProblem blocked_problem(mesh_, {Material{}}, dofmap_);
@@ -189,16 +189,12 @@ TEST_F(AssemblyFixture, BlockedAssemblyMatchesScalar) {
 
   const la::NodeBlockMap& map = bsys.map;
   ASSERT_EQ(map.nfree, sys.stiffness.nrows);
-  real scale = 0;
-  for (real v : sys.stiffness.vals) scale = std::max(scale, std::abs(v));
   for (idx i = 0; i < map.nfree; ++i) {
-    // Stored scalar entries agree (duplicate triplets may sum in a
-    // different order between the two paths — tolerance, not bitwise).
     for (nnz_t k = sys.stiffness.rowptr[i]; k < sys.stiffness.rowptr[i + 1];
          ++k) {
-      EXPECT_NEAR(bsys.stiffness.at(map.slot_of_free[i],
-                                    map.slot_of_free[sys.stiffness.colidx[k]]),
-                  sys.stiffness.vals[k], 1e-12 * scale)
+      EXPECT_EQ(bsys.stiffness.at(map.slot_of_free[i],
+                                  map.slot_of_free[sys.stiffness.colidx[k]]),
+                sys.stiffness.vals[k])
           << "entry (" << i << ", " << sys.stiffness.colidx[k] << ")";
     }
   }
@@ -218,6 +214,8 @@ TEST_F(AssemblyFixture, BlockedAssemblyMatchesScalar) {
   std::vector<real> ys(x.size());
   op.apply(x, yb);
   sys.stiffness.spmv(x, ys);
+  real scale = 0;
+  for (real v : sys.stiffness.vals) scale = std::max(scale, std::abs(v));
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(yb[i], ys[i], 1e-12 * scale) << "spmv entry " << i;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "graph/mis.h"
@@ -44,6 +45,51 @@ TEST(Graph, NeighborsSorted) {
       5, std::vector<std::pair<idx, idx>>{{0, 4}, {0, 2}, {0, 1}});
   const auto nb = g.neighbors(0);
   EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
+}
+
+// from_edges must store exactly the sorted neighbour set of every vertex,
+// whatever the edge list holds: duplicates, self-loops, both orientations
+// of one edge, and vertices no edge touches.
+TEST(Graph, FromEdgesMatchesSetReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const idx n = 1 + static_cast<idx>(rng.next_below(80));
+    // Edges only touch the first `hot` vertices; the rest stay isolated.
+    const idx hot = 1 + static_cast<idx>(rng.next_below(n));
+    const idx m = static_cast<idx>(rng.next_below(6 * hot));
+    std::vector<std::pair<idx, idx>> edges;
+    std::vector<std::set<idx>> ref(static_cast<std::size_t>(n));
+    for (idx e = 0; e < m; ++e) {
+      const idx u = static_cast<idx>(rng.next_below(hot));
+      const idx v = static_cast<idx>(rng.next_below(hot));
+      edges.emplace_back(u, v);
+      if (rng.next_below(3) == 0) edges.emplace_back(v, u);
+      if (rng.next_below(3) == 0) edges.emplace_back(u, v);
+      if (rng.next_below(5) == 0) edges.emplace_back(u, u);
+      if (u != v) {
+        ref[u].insert(v);
+        ref[v].insert(u);
+      }
+    }
+    std::vector<nnz_t> xadj{0};
+    std::vector<idx> adj;
+    for (const std::set<idx>& nb : ref) {
+      adj.insert(adj.end(), nb.begin(), nb.end());
+      xadj.push_back(static_cast<nnz_t>(adj.size()));
+    }
+    const Graph g = Graph::from_edges(n, edges);
+    EXPECT_EQ(g.num_vertices(), n) << "seed " << seed;
+    EXPECT_EQ(g.xadj(), xadj) << "seed " << seed;
+    EXPECT_EQ(g.adj(), adj) << "seed " << seed;
+  }
+}
+
+TEST(Graph, FromEdgesRejectsOutOfRangeVertex) {
+  using Edges = std::vector<std::pair<idx, idx>>;
+  EXPECT_THROW(Graph::from_edges(3, Edges{{0, 1}, {1, 3}}), Error);
+  EXPECT_THROW(Graph::from_edges(3, Edges{{-1, 2}}), Error);
+  // A self-loop is dropped, but only after its range check.
+  EXPECT_THROW(Graph::from_edges(3, Edges{{3, 3}}), Error);
 }
 
 TEST(IndependentSetChecks, Work) {

@@ -5,9 +5,13 @@
 // rectangular shapes, independent of how the kernels are parallelized.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "la/csr.h"
 
@@ -72,6 +76,78 @@ TEST(CsrProperty, FromTripletsMatchesDenseAccumulation) {
       }
     }
   }
+}
+
+/// Test-local reference for from_triplets' documented summation order: a
+/// stable sort by (row, col), then each run of duplicates summed from a
+/// zero seed in emission order.
+Csr reference_from_triplets(idx nrows, idx ncols, std::vector<Triplet> t) {
+  std::stable_sort(t.begin(), t.end(), [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  Csr m;
+  m.nrows = nrows;
+  m.ncols = ncols;
+  m.rowptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
+  for (std::size_t k = 0; k < t.size();) {
+    const idx row = t[k].row, col = t[k].col;
+    real sum = 0;
+    for (; k < t.size() && t[k].row == row && t[k].col == col; ++k) {
+      sum += t[k].value;
+    }
+    m.colidx.push_back(col);
+    m.vals.push_back(sum);
+    ++m.rowptr[row + 1];
+  }
+  for (idx i = 0; i < nrows; ++i) m.rowptr[i + 1] += m.rowptr[i];
+  return m;
+}
+
+TEST(CsrProperty, FromTripletsMatchesStableSortReferenceBitwise) {
+  Rng rng(0x7219);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const idx nrows = 1 + static_cast<idx>(rng.next_below(60));
+    const idx ncols = 1 + static_cast<idx>(rng.next_below(60));
+    // A small pool of positions in a few rows: heavy duplicates, and the
+    // rows outside the pool stay empty.
+    const idx npos = 1 + static_cast<idx>(rng.next_below(12));
+    const idx nused = 1 + static_cast<idx>(rng.next_below(nrows));
+    std::vector<std::pair<idx, idx>> pos;
+    for (idx q = 0; q < npos; ++q) {
+      pos.emplace_back(static_cast<idx>(rng.next_below(nused)),
+                       static_cast<idx>(rng.next_below(ncols)));
+    }
+    std::vector<Triplet> t;
+    const std::size_t ntrip = rng.next_below(400);
+    for (std::size_t k = 0; k < ntrip; ++k) {
+      const auto [i, j] = pos[rng.next_below(pos.size())];
+      // Magnitudes over 16 decades, so another summation order would
+      // change the rounded sums.
+      const real v = (2 * rng.next_real() - 1) *
+                     std::pow(10.0, static_cast<int>(rng.next_below(17)) - 8);
+      t.push_back({i, j, v});
+    }
+    const Csr got = Csr::from_triplets(nrows, ncols, t);
+    const Csr ref = reference_from_triplets(nrows, ncols, t);
+    ASSERT_EQ(got.nrows, nrows);
+    ASSERT_EQ(got.ncols, ncols);
+    ASSERT_EQ(got.rowptr, ref.rowptr) << "trial " << trial;
+    ASSERT_EQ(got.colidx, ref.colidx) << "trial " << trial;
+    ASSERT_EQ(got.vals.size(), ref.vals.size());
+    EXPECT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
+                          got.vals.size() * sizeof(real)),
+              0)
+        << "trial " << trial;
+  }
+}
+
+TEST(CsrProperty, FromTripletsRejectsOutOfRangeTriplet) {
+  const std::vector<Triplet> bad_col = {{0, 0, 1.0}, {1, 3, 1.0}};
+  EXPECT_THROW(Csr::from_triplets(2, 3, bad_col), Error);
+  const std::vector<Triplet> bad_row = {{2, 0, 1.0}};
+  EXPECT_THROW(Csr::from_triplets(2, 3, bad_row), Error);
+  const std::vector<Triplet> negative = {{0, -1, 1.0}};
+  EXPECT_THROW(Csr::from_triplets(2, 3, negative), Error);
 }
 
 TEST(CsrProperty, SpmvMatchesDenseMatvec) {
@@ -149,9 +225,9 @@ TEST(CsrProperty, SymmetryErrorZeroOnSymmetrizedInput) {
   for (int trial = 0; trial < kTrials; ++trial) {
     RandomProblem p = random_problem(rng);
     // Symmetrize: emit every triplet mirrored. The (i,j) and (j,i) slots
-    // then accumulate the same value multiset, but from_triplets' unstable
-    // sort may sum the duplicates in different orders, so allow last-bit
-    // rounding noise scaled to the duplicate count.
+    // then receive the same values in the same emission order, and
+    // from_triplets sums duplicates in emission order, so the mirrored
+    // slots are bitwise equal.
     const idx n = std::max(p.nrows, p.ncols);
     std::vector<Triplet> sym;
     sym.reserve(2 * p.triplets.size());
@@ -160,8 +236,7 @@ TEST(CsrProperty, SymmetryErrorZeroOnSymmetrizedInput) {
       sym.push_back({t.col, t.row, t.value});
     }
     const Csr m = Csr::from_triplets(n, n, sym);
-    EXPECT_LE(m.symmetry_error(), 1e-14 * (p.triplets.size() + 1))
-        << "trial " << trial;
+    EXPECT_EQ(m.symmetry_error(), 0.0) << "trial " << trial;
 
     // A generic random square matrix, by contrast, should not be
     // symmetric (sanity that the check can fail).

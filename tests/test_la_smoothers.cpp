@@ -141,14 +141,7 @@ TEST(BlockJacobi, SingleBlockIsDirectSolve) {
 
 TEST(BlockJacobi, GraphPartitionedBlocksMatchPaperDensity) {
   const Csr a = poisson2d(20);  // 400 unknowns
-  std::vector<std::pair<idx, idx>> edges;
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      if (a.colidx[k] > i) edges.emplace_back(i, a.colidx[k]);
-    }
-  }
-  const auto g = graph::Graph::from_edges(a.nrows, edges);
-  const auto blocks = partition::block_jacobi_blocks(g, 6);
+  const auto blocks = partition::block_jacobi_blocks(pattern_graph(a), 6);
   // ceil(6 * 400 / 1000) = 3 blocks.
   EXPECT_EQ(blocks.size(), 3u);
   BlockJacobiSmoother smoother(a, blocks, 0.6);
