@@ -455,6 +455,65 @@ int run_format_comparison() {
                  "FATAL: blocked SpMV is not bit-identical to scalar CSR\n");
     return 1;
   }
+
+  // The multi-vector products at k = 1 and k = 8 next to spmv, in both
+  // formats. The three are timed in turn within each repetition, so a slow
+  // phase of a shared host hits all of them alike and their ratios hold.
+  // Column j of spmm must be spmv of that column, bitwise.
+  la::MultiVec x1(a.ncols, 1), y1(a.nrows, 1);
+  la::MultiVec x8(a.ncols, 8), y8(a.nrows, 8);
+  std::copy(x.begin(), x.end(), x1.col(0).begin());
+  Rng rng_mm(13);
+  for (int j = 0; j < 8; ++j) {
+    for (real& v : x8.col(j)) v = rng_mm.next_real() - 0.5;
+  }
+  struct SpmmTimes {
+    double spmv_ns = 0;
+    double k1_ns = 0;
+    double k8_ns = 0;
+  };
+  const int reps_mm = 15;
+  const int iters_mm = kSmoke ? 20 : 40;
+  bool spmm_bitwise = true;
+  const auto time_spmm = [&](const auto& m) {
+    SpmmTimes t;
+    std::vector<real> yj(y.size());
+    const auto best = [&](double& best_ns, const auto& body) {
+      const double ns = best_mean_ns(1, iters_mm, body);
+      if (best_ns == 0 || ns < best_ns) best_ns = ns;
+    };
+    for (int r = 0; r < reps_mm; ++r) {
+      best(t.spmv_ns, [&] {
+        m.spmv(x, yj);
+        benchmark::DoNotOptimize(yj.data());
+      });
+      best(t.k1_ns, [&] {
+        m.spmm(x1, y1);
+        benchmark::DoNotOptimize(y1.data());
+      });
+      best(t.k8_ns, [&] {
+        m.spmm(x8, y8);
+        benchmark::DoNotOptimize(y8.data());
+      });
+    }
+    const auto same_as_spmv = [&](const la::MultiVec& xs,
+                                  const la::MultiVec& ys, int j) {
+      m.spmv(xs.col(j), yj);
+      return std::memcmp(yj.data(), ys.col_data(j),
+                         yj.size() * sizeof(real)) == 0;
+    };
+    spmm_bitwise = spmm_bitwise && same_as_spmv(x1, y1, 0);
+    for (int j = 0; j < 8; ++j) {
+      spmm_bitwise = spmm_bitwise && same_as_spmv(x8, y8, j);
+    }
+    return t;
+  };
+  const SpmmTimes csr_mm = time_spmm(a);
+  const SpmmTimes bsr_mm = time_spmm(ab);
+  if (!spmm_bitwise) {
+    std::fprintf(stderr, "FATAL: spmm is not bit-identical to spmv\n");
+    return 1;
+  }
   // The matrix-free apply sums element contributions instead of matrix
   // rows — same operator to reassociation rounding, not bitwise.
   {
@@ -573,6 +632,10 @@ int run_format_comparison() {
   common::set_kernel_threads(0);
 
   const double spmv_speedup = csr_spmv / bsr_spmv;
+  const double csr_k1_speedup = csr_mm.spmv_ns / csr_mm.k1_ns;
+  const double bsr_k1_speedup = bsr_mm.spmv_ns / bsr_mm.k1_ns;
+  const double csr_k8_col_speedup = csr_mm.spmv_ns / (csr_mm.k8_ns / 8);
+  const double bsr_k8_col_speedup = bsr_mm.spmv_ns / (bsr_mm.k8_ns / 8);
   const double sweep_speedup = csr_sweep / bsr_sweep;
   const double ldlt_col_speedup = ldlt_k1 / (ldlt_k8 / 8);
   const double galerkin_speedup = galerkin_serial / galerkin_dist;
@@ -584,6 +647,8 @@ int run_format_comparison() {
   std::printf(
       "\nmatrix-format comparison (1 thread, %d unknowns, nnz %lld):\n"
       "  spmv      csr %8.0f ns  bsr3 %8.0f ns  speedup %.2fx\n"
+      "  spmm k=1  csr %8.0f ns  bsr3 %8.0f ns  (%.2fx, %.2fx vs spmv)\n"
+      "  spmm k=8  csr %8.0f ns  bsr3 %8.0f ns  (%.2fx, %.2fx per column)\n"
       "  mf apply  %8.0f ns  (%.2fx vs csr spmv)\n"
       "  jacobi    csr %8.0f ns  bsr3 %8.0f ns  speedup %.2fx\n"
       "  ns/dof    csr %8.2f     bsr3 %8.2f     mf %8.2f\n"
@@ -594,7 +659,9 @@ int run_format_comparison() {
       "  ns/dof    csr %8.2f     mf %8.2f\n"
       "  bytes/dof csr %8.1f     mf %8.1f  (mf %s csr)\n",
       a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
-      spmv_speedup, mf_apply, csr_spmv / mf_apply, csr_sweep, bsr_sweep,
+      spmv_speedup, csr_mm.k1_ns, bsr_mm.k1_ns, csr_k1_speedup,
+      bsr_k1_speedup, csr_mm.k8_ns, bsr_mm.k8_ns, csr_k8_col_speedup,
+      bsr_k8_col_speedup, mf_apply, csr_spmv / mf_apply, csr_sweep, bsr_sweep,
       sweep_speedup, csr_spmv / a.nrows, bsr_spmv / a.nrows,
       mf_apply / a.nrows, csr_bytes, bsr_bytes, mf_bytes, nb, ldlt_k1,
       ldlt_k8, ldlt_col_speedup, galerkin_serial, galerkin_dist,
@@ -612,6 +679,10 @@ int run_format_comparison() {
                "  \"nnz\": %lld,\n  \"threads\": 1,\n"
                "  \"spmv\": {\"csr_ns\": %.1f, \"bsr3_ns\": %.1f, "
                "\"speedup\": %.3f},\n"
+               "  \"spmm\": {\"csr_k1_ns\": %.1f, \"csr_k8_ns\": %.1f, "
+               "\"bsr3_k1_ns\": %.1f, \"bsr3_k8_ns\": %.1f, "
+               "\"csr_k1_speedup\": %.3f, \"bsr3_k1_speedup\": %.3f, "
+               "\"csr_k8_col_speedup\": %.3f, \"bsr3_k8_col_speedup\": %.3f},\n"
                "  \"jacobi_sweep\": {\"csr_ns\": %.1f, \"bsr3_ns\": %.1f, "
                "\"speedup\": %.3f},\n"
                "  \"mf_apply\": {\"ns\": %.1f, \"ns_per_dof\": %.3f, "
@@ -627,7 +698,10 @@ int run_format_comparison() {
                "\"csr_bytes_per_dof\": %.1f, \"mf_bytes_per_dof\": %.1f}\n"
                "}\n",
                a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
-               spmv_speedup, csr_sweep, bsr_sweep, sweep_speedup, mf_apply,
+               spmv_speedup, csr_mm.k1_ns, csr_mm.k8_ns, bsr_mm.k1_ns,
+               bsr_mm.k8_ns, csr_k1_speedup, bsr_k1_speedup,
+               csr_k8_col_speedup, bsr_k8_col_speedup, csr_sweep, bsr_sweep,
+               sweep_speedup, mf_apply,
                mf_apply / a.nrows, csr_spmv / mf_apply, csr_bytes, bsr_bytes,
                mf_bytes, nb, ldlt_k1, ldlt_k8, ldlt_col_speedup,
                galerkin_serial, galerkin_dist, galerkin_speedup, a_s.nrows,

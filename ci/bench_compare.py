@@ -15,8 +15,10 @@ a smoke-sized bench cannot measure them meaningfully.
 Some files also carry ratio invariants (RATIO_RULES): a derived ratio
 in the fresh output must stay at or above a fixed minimum, whatever the
 baseline says. For BENCH_kernels.json the bsr3 SpMV and Jacobi sweep
-must not be slower than CSR, and the one-rank distributed Galerkin
-product must reach half the speed of the serial one. A baseline refresh
+must not be slower than CSR, the one-rank distributed Galerkin product
+must reach half the speed of the serial one, a one-column spmm must
+reach 0.8 of spmv in each format, and an eight-column spmm must cost
+less per column than spmv. A baseline refresh
 therefore cannot lock in a regression of one format or stack against
 another.
 
@@ -49,9 +51,17 @@ RATIO_RULES = {
     # speedup = csr_ns / bsr3_ns: the node-block format must not lose to CSR.
     # galerkin_p1.speedup = serial_ns / dist_ns: the distributed Galerkin
     # product on one rank must run at least half as fast as the serial one.
+    # spmm.*_k1_speedup = spmv_ns / k1_ns: a one-column multi-vector
+    # product runs the single-vector kernel, so it may not fall far behind
+    # spmv; spmm.*_k8_col_speedup = spmv_ns / (k8_ns / 8): eight columns in
+    # one call must cost less per column than eight spmv calls.
     "BENCH_kernels.json": (("spmv.speedup", 1.0),
                            ("jacobi_sweep.speedup", 1.0),
-                           ("galerkin_p1.speedup", 0.5)),
+                           ("galerkin_p1.speedup", 0.5),
+                           ("spmm.csr_k1_speedup", 0.8),
+                           ("spmm.bsr3_k1_speedup", 0.8),
+                           ("spmm.csr_k8_col_speedup", 1.0),
+                           ("spmm.bsr3_k8_col_speedup", 1.0)),
 }
 
 DEFAULT_FILES = ("BENCH_kernels.json", "BENCH_halo.json", "BENCH_service.json",

@@ -1,8 +1,10 @@
 #include "app/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -213,7 +215,25 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
   return entry;
 }
 
+namespace {
+
+/// Rejects a right-hand side with a NaN or infinite entry, naming the
+/// first such column, before anything is built or any rank launches.
+void check_finite_rhs(const la::MultiVec& rhs) {
+  for (int j = 0; j < rhs.cols(); ++j) {
+    const auto col = rhs.col(j);
+    if (!std::all_of(col.begin(), col.end(),
+                     [](real v) { return std::isfinite(v); })) {
+      throw Error("SolveRequest::rhs column " + std::to_string(j) +
+                  " has a non-finite entry");
+    }
+  }
+}
+
+}  // namespace
+
 SolveResponse SolveService::solve(const SolveRequest& req) {
+  check_finite_rhs(req.rhs);
   const std::int64_t hits_before = hits_;
   const EntryHandle entry = acquire(req.mesh_id, req.refine_rounds);
   SolveResponse resp = solve_with(entry, req);
@@ -224,6 +244,7 @@ SolveResponse SolveService::solve(const SolveRequest& req) {
 SolveResponse SolveService::solve_with(const EntryHandle& entry,
                                        const SolveRequest& req) const {
   PROM_CHECK(entry != nullptr);
+  check_finite_rhs(req.rhs);
   const int p = config_.nranks;
 
   // The request's right-hand sides, defaulting to the assembled load

@@ -114,11 +114,14 @@ class SolveService {
   /// `refine_rounds` = -1 uses the config default.
   EntryHandle acquire(const std::string& mesh_id, int refine_rounds = -1);
 
-  /// acquire + solve_with in one call.
+  /// acquire + solve_with in one call. A right-hand side with a NaN or
+  /// infinite entry throws prom::Error naming its column before the cache
+  /// is touched.
   SolveResponse solve(const SolveRequest& req);
 
   /// Runs the blocked solve against an already-acquired entry. The entry
-  /// stays valid even if the cache has since evicted it.
+  /// stays valid even if the cache has since evicted it. Rejects a
+  /// non-finite right-hand side as `solve` does, before any rank launches.
   SolveResponse solve_with(const EntryHandle& entry,
                            const SolveRequest& req) const;
 

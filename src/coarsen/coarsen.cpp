@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "graph/order.h"
+#include "obs/trace.h"
 
 namespace prom::coarsen {
 
@@ -45,30 +46,38 @@ CoarsenLevelResult coarsen_level(const std::vector<Vec3>& coords,
   const graph::Graph* mis_graph = &vertex_graph;
   graph::Graph modified;
   if (opts.modify_graph) {
+    const obs::Span span("grids.modified_graph", level_index);
     modified = modified_mis_graph(vertex_graph, cls, &result.graph_stats);
     mis_graph = &modified;
   }
 
   // §4.2/§4.7: rank-aware greedy MIS in the heuristic ordering.
-  const std::vector<idx> order = mis_ordering(cls, opts);
-  const std::vector<idx> ranks = cls.ranks();
-  graph::MisOptions mis_opts;
-  mis_opts.ranks = ranks;
-  graph::MisResult mis = graph::greedy_mis(*mis_graph, order, mis_opts);
-  std::sort(mis.selected.begin(), mis.selected.end());
-  result.selected = std::move(mis.selected);
+  {
+    const obs::Span span("grids.mis", level_index);
+    const std::vector<idx> order = mis_ordering(cls, opts);
+    const std::vector<idx> ranks = cls.ranks();
+    graph::MisOptions mis_opts;
+    mis_opts.ranks = ranks;
+    graph::MisResult mis = graph::greedy_mis(*mis_graph, order, mis_opts);
+    std::sort(mis.selected.begin(), mis.selected.end());
+    result.selected = std::move(mis.selected);
+  }
 
   // §4.8: remesh and build the restriction operator. The *unmodified*
   // vertex graph supplies the "near on the fine mesh" relation.
-  RestrictionResult restriction = build_restriction(
-      coords, result.selected, opts.restriction, &vertex_graph);
-  result.r_vertex = std::move(restriction.r_vertex);
-  result.coarse_mesh = std::move(restriction.coarse_mesh);
-  result.lost = std::move(restriction.lost);
+  {
+    const obs::Span span("grids.restriction", level_index);
+    RestrictionResult restriction = build_restriction(
+        coords, result.selected, opts.restriction, &vertex_graph);
+    result.r_vertex = std::move(restriction.r_vertex);
+    result.coarse_mesh = std::move(restriction.coarse_mesh);
+    result.lost = std::move(restriction.lost);
+  }
 
   // Coarse classification: inherit from the fine parents on early grids,
   // reclassify from the coarse tet mesh geometry on deeper ones (§4.6).
   const int coarse_index = level_index + 1;
+  const obs::Span span("grids.classify", coarse_index);
   if (coarse_index >= opts.reclassify_from_level &&
       result.coarse_mesh.num_cells() > 0) {
     result.coarse_cls = classify_mesh(result.coarse_mesh, opts.face);

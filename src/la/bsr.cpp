@@ -1,14 +1,19 @@
 #include "la/bsr.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "common/flops.h"
 #include "common/parallel.h"
+#include "la/row_passes.h"
 
 namespace prom::la {
 namespace {
+
+using namespace detail;
 
 /// Block rows per parallel chunk. Fixed constants: the chunk decomposition
 /// is part of the bit-determinism contract (common/parallel.h), so it may
@@ -59,261 +64,161 @@ bool invert_block(const real* in, real* out) {
   return true;
 }
 
-/// out(0..BS) = block row i times x. Each scalar row accumulates in
-/// ascending block-column then ascending scalar-column order, so the
-/// result is bit-identical to the scalar CSR walk of the same row.
-template <int BS>
-inline void block_row_times(const std::vector<nnz_t>& browptr,
-                            const std::vector<idx>& bcolidx,
-                            const std::vector<real>& vals,
-                            std::span<const real> x, idx i, real* out) {
+/// Columns per pass of the block-row kernel: a pass keeps K x BS
+/// accumulators in registers. For BS = 3 on the elasticity box (n = 16,
+/// one thread) at k = 8, two 4-wide passes (12 accumulators) ran as fast
+/// as or faster than one 8-wide pass, whose 24 accumulators spill next to
+/// the 9 block values, and mostly faster than four 2-wide passes over the
+/// block structure.
+constexpr int kPassWidth = 4;
+
+/// One pass over block rows brows[tb..te) (block rows tb..te when
+/// `brows` is null) for the K columns j0..j0+K. Each scalar row of each
+/// column adds its terms in ascending block-column, then ascending
+/// scalar-column order from a zero seed — the scalar CSR walk of the same
+/// row, and the order of the K = 1 pass, so column j of any call is
+/// bitwise the single-vector product.
+template <int BS, int K, RowOut Out>
+nnz_t brows_pass(const Bsr<BS>& a, const Cols& p, int j0, const idx* brows,
+                 idx tb, idx te) {
   constexpr int kBlockSize = BS * BS;
-  real acc[BS] = {};
-  for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-    const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-    const real* xj = x.data() + static_cast<std::size_t>(bcolidx[k]) * BS;
-    for (int r = 0; r < BS; ++r) {
-      for (int c = 0; c < BS; ++c) acc[r] += blk[r * BS + c] * xj[c];
-    }
+  const real* x[K];
+  const real* b[K];
+  real* y[K];
+  for (int j = 0; j < K; ++j) {
+    x[j] = p.x[j0 + j];
+    b[j] = p.b[j0 + j];
+    y[j] = p.y[j0 + j];
   }
-  for (int r = 0; r < BS; ++r) out[r] = acc[r];
+  const nnz_t* browptr = a.browptr.data();
+  const idx* bcolidx = a.bcolidx.data();
+  const real* vals = a.vals.data();
+  nnz_t visited = 0;
+  for (idx t = tb; t < te; ++t) {
+    const idx i = brows != nullptr ? brows[t] : t;
+    real acc[K][BS] = {};
+    for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
+      const real* blk = vals + static_cast<std::size_t>(k) * kBlockSize;
+      const std::size_t xoff = static_cast<std::size_t>(bcolidx[k]) * BS;
+      for (int j = 0; j < K; ++j) {
+        const real* xj = x[j] + xoff;
+        for (int r = 0; r < BS; ++r) {
+          for (int c = 0; c < BS; ++c) acc[j][r] += blk[r * BS + c] * xj[c];
+        }
+      }
+    }
+    const std::size_t base = static_cast<std::size_t>(i) * BS;
+    for (int j = 0; j < K; ++j) {
+      for (int r = 0; r < BS; ++r) store<Out>(y[j], b[j], base + r, acc[j][r]);
+    }
+    visited += browptr[i + 1] - browptr[i];
+  }
+  return visited;
+}
+
+template <int BS, RowOut Out, std::size_t... I>
+constexpr std::array<PassFn<Bsr<BS>>, sizeof...(I)> make_passes(
+    std::index_sequence<I...>) {
+  return {&brows_pass<BS, static_cast<int>(I) + 1, Out>...};
+}
+
+/// The block-row kernel behind every product: k columns of p over the
+/// listed block rows (all block rows in order when `brows` is null).
+template <int BS, RowOut Out>
+void run_brows(const Bsr<BS>& a, const Cols& p, int k, const idx* brows,
+               idx n) {
+  static constexpr auto kPasses =
+      make_passes<BS, Out>(std::make_index_sequence<kPassWidth>{});
+  run_passes(a, kPasses, p, k, brows, n, kBlockRowGrain,
+             2 * Bsr<BS>::kBlockSize, Out == RowOut::kResidual ? BS : 0);
+}
+
+template <int BS>
+void check_shapes(const Bsr<BS>& a, std::span<const real> x,
+                  std::span<const real> y) {
+  PROM_CHECK(static_cast<idx>(x.size()) == a.cols() &&
+             static_cast<idx>(y.size()) == a.rows());
+}
+
+template <int BS>
+void check_mv_shapes(const Bsr<BS>& a, const MultiVec& x, const MultiVec& y) {
+  PROM_CHECK(x.rows() == a.cols() && y.rows() == a.rows() &&
+             x.cols() == y.cols() && x.cols() >= 1);
 }
 
 }  // namespace
 
 template <int BS>
 void Bsr<BS>::spmv(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(y.size()) == rows());
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      block_row_times<BS>(browptr, bcolidx, vals, x, i,
-                          y.data() + static_cast<std::size_t>(i) * BS);
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks());
+  check_shapes(*this, x, y);
+  run_brows<BS, RowOut::kSet>(*this, one_col(x, y), 1, nullptr, nbrows);
 }
 
 template <int BS>
 void Bsr<BS>::spmv_add(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(y.size()) == rows());
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[BS];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i, acc);
-      real* yi = y.data() + static_cast<std::size_t>(i) * BS;
-      for (int r = 0; r < BS; ++r) yi[r] += acc[r];
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks());
+  check_shapes(*this, x, y);
+  run_brows<BS, RowOut::kAdd>(*this, one_col(x, y), 1, nullptr, nbrows);
 }
 
 template <int BS>
 void Bsr<BS>::residual(std::span<const real> b, std::span<const real> x,
                        std::span<real> r) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(b.size()) == rows() &&
-             static_cast<idx>(r.size()) == rows());
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[BS];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int rr = 0; rr < BS; ++rr) r[base + rr] = b[base + rr] - acc[rr];
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks() + static_cast<std::int64_t>(rows()));
+  check_shapes(*this, x, r);
+  PROM_CHECK(static_cast<idx>(b.size()) == rows());
+  run_brows<BS, RowOut::kResidual>(*this, one_col(x, r, b), 1, nullptr,
+                                   nbrows);
 }
 
 template <int BS>
 void Bsr<BS>::spmv_brows(std::span<const real> x, std::span<real> y,
                          std::span<const idx> brows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(y.size()) == rows());
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i,
-                          y.data() + static_cast<std::size_t>(i) * BS);
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops(2 * kBlockSize * sub);
-  });
+  check_shapes(*this, x, y);
+  run_brows<BS, RowOut::kSet>(*this, one_col(x, y), 1, brows.data(),
+                              static_cast<idx>(brows.size()));
 }
 
 template <int BS>
 void Bsr<BS>::residual_brows(std::span<const real> b, std::span<const real> x,
                              std::span<real> r,
                              std::span<const idx> brows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == cols() &&
-             static_cast<idx>(b.size()) == rows() &&
-             static_cast<idx>(r.size()) == rows());
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      real acc[BS];
-      block_row_times<BS>(browptr, bcolidx, vals, x, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int rr = 0; rr < BS; ++rr) r[base + rr] = b[base + rr] - acc[rr];
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops(2 * kBlockSize * sub + static_cast<std::int64_t>(te - tb) * BS);
-  });
+  check_shapes(*this, x, r);
+  PROM_CHECK(static_cast<idx>(b.size()) == rows());
+  run_brows<BS, RowOut::kResidual>(*this, one_col(x, r, b), 1, brows.data(),
+                                   static_cast<idx>(brows.size()));
 }
-
-namespace {
-
-/// Blocked counterpart of block_row_times: one pass over block row i feeds
-/// one accumulator per column of X, each updated in exactly
-/// block_row_times' order, so every output column matches the
-/// single-vector kernel bitwise. `out[j]` receives the BS row results for
-/// column j.
-template <int BS>
-inline void block_row_times_mv(const std::vector<nnz_t>& browptr,
-                               const std::vector<idx>& bcolidx,
-                               const std::vector<real>& vals,
-                               const real* const* xp, int ncol, idx i,
-                               real out[][BS]) {
-  constexpr int kBlockSize = BS * BS;
-  real acc[kMaxRhsBlock][BS] = {};
-  for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
-    const real* blk = vals.data() + static_cast<std::size_t>(k) * kBlockSize;
-    const std::size_t xoff = static_cast<std::size_t>(bcolidx[k]) * BS;
-    for (int j = 0; j < ncol; ++j) {
-      for (int r = 0; r < BS; ++r) {
-        for (int c = 0; c < BS; ++c) {
-          acc[j][r] += blk[r * BS + c] * xp[j][xoff + c];
-        }
-      }
-    }
-  }
-  for (int j = 0; j < ncol; ++j) {
-    for (int r = 0; r < BS; ++r) out[j][r] = acc[j][r];
-  }
-}
-
-}  // namespace
 
 template <int BS>
 void Bsr<BS>::spmm(const MultiVec& x, MultiVec& y) const {
-  PROM_CHECK(x.rows() == cols() && y.rows() == rows() &&
-             x.cols() == y.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    yp[j] = y.col_data(j);
-  }
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int r = 0; r < BS; ++r) yp[j][base + r] = acc[j][r];
-      }
-    }
-  });
-  count_flops(2 * kBlockSize * nblocks() * ncol);
+  check_mv_shapes(*this, x, y);
+  run_brows<BS, RowOut::kSet>(*this, mv_cols(x, y), x.cols(), nullptr,
+                              nbrows);
 }
 
 template <int BS>
 void Bsr<BS>::residual_mv(const MultiVec& b, const MultiVec& x,
                           MultiVec& r) const {
-  PROM_CHECK(x.rows() == cols() && b.rows() == rows() && r.rows() == rows() &&
-             x.cols() == b.cols() && x.cols() == r.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  common::parallel_for(0, nbrows, kBlockRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int rr = 0; rr < BS; ++rr) {
-          rp[j][base + rr] = bp[j][base + rr] - acc[j][rr];
-        }
-      }
-    }
-  });
-  count_flops((2 * kBlockSize * nblocks() + static_cast<std::int64_t>(rows())) *
-              ncol);
+  check_mv_shapes(*this, x, r);
+  PROM_CHECK(b.rows() == rows() && b.cols() == x.cols());
+  run_brows<BS, RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(),
+                                   nullptr, nbrows);
 }
 
 template <int BS>
 void Bsr<BS>::spmm_brows(const MultiVec& x, MultiVec& y,
                          std::span<const idx> brows) const {
-  PROM_CHECK(x.rows() == cols() && y.rows() == rows() &&
-             x.cols() == y.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    yp[j] = y.col_data(j);
-  }
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int r = 0; r < BS; ++r) yp[j][base + r] = acc[j][r];
-      }
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops(2 * kBlockSize * sub * ncol);
-  });
+  check_mv_shapes(*this, x, y);
+  run_brows<BS, RowOut::kSet>(*this, mv_cols(x, y), x.cols(), brows.data(),
+                              static_cast<idx>(brows.size()));
 }
 
 template <int BS>
 void Bsr<BS>::residual_mv_brows(const MultiVec& b, const MultiVec& x,
                                 MultiVec& r, std::span<const idx> brows) const {
-  PROM_CHECK(x.rows() == cols() && b.rows() == rows() && r.rows() == rows() &&
-             x.cols() == b.cols() && x.cols() == r.cols() && x.cols() >= 1);
-  const int ncol = x.cols();
-  const real* xp[kMaxRhsBlock];
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < ncol; ++j) {
-    xp[j] = x.col_data(j);
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  const idx n = static_cast<idx>(brows.size());
-  common::parallel_for(0, n, kBlockRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = brows[t];
-      real acc[kMaxRhsBlock][BS];
-      block_row_times_mv<BS>(browptr, bcolidx, vals, xp, ncol, i, acc);
-      const std::size_t base = static_cast<std::size_t>(i) * BS;
-      for (int j = 0; j < ncol; ++j) {
-        for (int rr = 0; rr < BS; ++rr) {
-          rp[j][base + rr] = bp[j][base + rr] - acc[j][rr];
-        }
-      }
-      sub += browptr[i + 1] - browptr[i];
-    }
-    count_flops((2 * kBlockSize * sub + static_cast<std::int64_t>(te - tb) * BS) *
-                ncol);
-  });
+  check_mv_shapes(*this, x, r);
+  PROM_CHECK(b.rows() == rows() && b.cols() == x.cols());
+  run_brows<BS, RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(),
+                                   brows.data(),
+                                   static_cast<idx>(brows.size()));
 }
 
 template <int BS>

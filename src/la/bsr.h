@@ -12,7 +12,10 @@
 // scalar-column order (blocks are sorted by block column; the BS lanes of
 // a block are visited in order) — so a Bsr built from a Csr produces
 // bit-identical products, and the CSR and BSR solve paths yield the same
-// residual histories.
+// residual histories. Every product runs one block-row kernel, in passes
+// of at most 4 columns (4 x BS accumulators); the single-vector products
+// are its one-column pass, so column j of a blocked product is bitwise
+// the single-vector product of column j.
 #pragma once
 
 #include <array>
@@ -77,9 +80,9 @@ struct Bsr {
   void residual_brows(std::span<const real> b, std::span<const real> x,
                       std::span<real> r, std::span<const idx> brows) const;
 
-  /// Y = A X, column-blocked: one pass over the block structure feeds one
-  /// accumulator per column, each in spmv's order (column j bitwise equals
-  /// spmv on X.col(j)).
+  /// Y = A X, column-blocked: each pass over the block structure feeds
+  /// the accumulators of up to 4 columns, each in spmv's order (column j
+  /// bitwise equals spmv on X.col(j)).
   void spmm(const MultiVec& x, MultiVec& y) const;
 
   /// R = B - A X, fused column-blocked residual.

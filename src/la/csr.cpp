@@ -1,15 +1,20 @@
 #include "la/csr.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 #include "common/flops.h"
 #include "common/parallel.h"
+#include "la/row_passes.h"
 
 namespace prom::la {
 namespace {
+
+using namespace detail;
 
 /// Rows per parallel chunk for row-partitioned kernels. Fixed constants:
 /// the chunk decomposition is part of the bit-determinism contract (see
@@ -25,36 +30,84 @@ idx transpose_grain(idx nrows) {
   return std::max<idx>(2048, (nrows + 7) / 8);
 }
 
+/// Columns per pass of the row kernel: a pass keeps one accumulator per
+/// column in a register. On the elasticity box (n = 16, one thread) at
+/// k = 8, one 8-wide pass ran 12-30% faster than two 4-wide passes, which
+/// stream the matrix twice; at k = 16 two 8-wide passes stayed ahead of
+/// one 16-wide pass, whose 16 accumulators and 16 column pointers
+/// outgrow the registers.
+constexpr int kPassWidth = 8;
+
+/// One pass over rows rows[tb..te) (rows tb..te when `rows` is null) for
+/// the K columns j0..j0+K. Each column adds its row's terms in ascending
+/// column order from a zero seed, exactly the order of the K = 1 pass, so
+/// column j of any call is bitwise the single-vector product.
+template <int K, RowOut Out>
+nnz_t rows_pass(const Csr& a, const Cols& p, int j0, const idx* rows, idx tb,
+                idx te) {
+  const real* x[K];
+  const real* b[K];
+  real* y[K];
+  for (int j = 0; j < K; ++j) {
+    x[j] = p.x[j0 + j];
+    b[j] = p.b[j0 + j];
+    y[j] = p.y[j0 + j];
+  }
+  const nnz_t* rowptr = a.rowptr.data();
+  const idx* colidx = a.colidx.data();
+  const real* vals = a.vals.data();
+  nnz_t visited = 0;
+  for (idx t = tb; t < te; ++t) {
+    const idx i = rows != nullptr ? rows[t] : t;
+    real acc[K] = {};
+    for (nnz_t kk = rowptr[i]; kk < rowptr[i + 1]; ++kk) {
+      const real v = vals[kk];
+      const idx c = colidx[kk];
+      for (int j = 0; j < K; ++j) acc[j] += v * x[j][c];
+    }
+    for (int j = 0; j < K; ++j) store<Out>(y[j], b[j], i, acc[j]);
+    visited += rowptr[i + 1] - rowptr[i];
+  }
+  return visited;
+}
+
+template <RowOut Out, std::size_t... I>
+constexpr std::array<PassFn<Csr>, sizeof...(I)> make_passes(
+    std::index_sequence<I...>) {
+  return {&rows_pass<static_cast<int>(I) + 1, Out>...};
+}
+
+/// The row kernel behind every product: k columns of p over the listed
+/// rows (all rows in order when `rows` is null).
+template <RowOut Out>
+void run_rows(const Csr& a, const Cols& p, int k, const idx* rows, idx n) {
+  static constexpr auto kPasses =
+      make_passes<Out>(std::make_index_sequence<kPassWidth>{});
+  run_passes(a, kPasses, p, k, rows, n, kRowGrain, 2,
+             Out == RowOut::kResidual ? 1 : 0);
+}
+
+void check_shapes(const Csr& a, std::span<const real> x,
+                  std::span<const real> y) {
+  PROM_CHECK(static_cast<idx>(x.size()) == a.ncols &&
+             static_cast<idx>(y.size()) == a.nrows);
+}
+
+void check_mv_shapes(const Csr& a, const MultiVec& x, const MultiVec& y) {
+  PROM_CHECK(x.rows() == a.ncols && y.rows() == a.nrows &&
+             x.cols() == y.cols() && x.cols() >= 1);
+}
+
 }  // namespace
 
 void Csr::spmv(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(y.size()) == nrows);
-  common::parallel_for(0, nrows, kRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      y[i] = sum;
-    }
-  });
-  count_flops(2 * nnz());
+  check_shapes(*this, x, y);
+  run_rows<RowOut::kSet>(*this, one_col(x, y), 1, nullptr, nrows);
 }
 
 void Csr::spmv_add(std::span<const real> x, std::span<real> y) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(y.size()) == nrows);
-  common::parallel_for(0, nrows, kRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      y[i] += sum;
-    }
-  });
-  count_flops(2 * nnz());
+  check_shapes(*this, x, y);
+  run_rows<RowOut::kAdd>(*this, one_col(x, y), 1, nullptr, nrows);
 }
 
 void Csr::spmv_transpose(std::span<const real> x, std::span<real> y) const {
@@ -102,149 +155,52 @@ void Csr::spmv_transpose(std::span<const real> x, std::span<real> y) const {
 
 void Csr::residual(std::span<const real> b, std::span<const real> x,
                    std::span<real> r) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(b.size()) == nrows &&
-             static_cast<idx>(r.size()) == nrows);
-  common::parallel_for(0, nrows, kRowGrain, [&](idx rb, idx re) {
-    for (idx i = rb; i < re; ++i) {
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      r[i] = b[i] - sum;
-    }
-  });
-  count_flops(2 * nnz() + nrows);
+  check_shapes(*this, x, r);
+  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
+  run_rows<RowOut::kResidual>(*this, one_col(x, r, b), 1, nullptr, nrows);
 }
 
 void Csr::spmv_rows(std::span<const real> x, std::span<real> y,
                     std::span<const idx> rows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(y.size()) == nrows);
-  const idx n = static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = rows[t];
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      y[i] = sum;
-      sub += rowptr[i + 1] - rowptr[i];
-    }
-    count_flops(2 * sub);
-  });
+  check_shapes(*this, x, y);
+  run_rows<RowOut::kSet>(*this, one_col(x, y), 1, rows.data(),
+                         static_cast<idx>(rows.size()));
 }
 
 void Csr::residual_rows(std::span<const real> b, std::span<const real> x,
                         std::span<real> r, std::span<const idx> rows) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == ncols &&
-             static_cast<idx>(b.size()) == nrows &&
-             static_cast<idx>(r.size()) == nrows);
-  const idx n = static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = rows[t];
-      real sum = 0;
-      for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        sum += vals[k] * x[colidx[k]];
-      }
-      r[i] = b[i] - sum;
-      sub += rowptr[i + 1] - rowptr[i];
-    }
-    count_flops(2 * sub + (te - tb));
-  });
+  check_shapes(*this, x, r);
+  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
+  run_rows<RowOut::kResidual>(*this, one_col(x, r, b), 1, rows.data(),
+                              static_cast<idx>(rows.size()));
 }
-
-namespace {
-
-/// Shared core of the blocked kernels: per row, one pass over the nonzeros
-/// feeds one accumulator per column, each updated in the same sorted-column
-/// order as spmv — so every column's bits match the single-vector kernel.
-/// `emit(i, j, sum)` stores the row result for column j.
-template <class Emit>
-void spmm_rows_core(const Csr& a, const MultiVec& x, std::span<const idx> rows,
-                    const Emit& emit) {
-  const int k = x.cols();
-  const real* xp[kMaxRhsBlock];
-  for (int j = 0; j < k; ++j) xp[j] = x.col_data(j);
-  // An empty `rows` means "all rows in order" (the dense spmm/residual_mv
-  // case); a non-empty list reproduces spmv_rows' subset semantics.
-  const idx n = rows.empty() ? a.nrows : static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    nnz_t sub = 0;
-    for (idx t = tb; t < te; ++t) {
-      const idx i = rows.empty() ? t : rows[t];
-      real acc[kMaxRhsBlock];
-      for (int j = 0; j < k; ++j) acc[j] = 0;
-      for (nnz_t kk = a.rowptr[i]; kk < a.rowptr[i + 1]; ++kk) {
-        const real v = a.vals[kk];
-        const idx c = a.colidx[kk];
-        for (int j = 0; j < k; ++j) acc[j] += v * xp[j][c];
-      }
-      for (int j = 0; j < k; ++j) emit(i, j, acc[j]);
-      sub += a.rowptr[i + 1] - a.rowptr[i];
-    }
-    count_flops(2 * sub * k);
-  });
-}
-
-void check_mv_shapes(const Csr& a, const MultiVec& x, const MultiVec& y) {
-  PROM_CHECK(x.rows() == a.ncols && y.rows() == a.nrows &&
-             x.cols() == y.cols() && x.cols() >= 1);
-}
-
-}  // namespace
 
 void Csr::spmm(const MultiVec& x, MultiVec& y) const {
   check_mv_shapes(*this, x, y);
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) yp[j] = y.col_data(j);
-  spmm_rows_core(*this, x, {},
-                 [&](idx i, int j, real sum) { yp[j][i] = sum; });
+  run_rows<RowOut::kSet>(*this, mv_cols(x, y), x.cols(), nullptr, nrows);
 }
 
 void Csr::residual_mv(const MultiVec& b, const MultiVec& x,
                       MultiVec& r) const {
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) {
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  spmm_rows_core(*this, x, {},
-                 [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
-  count_flops(static_cast<std::int64_t>(nrows) * x.cols());
+  run_rows<RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(), nullptr,
+                              nrows);
 }
 
 void Csr::spmm_rows(const MultiVec& x, MultiVec& y,
                     std::span<const idx> rows) const {
   check_mv_shapes(*this, x, y);
-  if (rows.empty()) return;
-  real* yp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) yp[j] = y.col_data(j);
-  spmm_rows_core(*this, x, rows,
-                 [&](idx i, int j, real sum) { yp[j][i] = sum; });
+  run_rows<RowOut::kSet>(*this, mv_cols(x, y), x.cols(), rows.data(),
+                         static_cast<idx>(rows.size()));
 }
 
 void Csr::residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
                            std::span<const idx> rows) const {
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
-  if (rows.empty()) return;
-  const real* bp[kMaxRhsBlock];
-  real* rp[kMaxRhsBlock];
-  for (int j = 0; j < x.cols(); ++j) {
-    bp[j] = b.col_data(j);
-    rp[j] = r.col_data(j);
-  }
-  spmm_rows_core(*this, x, rows,
-                 [&](idx i, int j, real sum) { rp[j][i] = bp[j][i] - sum; });
-  count_flops(static_cast<std::int64_t>(rows.size()) * x.cols());
+  run_rows<RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(), rows.data(),
+                              static_cast<idx>(rows.size()));
 }
 
 std::vector<real> Csr::apply(std::span<const real> x) const {

@@ -20,6 +20,13 @@ struct Triplet {
 };
 
 /// CSR sparse matrix. Column indices are sorted and unique within each row.
+///
+/// Every product below runs one row kernel, in passes of at most 8
+/// columns (a k-column call makes ceil(k / 8) passes over each chunk of
+/// rows); the single-vector products are its one-column pass. Order
+/// contract: each output entry is its row's terms added in ascending
+/// column order from a zero seed, so column j of a blocked product is
+/// bitwise the single-vector product of column j, at any thread count.
 struct Csr {
   idx nrows = 0;
   idx ncols = 0;
@@ -53,9 +60,9 @@ struct Csr {
   void residual_rows(std::span<const real> b, std::span<const real> x,
                      std::span<real> r, std::span<const idx> rows) const;
 
-  /// Y = A X, column-blocked. One pass over the matrix serves every
-  /// column; each column accumulates in exactly spmv's order, so column j
-  /// of the result is bitwise identical to spmv on X.col(j).
+  /// Y = A X, column-blocked. Each pass over the matrix serves up to 8
+  /// columns; each column accumulates in exactly spmv's order, so column
+  /// j of the result is bitwise identical to spmv on X.col(j).
   void spmm(const MultiVec& x, MultiVec& y) const;
 
   /// R = B - A X, fused column-blocked residual (bitwise = per-column

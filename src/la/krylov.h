@@ -21,8 +21,10 @@ struct KrylovResult {
   int iterations = 0;
   real final_relres = 0;
   bool converged = false;
-  /// True if CG stopped because p'Ap or r'z lost positivity (operator or
-  /// preconditioner not SPD at working precision).
+  /// True if the solver stopped on a breakdown: CG when p'Ap or r'z lost
+  /// positivity (operator or preconditioner not SPD at working precision),
+  /// BiCGStab on a vanishing recurrence scalar, GMRES on a singular
+  /// Hessenberg triangle. `converged` is false then.
   bool breakdown = false;
   std::vector<real> history;  ///< residual norms (if tracked), history[0]=||b||
 };

@@ -357,12 +357,19 @@ KrylovResult gmres_any(const B& be, const Op& a, const Op* m,
       }
     }
 
-    // Solve the k x k triangular system and update x.
+    // Solve the k x k triangular system and update x. A zero on its
+    // diagonal (the Krylov space hit the operator's null space) is a
+    // breakdown: x keeps its value from the last restart. H is replicated,
+    // so every rank of a collective backend stops here together.
     std::vector<real> y(static_cast<std::size_t>(k));
     for (int i = k - 1; i >= 0; --i) {
+      if (hcols[i][i] == 0) {
+        result.breakdown = true;
+        result.converged = false;
+        return result;
+      }
       real sum = g[i];
       for (int jj = i + 1; jj < k; ++jj) sum -= hcols[jj][i] * y[jj];
-      PROM_CHECK_MSG(hcols[i][i] != 0, "GMRES breakdown: singular H");
       y[i] = sum / hcols[i][i];
     }
     std::fill(z.begin(), z.end(), real{0});

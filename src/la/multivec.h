@@ -14,10 +14,9 @@
 
 namespace prom::la {
 
-/// Hard cap on the column count of a single blocked kernel call. Blocked
-/// kernels keep one accumulator per column in a stack array of this size;
-/// wider requests are chunked by the caller (app::SolveService honours
-/// PROM_RHS_BLOCK <= kMaxRhsBlock).
+/// Hard cap on the column count of a single blocked kernel call (callers
+/// size per-call column tables by it); wider requests are chunked by the
+/// caller (app::SolveService honours PROM_RHS_BLOCK <= kMaxRhsBlock).
 inline constexpr int kMaxRhsBlock = 16;
 
 class MultiVec {

@@ -98,9 +98,19 @@ Hierarchy Hierarchy::build_grids_any(const mesh::Mesh& mesh, int ncomp,
   // Geometry of the level currently being coarsened. The coarsening is
   // purely vertex-based — identical grids for any block size; only the
   // dof expansion of the restriction differs.
+  // Spans: the vertex graph and classification carry the level of the
+  // grid they describe, the rest of a coarsening round its fine level.
   std::vector<Vec3> coords = mesh.coords();
-  graph::Graph vgraph = mesh.vertex_graph();
-  coarsen::Classification cls = coarsen::classify_mesh(mesh, opts.coarsen.face);
+  graph::Graph vgraph;
+  {
+    const obs::Span span("grids.vertex_graph", 0);
+    vgraph = mesh.vertex_graph();
+  }
+  coarsen::Classification cls;
+  {
+    const obs::Span span("grids.classify", 0);
+    cls = coarsen::classify_mesh(mesh, opts.coarsen.face);
+  }
 
   for (int l = 0; l + 1 < opts.max_levels; ++l) {
     const idx n_free = static_cast<idx>(h.levels_.back().free_dofs.size());
@@ -119,22 +129,22 @@ Hierarchy Hierarchy::build_grids_any(const mesh::Mesh& mesh, int ncomp,
     }
 
     // Coarse constraint flags + free dof lists for the dof expansion.
+    MgLevel next;
     std::vector<char> coarse_dof_free(static_cast<std::size_t>(ncomp) *
                                       n_coarse);
-    std::vector<idx> coarse_free;
-    for (idx c = 0; c < n_coarse; ++c) {
-      for (int comp = 0; comp < ncomp; ++comp) {
-        const char f = dof_free[ncomp * cl.selected[c] + comp];
-        coarse_dof_free[ncomp * c + comp] = f;
-        if (f) coarse_free.push_back(ncomp * c + comp);
+    {
+      const obs::Span span("grids.dof_expansion", l);
+      for (idx c = 0; c < n_coarse; ++c) {
+        for (int comp = 0; comp < ncomp; ++comp) {
+          const char f = dof_free[ncomp * cl.selected[c] + comp];
+          coarse_dof_free[ncomp * c + comp] = f;
+          if (f) next.free_dofs.push_back(ncomp * c + comp);
+        }
       }
+      next.r = coarsen::expand_restriction_to_dofs(
+          cl.r_vertex, h.levels_.back().free_dofs, next.free_dofs, ncomp);
     }
-
-    MgLevel next;
-    next.r = coarsen::expand_restriction_to_dofs(
-        cl.r_vertex, h.levels_.back().free_dofs, coarse_free, ncomp);
     next.num_vertices = n_coarse;
-    next.free_dofs = std::move(coarse_free);
     next.selected_from_fine = cl.selected;
     next.lost_vertices = static_cast<idx>(cl.lost.size());
     next.graph_edges_removed = cl.graph_stats.edges_removed;
@@ -146,7 +156,10 @@ Hierarchy Hierarchy::build_grids_any(const mesh::Mesh& mesh, int ncomp,
       coarse_coords[c] = coords[cl.selected[c]];
     }
     coords = std::move(coarse_coords);
-    vgraph = cl.coarse_mesh.vertex_graph();
+    {
+      const obs::Span span("grids.vertex_graph", l + 1);
+      vgraph = cl.coarse_mesh.vertex_graph();
+    }
     cls = std::move(cl.coarse_cls);
     dof_free = std::move(coarse_dof_free);
   }

@@ -10,6 +10,7 @@
 #include "dla/dist_mg.h"
 #include "dla/dist_vec.h"
 #include "fem/assembly.h"
+#include "la/krylov.h"
 #include "la/vec.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
@@ -158,6 +159,37 @@ TEST_P(DlaRanks, DistPcgMatchesSerialIterationForIteration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DlaRanks, ::testing::Values(1, 2, 3, 5, 8));
+
+// GMRES on A = diag(1, 0) with b = e2: the first Arnoldi step finds
+// A v = 0, so the least-squares triangle is singular. The serial and the
+// distributed solver both report a breakdown, without throwing, and keep
+// x at its value from the restart.
+TEST(DistKrylov, GmresReportsSingularHessenbergAsBreakdown) {
+  const std::vector<la::Triplet> diag = {{0, 0, 1.0}};
+  const la::Csr a = la::Csr::from_triplets(2, 2, diag);
+  const std::vector<real> b = {0.0, 1.0};
+  std::vector<real> x(2, 0.0);
+  const la::CsrOperator op(a);
+  la::KrylovResult serial;
+  EXPECT_NO_THROW(serial = la::gmres(op, nullptr, b, x));
+  EXPECT_TRUE(serial.breakdown);
+  EXPECT_FALSE(serial.converged);
+  EXPECT_EQ(x, std::vector<real>(2, 0.0));
+
+  const RowDist dist = RowDist::block(2, 2);
+  parx::Runtime::run(2, [&](parx::Comm& comm) {
+    const DistCsr da(comm, a, dist, dist);
+    const DistCsrOperator dop(da);
+    const std::vector<real> bl = {b[dist.begin(comm.rank())]};
+    std::vector<real> xl = {0.0};
+    la::KrylovResult res;
+    EXPECT_NO_THROW(res = dist_gmres(comm, dop, nullptr, bl, xl));
+    EXPECT_TRUE(res.breakdown);
+    EXPECT_FALSE(res.converged);
+    EXPECT_EQ(xl[0], 0.0);
+  });
+}
+
 
 class DistMgRanks : public ::testing::TestWithParam<int> {};
 

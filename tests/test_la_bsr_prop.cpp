@@ -9,6 +9,9 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -191,6 +194,110 @@ TEST(BsrKernels, SpmvMatchesCsrBitwise) {
   std::vector<real> rs(b.size());
   for (std::size_t i = 0; i < b.size(); ++i) rs[i] = b[i] - ys[i];
   expect_bitwise_equal(rb, rs, "residual");
+}
+
+/// Ragged random block matrix for the row kernels: several
+/// kBlockRowGrain chunks, empty block rows, up to 16 blocks per row, and
+/// values over 40 binades so that any change of summation order shows in
+/// the bits.
+la::Bsr3 ragged_bsr(Rng& rng, idx nbrows, idx nbcols) {
+  std::vector<la::BlockTriplet3> trip;
+  for (idx i = 0; i < nbrows; ++i) {
+    const idx len =
+        rng.next_below(6) == 0 ? 0 : 1 + static_cast<idx>(rng.next_below(16));
+    for (idx q = 0; q < len; ++q) {
+      la::BlockTriplet3 bt;
+      bt.brow = i;
+      bt.bcol = static_cast<idx>(rng.next_below(nbcols));
+      for (auto& v : bt.v) {
+        const int binade = static_cast<int>(rng.next_below(41)) - 20;
+        v = std::ldexp(2 * rng.next_real() - 1, binade);
+      }
+      trip.push_back(bt);
+    }
+  }
+  return la::Bsr3::from_block_triplets(nbrows, nbcols, trip);
+}
+
+/// The textbook row loop: (A x)[3 i + r] with the row's terms added in
+/// ascending block column, then ascending scalar column, from a zero seed.
+real brow_times(const la::Bsr3& a, std::span<const real> x, idx i, int r) {
+  real sum = 0;
+  for (nnz_t k = a.browptr[i]; k < a.browptr[i + 1]; ++k) {
+    for (int c = 0; c < 3; ++c) {
+      sum += a.vals[static_cast<std::size_t>(k) * 9 + r * 3 + c] *
+             x[static_cast<std::size_t>(a.bcolidx[k]) * 3 + c];
+    }
+  }
+  return sum;
+}
+
+la::MultiVec random_multivec(Rng& rng, idx n, int k) {
+  la::MultiVec m(n, k);
+  for (int j = 0; j < k; ++j) {
+    for (real& v : m.col(j)) v = rng.next_real() - 0.5;
+  }
+  return m;
+}
+
+bool same_bits(real a, real b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(BsrKernels, RowKernelsMatchAscendingRowLoopBitwiseAtEveryWidth) {
+  Rng rng(0xB5B);
+  const la::Bsr3 a = ragged_bsr(rng, 400, 350);
+  // Half of the block rows, shuffled (not ascending).
+  std::vector<idx> brows(static_cast<std::size_t>(a.nbrows));
+  std::iota(brows.begin(), brows.end(), idx{0});
+  for (std::size_t i = brows.size() - 1; i > 0; --i) {
+    std::swap(brows[i], brows[rng.next_below(i + 1)]);
+  }
+  brows.resize(brows.size() / 2);
+  std::vector<char> listed(static_cast<std::size_t>(a.nbrows), 0);
+  for (idx i : brows) listed[i] = 1;
+  for (int k = 1; k <= la::kMaxRhsBlock; ++k) {
+    const la::MultiVec x = random_multivec(rng, a.cols(), k);
+    const la::MultiVec b = random_multivec(rng, a.rows(), k);
+    const la::MultiVec seed = random_multivec(rng, a.rows(), k);
+    for (const int threads : kThreadCounts) {
+      common::set_kernel_threads(threads);
+      la::MultiVec y = seed, r = seed, ys = seed, rs = seed;
+      a.spmm(x, y);
+      a.residual_mv(b, x, r);
+      a.spmm_brows(x, ys, brows);
+      a.residual_mv_brows(b, x, rs, brows);
+      // The single-vector kernels, on column 0.
+      std::vector<real> v(seed.col(0).begin(), seed.col(0).end());
+      std::vector<real> va = v, vr = v, vs = v, vrs = v;
+      a.spmv(x.col(0), v);
+      a.spmv_add(x.col(0), va);
+      a.residual(b.col(0), x.col(0), vr);
+      a.spmv_brows(x.col(0), vs, brows);
+      a.residual_brows(b.col(0), x.col(0), vrs, brows);
+      common::set_kernel_threads(0);
+      int wrong = 0;
+      for (int j = 0; j < k; ++j) {
+        for (idx i = 0; i < a.nbrows; ++i) {
+          for (int rr = 0; rr < 3; ++rr) {
+            const idx s = 3 * i + rr;
+            const real ax = brow_times(a, x.col(j), i, rr);
+            const real res = b.col(j)[s] - ax;
+            const real old = seed.col(j)[s];
+            wrong += !same_bits(y.col(j)[s], ax);
+            wrong += !same_bits(r.col(j)[s], res);
+            wrong += !same_bits(ys.col(j)[s], listed[i] ? ax : old);
+            wrong += !same_bits(rs.col(j)[s], listed[i] ? res : old);
+            if (j > 0) continue;
+            wrong += !same_bits(v[s], ax);
+            wrong += !same_bits(va[s], old + ax);
+            wrong += !same_bits(vr[s], res);
+            wrong += !same_bits(vs[s], listed[i] ? ax : old);
+            wrong += !same_bits(vrs[s], listed[i] ? res : old);
+          }
+        }
+      }
+      ASSERT_EQ(wrong, 0) << "k = " << k << ", threads = " << threads;
+    }
+  }
 }
 
 TEST(BsrKernels, TransposeMatchesCsr) {

@@ -8,10 +8,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "la/csr.h"
 
@@ -283,6 +286,105 @@ TEST(CsrProperty, SpgemmMatchesDenseProduct) {
                     1e-11)
             << "trial " << trial << " (" << i << ", " << j << ")";
       }
+    }
+  }
+}
+
+// ---- row kernels at every column count ------------------------------------
+
+/// Ragged random matrix for the row kernels: several kRowGrain chunks,
+/// empty rows, row lengths up to 48, and values over 40 binades so that
+/// any change of summation order shows in the bits.
+Csr ragged_matrix(Rng& rng, idx nrows, idx ncols) {
+  std::vector<Triplet> t;
+  for (idx i = 0; i < nrows; ++i) {
+    const idx len =
+        rng.next_below(6) == 0 ? 0 : 1 + static_cast<idx>(rng.next_below(48));
+    for (idx q = 0; q < len; ++q) {
+      const int binade = static_cast<int>(rng.next_below(41)) - 20;
+      t.push_back({i, static_cast<idx>(rng.next_below(ncols)),
+                   std::ldexp(2 * rng.next_real() - 1, binade)});
+    }
+  }
+  return Csr::from_triplets(nrows, ncols, t);
+}
+
+/// The textbook row loop: (A x)[i] with the row's terms added in ascending
+/// column order from a zero seed.
+real row_times(const Csr& a, std::span<const real> x, idx i) {
+  real sum = 0;
+  for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
+    sum += a.vals[k] * x[a.colidx[k]];
+  }
+  return sum;
+}
+
+MultiVec random_multivec(Rng& rng, idx n, int k) {
+  MultiVec m(n, k);
+  for (int j = 0; j < k; ++j) {
+    for (real& v : m.col(j)) v = 2 * rng.next_real() - 1;
+  }
+  return m;
+}
+
+/// Half of the rows of an n-row matrix, shuffled (not ascending).
+std::vector<idx> shuffled_half(Rng& rng, idx n) {
+  std::vector<idx> rows(static_cast<std::size_t>(n));
+  std::iota(rows.begin(), rows.end(), idx{0});
+  for (std::size_t i = rows.size() - 1; i > 0; --i) {
+    std::swap(rows[i], rows[rng.next_below(i + 1)]);
+  }
+  rows.resize(rows.size() / 2);
+  return rows;
+}
+
+bool same_bits(real a, real b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(CsrProperty, RowKernelsMatchAscendingRowLoopBitwiseAtEveryWidth) {
+  Rng rng(0xB10C);
+  const Csr a = ragged_matrix(rng, 1000, 900);
+  const std::vector<idx> rows = shuffled_half(rng, a.nrows);
+  std::vector<char> listed(static_cast<std::size_t>(a.nrows), 0);
+  for (idx i : rows) listed[i] = 1;
+  for (int k = 1; k <= kMaxRhsBlock; ++k) {
+    const MultiVec x = random_multivec(rng, a.ncols, k);
+    const MultiVec b = random_multivec(rng, a.nrows, k);
+    const MultiVec seed = random_multivec(rng, a.nrows, k);
+    for (const int threads : {1, 2, 8}) {
+      common::set_kernel_threads(threads);
+      MultiVec y = seed, r = seed, ys = seed, rs = seed;
+      a.spmm(x, y);
+      a.residual_mv(b, x, r);
+      a.spmm_rows(x, ys, rows);
+      a.residual_mv_rows(b, x, rs, rows);
+      // The single-vector kernels, on column 0.
+      std::vector<real> v(seed.col(0).begin(), seed.col(0).end());
+      std::vector<real> va = v, vr = v, vs = v, vrs = v;
+      a.spmv(x.col(0), v);
+      a.spmv_add(x.col(0), va);
+      a.residual(b.col(0), x.col(0), vr);
+      a.spmv_rows(x.col(0), vs, rows);
+      a.residual_rows(b.col(0), x.col(0), vrs, rows);
+      common::set_kernel_threads(0);
+      int wrong = 0;
+      for (int j = 0; j < k; ++j) {
+        for (idx i = 0; i < a.nrows; ++i) {
+          const real ax = row_times(a, x.col(j), i);
+          const real res = b.col(j)[i] - ax;
+          const real old = seed.col(j)[i];
+          wrong += !same_bits(y.col(j)[i], ax);
+          wrong += !same_bits(r.col(j)[i], res);
+          wrong += !same_bits(ys.col(j)[i], listed[i] ? ax : old);
+          wrong += !same_bits(rs.col(j)[i], listed[i] ? res : old);
+          if (j > 0) continue;
+          wrong += !same_bits(v[i], ax);
+          wrong += !same_bits(va[i], old + ax);
+          wrong += !same_bits(vr[i], res);
+          wrong += !same_bits(vs[i], listed[i] ? ax : old);
+          wrong += !same_bits(vrs[i], listed[i] ? res : old);
+        }
+      }
+      ASSERT_EQ(wrong, 0) << "k = " << k << ", threads = " << threads;
     }
   }
 }

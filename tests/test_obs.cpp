@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "app/driver.h"
+#include "app/service.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "fem/assembly.h"
@@ -194,6 +195,39 @@ TEST(ObsTrace, SpanNestingIsDeterministicAcrossKernelThreads) {
       EXPECT_EQ(shapes[i][k].level, shapes[0][k].level);
       EXPECT_EQ(shapes[i][k].depth, shapes[0][k].depth);
     }
+  }
+}
+
+TEST(ObsTrace, MeshSetupSpansNestUnderThePhase) {
+  const ScopedTracing tracing;
+  app::ServiceConfig sc;
+  sc.nranks = 1;
+  sc.mg.coarsest_max_dofs = 60;  // two coarsening rounds on this box
+  app::SolveService service(sc);
+  service.register_problem("box", app::make_box_problem(6));
+  const std::int64_t mark = obs::Tracer::now_ns();
+  service.acquire("box");
+  const std::vector<obs::SpanRecord> spans =
+      obs::Tracer::instance().spans_since(mark);
+  const auto phase =
+      std::find_if(spans.begin(), spans.end(), [](const obs::SpanRecord& s) {
+        return std::string_view(s.name) == "phase.mesh_setup";
+      });
+  ASSERT_NE(phase, spans.end());
+  for (const std::string_view name :
+       {"grids.vertex_graph", "grids.classify", "grids.modified_graph",
+        "grids.mis", "grids.restriction", "grids.dof_expansion"}) {
+    int count = 0;
+    for (const obs::SpanRecord& s : spans) {
+      if (std::string_view(s.name) != name) continue;
+      ++count;
+      EXPECT_EQ(s.tid, phase->tid) << name;
+      EXPECT_EQ(s.depth, phase->depth + 1) << name;
+      EXPECT_GE(s.t0_ns, phase->t0_ns) << name;
+      EXPECT_LE(s.t1_ns, phase->t1_ns) << name;
+      EXPECT_GE(s.level, 0) << name;
+    }
+    EXPECT_GE(count, 2) << name;
   }
 }
 

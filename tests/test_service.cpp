@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "app/service.h"
@@ -380,6 +382,46 @@ TEST(ServiceSolve, ChunkingCoversWideBlocks) {
   service.register_problem("box", make_box_problem(4));
   const idx n = service.acquire("box")->unknowns;
   check_blocked_matches_single(service, make_rhs_block(n, 5));
+}
+
+TEST(ServiceSolve, NonFiniteRhsIsRejectedBeforeTheCache) {
+  SolveService service(small_config(2, mg::MatrixFormat::kCsr));
+  service.register_problem("box", make_box_problem(4));
+  const EntryHandle entry = service.acquire("box");
+  const idx n = entry->unknowns;
+  SolveRequest req;
+  req.mesh_id = "box";
+  for (const real bad : {std::numeric_limits<real>::quiet_NaN(),
+                         std::numeric_limits<real>::infinity(),
+                         -std::numeric_limits<real>::infinity()}) {
+    req.rhs = make_rhs_block(n, 3);
+    req.rhs.col(1)[n / 2] = bad;
+    try {
+      service.solve(req);
+      ADD_FAILURE() << "a right-hand side holding " << bad << " was solved";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("column 1"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(service.solve_with(entry, req), Error);
+  }
+  EXPECT_EQ(service.cache_misses(), 1);
+  EXPECT_EQ(service.cache_hits(), 0);
+  EXPECT_EQ(service.cache_size(), 1u);
+
+  // The cache is still good: a finite request hits it and matches a
+  // fresh service's solve bitwise.
+  req.rhs = make_rhs_block(n, 3);
+  const SolveResponse cached = service.solve(req);
+  EXPECT_TRUE(cached.cache_hit);
+  SolveService fresh(small_config(2, mg::MatrixFormat::kCsr));
+  fresh.register_problem("box", make_box_problem(4));
+  const SolveResponse want = fresh.solve(req);
+  EXPECT_FALSE(want.cache_hit);
+  for (int j = 0; j < 3; ++j) {
+    EXPECT_EQ(cached.results[j].iterations, want.results[j].iterations);
+    expect_bitwise_equal(cached.solutions.col(j), want.solutions.col(j));
+  }
 }
 
 }  // namespace
