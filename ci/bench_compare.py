@@ -22,13 +22,21 @@ less per column than spmv. A baseline refresh
 therefore cannot lock in a regression of one format or stack against
 another.
 
+Some files also carry count rules (COUNT_RULES): deterministic counts
+that reproduce bit for bit on any host must equal the baseline exactly,
+and flags must hold. In BENCH_equations.json and BENCH_refine.json every
+row's `iterations` must equal the baseline row's and every `converged`
+must be true, so one extra Krylov iteration fails the gate whatever the
+host is doing.
+
 A series present in the baseline but missing from the fresh output fails
 the gate (a renamed or dropped series must come with a baseline refresh,
 see the README's "Refreshing bench baselines"); brand-new series pass
 with a note and start gating once committed to the baseline.
 
 Exit status: 0 = within tolerance, 1 = regression, broken ratio
-invariant or missing series, 2 = usage/IO error. Stdlib only.
+invariant or count rule, or missing series, 2 = usage/IO error. Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -64,13 +72,22 @@ RATIO_RULES = {
                            ("spmm.bsr3_k8_col_speedup", 1.0)),
 }
 
+# Per-file count rules on leaf names: "equal" leaves must match the
+# baseline exactly (and exist in the fresh output), "true" leaves must be
+# true in the fresh output.
+COUNT_RULES = {
+    "BENCH_equations.json": {"equal": ("iterations",), "true": ("converged",)},
+    "BENCH_refine.json": {"equal": ("iterations",), "true": ("converged",)},
+}
+
 DEFAULT_FILES = ("BENCH_kernels.json", "BENCH_halo.json", "BENCH_service.json",
                  "BENCH_equations.json", "BENCH_refine.json")
 
 
 def flatten(prefix: str, node, out: dict[str, float]) -> None:
-    """Collects every numeric leaf under dotted names; sweep rows are keyed
-    by their identifying fields so row order never matters."""
+    """Collects every numeric and boolean leaf under dotted names; sweep
+    rows are keyed by their identifying fields so row order never
+    matters."""
     if isinstance(node, dict):
         for key, value in node.items():
             flatten(f"{prefix}.{key}" if prefix else key, value, out)
@@ -86,7 +103,9 @@ def flatten(prefix: str, node, out: dict[str, float]) -> None:
                 if key in KEY_FIELDS:
                     continue
                 flatten(f"{label}.{key}", value, out)
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+    elif isinstance(node, bool):
+        out[prefix] = node
+    elif isinstance(node, (int, float)):
         out[prefix] = float(node)
 
 
@@ -171,6 +190,40 @@ def check_ratios(name: str, fresh: dict[str, float]) -> list[str]:
     return failures
 
 
+def check_counts(name: str, baseline: dict[str, float],
+                 fresh: dict[str, float]) -> list[str]:
+    failures: list[str] = []
+    rules = COUNT_RULES.get(name)
+    if rules is None:
+        return failures
+
+    def leaf(series: str) -> str:
+        return series.rsplit(".", 1)[-1]
+
+    for series in sorted(baseline):
+        if leaf(series) not in rules["equal"]:
+            continue
+        base = baseline[series]
+        got = fresh.get(series)
+        shown = "missing" if got is None else f"{got:g}"
+        verdict = "  ok  "
+        if got != base:
+            verdict = " FAIL "
+            failures.append(f"{name}: count {series} = {shown} differs "
+                            f"from the baseline {base:g}")
+        print(f"{verdict}{name}:{series} {shown} (baseline {base:g})")
+    for series in sorted(fresh):
+        if leaf(series) not in rules["true"]:
+            continue
+        verdict = "  ok  "
+        if fresh[series] is not True:
+            verdict = " FAIL "
+            failures.append(f"{name}: {series} is {fresh[series]}, "
+                            "must be true")
+        print(f"{verdict}{name}:{series} {fresh[series]}")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Fail on bench throughput regressions vs baselines.")
@@ -206,6 +259,7 @@ def main() -> int:
         failures += compare_file(name, baseline, fresh, args.tol,
                                  args.floor_ns, args.floor_s)
         failures += check_ratios(name, fresh)
+        failures += check_counts(name, baseline, fresh)
 
     if compared == 0 and not failures:
         print("bench_compare: no baselines found — nothing gated")

@@ -216,138 +216,6 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
   return out;
 }
 
-FeProblem::BsrAssembly FeProblem::assemble_bsr(std::span<const real> u_full) {
-  const mesh::Mesh& mesh = *mesh_;
-  PROM_CHECK(static_cast<idx>(u_full.size()) == dofmap_.num_dofs());
-  const int npc = mesh::nodes_per_cell(mesh.kind());
-  const int edof = 3 * npc;
-
-  BsrAssembly out;
-  out.map = la::node_block_map(dofmap_.free_dofs());
-  out.bc_coupling.assign(static_cast<std::size_t>(dofmap_.num_free()), 0);
-
-  // Vertex -> node-block row (kInvalidIdx when all components are
-  // constrained — those vertices have no block row at all).
-  std::vector<idx> node_of_vertex(
-      static_cast<std::size_t>(mesh.num_vertices()), kInvalidIdx);
-  for (idx nd = 0; nd < out.map.nnodes; ++nd) {
-    node_of_vertex[out.map.vertex_of_node[nd]] = nd;
-  }
-
-  // Same fixed cell chunking as assemble(): blocks and bc contributions
-  // are recorded per chunk and merged in chunk (= cell) order, so the
-  // accumulation order — and with it every rounding — is independent of
-  // the thread count, and the rhs matches assemble()'s bit for bit.
-  struct ChunkOut {
-    std::vector<la::BlockTriplet3> blocks;
-    std::vector<std::pair<idx, real>> bc_contrib;  // (free row, value)
-  };
-  const idx nchunks = common::chunk_count(0, mesh.num_cells(), kCellGrain);
-  std::vector<ChunkOut> outs(static_cast<std::size_t>(nchunks));
-
-  common::parallel_for(0, mesh.num_cells(), kCellGrain, [&](idx eb, idx ee) {
-    ChunkOut& co = outs[eb / kCellGrain];
-    co.blocks.reserve(static_cast<std::size_t>(ee - eb) * npc * npc);
-    la::DenseMatrix ke(edof, edof);
-    std::vector<real> fe(static_cast<std::size_t>(edof));
-    std::vector<Vec3> coords(static_cast<std::size_t>(npc));
-    std::vector<real> ue(static_cast<std::size_t>(edof));
-
-    for (idx e = eb; e < ee; ++e) {
-      const auto verts = mesh.cell(e);
-      const Material& mat = materials_[mesh.material(e)];
-      for (int a = 0; a < npc; ++a) {
-        coords[a] = mesh.coord(verts[a]);
-        for (int c = 0; c < 3; ++c) {
-          ue[a * 3 + c] = u_full[DofMap::dof_of(verts[a], c)];
-        }
-      }
-
-      const std::size_t state_base =
-          static_cast<std::size_t>(e) * gp_per_cell_;
-      if (mat.model == MaterialModel::kNeoHookean) {
-        total_lagrangian_element(mat, coords, ue, fbar_, &ke, fe);
-      } else {
-        std::span<const J2State> committed;
-        std::span<J2State> updated;
-        if (mat.model == MaterialModel::kJ2Plasticity) {
-          committed = {committed_.data() + state_base,
-                       static_cast<std::size_t>(gp_per_cell_)};
-          updated = {trial_.data() + state_base,
-                     static_cast<std::size_t>(gp_per_cell_)};
-        }
-        small_strain_element(mat, coords, ue, bbar_, committed, updated, &ke,
-                             fe);
-      }
-
-      // Scatter vertex-pair couplings as whole 3x3 blocks. Constrained
-      // components are zeroed in the block; their column couplings feed
-      // the rhs in assemble()'s (a, ca, b, cb) order.
-      for (int a = 0; a < npc; ++a) {
-        const idx na = node_of_vertex[verts[a]];
-        for (int b = 0; b < npc; ++b) {
-          const idx nb = node_of_vertex[verts[b]];
-          la::BlockTriplet3 bt;
-          bt.brow = na;
-          bt.bcol = nb;
-          bool any = false;
-          for (int ca = 0; ca < 3; ++ca) {
-            const idx row = dofmap_.free_index(DofMap::dof_of(verts[a], ca));
-            for (int cb = 0; cb < 3; ++cb) {
-              const idx coldof = DofMap::dof_of(verts[b], cb);
-              const real k = ke(a * 3 + ca, b * 3 + cb);
-              real blocked = 0;
-              if (row != kInvalidIdx) {
-                if (dofmap_.free_index(coldof) == kInvalidIdx) {
-                  co.bc_contrib.emplace_back(row,
-                                             k * dofmap_.bc_value(coldof));
-                } else {
-                  blocked = k;
-                  any = true;
-                }
-              }
-              bt.v[ca * 3 + cb] = blocked;
-            }
-          }
-          if (any && na != kInvalidIdx && nb != kInvalidIdx) {
-            co.blocks.push_back(bt);
-          }
-        }
-      }
-    }
-  });
-
-  std::size_t total_blocks = 0;
-  for (const ChunkOut& co : outs) {
-    total_blocks += co.blocks.size();
-    for (const auto& [row, v] : co.bc_contrib) out.bc_coupling[row] += v;
-  }
-
-  // Identity pivots for constrained diagonal slots, emitted *before* the
-  // element blocks: elements contribute exact zeros at those slots, so
-  // the pivot stays exactly 1 and the free sub-operator is untouched.
-  std::vector<la::BlockTriplet3> blocks;
-  blocks.reserve(static_cast<std::size_t>(out.map.nnodes) + total_blocks);
-  for (idx nd = 0; nd < out.map.nnodes; ++nd) {
-    la::BlockTriplet3 bt;
-    bt.brow = bt.bcol = nd;
-    bt.v.fill(0);
-    const idx v0 = out.map.vertex_of_node[nd];
-    for (int c = 0; c < 3; ++c) {
-      if (dofmap_.free_index(DofMap::dof_of(v0, c)) == kInvalidIdx) {
-        bt.v[c * 3 + c] = 1;
-      }
-    }
-    blocks.push_back(bt);
-  }
-  for (const ChunkOut& co : outs) {
-    blocks.insert(blocks.end(), co.blocks.begin(), co.blocks.end());
-  }
-  out.stiffness =
-      la::Bsr3::from_block_triplets(out.map.nnodes, out.map.nnodes, blocks);
-  return out;
-}
-
 void FeProblem::commit() { committed_ = trial_; }
 
 void FeProblem::restore_state(std::vector<J2State> state) {
@@ -378,21 +246,6 @@ LinearSystem assemble_linear_system(FeProblem& problem) {
                                  0);
   AssemblyResult asmres = problem.assemble(u_zero, /*want_stiffness=*/true);
   LinearSystem sys;
-  sys.stiffness = std::move(asmres.stiffness);
-  sys.rhs.resize(asmres.bc_coupling.size());
-  for (std::size_t i = 0; i < sys.rhs.size(); ++i) {
-    sys.rhs[i] = -asmres.bc_coupling[i];
-  }
-  return sys;
-}
-
-LinearSystemBsr assemble_linear_system_bsr(FeProblem& problem) {
-  const DofMap& dofmap = problem.dofmap();
-  const std::vector<real> u_zero(static_cast<std::size_t>(dofmap.num_dofs()),
-                                 0);
-  FeProblem::BsrAssembly asmres = problem.assemble_bsr(u_zero);
-  LinearSystemBsr sys;
-  sys.map = std::move(asmres.map);
   sys.stiffness = std::move(asmres.stiffness);
   sys.rhs.resize(asmres.bc_coupling.size());
   for (std::size_t i = 0; i < sys.rhs.size(); ++i) {

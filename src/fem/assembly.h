@@ -13,7 +13,6 @@
 #include "common/config.h"
 #include "fem/element.h"
 #include "fem/material.h"
-#include "la/bsr.h"
 #include "la/csr.h"
 #include "mesh/mesh.h"
 
@@ -99,20 +98,6 @@ class FeProblem {
   AssemblyResult assemble(std::span<const real> u_full,
                           bool want_stiffness = true);
 
-  /// Node-block tangent at `u_full`: each element's vertex-pair coupling
-  /// is scattered as one dense 3x3 block (la::BlockTriplet3), producing
-  /// the BAIJ operator directly without an intermediate scalar CSR.
-  /// Constrained components are zeroed inside the blocks (their couplings
-  /// accumulate into `bc_coupling`, in the same order as assemble(), so
-  /// the rhs is bit-identical) and constrained diagonal slots carry
-  /// identity pivots. Updates trial plastic states like assemble().
-  struct BsrAssembly {
-    la::NodeBlockMap map;          ///< free dofs <-> node-block slots
-    la::Bsr3 stiffness;            ///< node space, map.nnodes square
-    std::vector<real> bc_coupling; ///< K_fc u_c on the free dofs
-  };
-  BsrAssembly assemble_bsr(std::span<const real> u_full);
-
   /// Accepts the trial plastic states (end of a converged load step).
   void commit();
 
@@ -145,14 +130,5 @@ struct LinearSystem {
   std::vector<real> rhs;
 };
 LinearSystem assemble_linear_system(FeProblem& problem);
-
-/// Blocked counterpart of assemble_linear_system: tangent at the unloaded
-/// state assembled straight into node blocks, rhs = -K_fc * u_c.
-struct LinearSystemBsr {
-  la::NodeBlockMap map;
-  la::Bsr3 stiffness;
-  std::vector<real> rhs;
-};
-LinearSystemBsr assemble_linear_system_bsr(FeProblem& problem);
 
 }  // namespace prom::fem

@@ -494,31 +494,12 @@ void MatrixFreeOperator::apply(std::span<const real> x,
   core_.pass_b_apply(y);
 }
 
-void MatrixFreeOperator::apply_mv(const la::MultiVec& x,
-                                  la::MultiVec& y) const {
-  const obs::Span span("mf.apply");
-  for (int j = 0; j < x.cols(); ++j) {
-    core_.pass_a(x.col(j), 0, core_.num_batches());
-    core_.pass_b_apply(y.col(j));
-  }
-}
-
 void MatrixFreeOperator::residual(std::span<const real> b,
                                   std::span<const real> x,
                                   std::span<real> r) const {
   const obs::Span span("mf.apply");
   core_.pass_a(x, 0, core_.num_batches());
   core_.pass_b_residual(b, r);
-}
-
-void MatrixFreeOperator::residual_mv(const la::MultiVec& b,
-                                     const la::MultiVec& x,
-                                     la::MultiVec& r) const {
-  const obs::Span span("mf.apply");
-  for (int j = 0; j < x.cols(); ++j) {
-    core_.pass_a(x.col(j), 0, core_.num_batches());
-    core_.pass_b_residual(b.col(j), r.col(j));
-  }
 }
 
 void MatrixFreeOperator::apply_rows(std::span<const real> x, std::span<real> y,

@@ -120,9 +120,10 @@ class MfCore {
 };
 
 /// The serial matrix-free operator: K_ff of the unloaded-state tangent
-/// over the free dofs, a drop-in for la::Csr/la::BsrOperator in the
-/// solve-phase Backend concept (rows/apply + fused residual + subset-row
-/// hooks). Apply runs under an obs span "mf.apply".
+/// over the free dofs, a drop-in for la::Csr in the solve-phase Backend
+/// concept (rows/apply + fused residual + subset-row hooks) and the
+/// serial reference of dla::DistMf. Apply runs under an obs span
+/// "mf.apply".
 class MatrixFreeOperator final : public la::LinearOperator {
  public:
   static MatrixFreeOperator build(const mesh::Mesh& mesh,
@@ -134,17 +135,10 @@ class MatrixFreeOperator final : public la::LinearOperator {
 
   /// y = K_ff x.
   void apply(std::span<const real> x, std::span<real> y) const override;
-  /// Batched apply: the element sweep runs once per column (the single
-  /// fe_ buffer is reused), each column bitwise-equal to `apply`, under
-  /// one mf.apply span.
-  void apply_mv(const la::MultiVec& x, la::MultiVec& y) const override;
   /// r = b - K_ff x (same one-subtraction-per-entry rounding as the
   /// compose-then-waxpby fallback).
   void residual(std::span<const real> b, std::span<const real> x,
                 std::span<real> r) const;
-  /// Column-blocked fused residual.
-  void residual_mv(const la::MultiVec& b, const la::MultiVec& x,
-                   la::MultiVec& r) const;
   /// Subset-row variants: full element sweep, scatter restricted to
   /// `rows` (entries of y / r outside the subset are left untouched).
   void apply_rows(std::span<const real> x, std::span<real> y,

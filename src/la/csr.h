@@ -97,9 +97,9 @@ struct Csr {
   /// counting sort by row, then one pass per row with a marker array and a
   /// dense accumulator, and a sort of each row's unique columns. Summation
   /// order: the duplicates of (i, j) sum from a zero seed in emission
-  /// order (their order in `triplets`), as Bsr::from_block_triplets sums
-  /// blocks. Every triplet's range is checked before anything is written,
-  /// and the result is allocated at its exact size.
+  /// order (their order in `triplets`). Every triplet's range is checked
+  /// before anything is written, and the result is allocated at its exact
+  /// size.
   static Csr from_triplets(idx nrows, idx ncols,
                            std::span<const Triplet> triplets);
 

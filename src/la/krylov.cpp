@@ -22,14 +22,6 @@ KrylovResult pcg(const LinearOperator& a, const LinearOperator& m,
   return pcg_any(SerialBackend{}, a, &m, b, x, opts);
 }
 
-std::vector<KrylovResult> pcg_multi(const LinearOperator& a,
-                                    const LinearOperator* m, const MultiVec& b,
-                                    MultiVec& x, const KrylovOptions& opts,
-                                    KrylovWorkspace* ws) {
-  PROM_CHECK(a.cols() == a.rows());
-  return pcg_multi_any(SerialBackend{}, a, m, b, x, opts, ws);
-}
-
 KrylovResult gmres(const LinearOperator& a, const LinearOperator* m,
                    std::span<const real> b, std::span<real> x,
                    const GmresOptions& opts) {

@@ -46,18 +46,9 @@ KrylovResult pcg(const LinearOperator& a, const LinearOperator& m,
                  std::span<const real> b, std::span<real> x,
                  const KrylovOptions& opts = {});
 
-struct KrylovWorkspace;  // la/krylov_any.h
-
-/// Blocked PCG over k right-hand sides (columns of `b` / `x`) against one
-/// operator: matrix passes are shared, per-column recurrences are not, so
-/// column j is bitwise identical to a standalone `pcg` of that RHS. `m`
-/// may be null (unpreconditioned); `ws` (optional) makes repeat solves
-/// allocation-free.
-std::vector<KrylovResult> pcg_multi(const LinearOperator& a,
-                                    const LinearOperator* m,
-                                    const MultiVec& b, MultiVec& x,
-                                    const KrylovOptions& opts = {},
-                                    KrylovWorkspace* ws = nullptr);
+/// Work vectors of the blocked PCG (la/krylov_any.h); the distributed
+/// k-column driver (dla::dist_pcg_multi) reuses one across solves.
+struct KrylovWorkspace;
 
 struct GmresOptions {
   real rtol = 1e-6;

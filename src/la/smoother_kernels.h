@@ -120,103 +120,6 @@ void chebyshev_sweep(const B& be, const Op& a, std::span<const real> inv_diag,
   }
 }
 
-/// One damped point-block Jacobi step on a node-block operator:
-/// x += omega * blkdiag(A)^{-1} (b - A x), where blkdiag(A) is the BS x BS
-/// diagonal node block of each block row, inverted directly (the paper's
-/// nodal smoother on BAIJ matrices). `inv_blocks` holds BS*BS reals per
-/// local block row (e.g. Bsr::inverted_block_diagonal()); vectors live on
-/// the block space, so local_n(a) must be a multiple of BS.
-template <int BS, class B, class Op>
-  requires BackendFor<B, Op>
-void pointblock_jacobi_sweep(const B& be, const Op& a,
-                             std::span<const real> inv_blocks, real omega,
-                             std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.pointblock_jacobi");
-  const idx n = be.local_n(a);
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
-  std::vector<real> r(n);
-  be.residual(a, b, x, r);
-  common::parallel_for(
-      0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-        for (idx i = ib; i < ie; ++i) {
-          const real* inv = inv_blocks.data() +
-                            static_cast<std::size_t>(i) * BS * BS;
-          const real* ri = r.data() + static_cast<std::size_t>(i) * BS;
-          real* xi = x.data() + static_cast<std::size_t>(i) * BS;
-          for (int rr = 0; rr < BS; ++rr) {
-            real sum = 0;
-            for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-            xi[rr] += omega * sum;
-          }
-        }
-      });
-  count_flops((2LL * BS + 2) * n);
-}
-
-/// One Chebyshev smoothing pass of the given degree preconditioned by the
-/// inverted diagonal node blocks (blkdiag(A)^{-1} A), targeting
-/// [lmin, lmax] — the point-block analogue of chebyshev_sweep.
-template <int BS, class B, class Op>
-  requires BackendFor<B, Op>
-void pointblock_chebyshev_sweep(const B& be, const Op& a,
-                                std::span<const real> inv_blocks, int degree,
-                                real lmin, real lmax, std::span<const real> b,
-                                std::span<real> x) {
-  const obs::Span span("smoother.pointblock_chebyshev");
-  const idx n = be.local_n(a);
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
-  const real theta = (lmax + lmin) / 2;
-  const real delta = (lmax - lmin) / 2;
-  const real sigma = theta / delta;
-  real rho = 1 / sigma;
-
-  std::vector<real> r(n), d(n), ad(n);
-  be.residual(a, b, x, r);
-  common::parallel_for(
-      0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-        for (idx i = ib; i < ie; ++i) {
-          const real* inv = inv_blocks.data() +
-                            static_cast<std::size_t>(i) * BS * BS;
-          const real* ri = r.data() + static_cast<std::size_t>(i) * BS;
-          real* di = d.data() + static_cast<std::size_t>(i) * BS;
-          for (int rr = 0; rr < BS; ++rr) {
-            real sum = 0;
-            for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-            di[rr] = sum / theta;
-          }
-        }
-      });
-  for (int k = 0; k < degree; ++k) {
-    axpy(1, d, x);
-    if (k + 1 == degree) break;
-    be.apply(a, d, ad);
-    axpy(-1, ad, r);
-    const real rho_new = 1 / (2 * sigma - rho);
-    common::parallel_for(
-        0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-          for (idx i = ib; i < ie; ++i) {
-            const real* inv = inv_blocks.data() +
-                              static_cast<std::size_t>(i) * BS * BS;
-            const real* ri = r.data() + static_cast<std::size_t>(i) * BS;
-            real* di = d.data() + static_cast<std::size_t>(i) * BS;
-            for (int rr = 0; rr < BS; ++rr) {
-              real zi = 0;
-              for (int c = 0; c < BS; ++c) zi += inv[rr * BS + c] * ri[c];
-              di[rr] = rho_new * rho * di[rr] + 2 * rho_new / delta * zi;
-            }
-          }
-        });
-    rho = rho_new;
-    count_flops((2LL * BS + 6) * n);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Column-blocked sweeps. Each shares the operator pass (residual_mv /
 // apply_mv) across the k columns and then runs the scalar elementwise
@@ -328,108 +231,6 @@ void chebyshev_sweep_mv(const B& be, const Op& a,
     }
     rho = rho_new;
     count_flops(6LL * n * ncol);
-  }
-}
-
-/// Column-blocked pointblock_jacobi_sweep.
-template <int BS, class B, class Op>
-  requires BackendFor<B, Op>
-void pointblock_jacobi_sweep_mv(const B& be, const Op& a,
-                                std::span<const real> inv_blocks, real omega,
-                                const MultiVec& b, MultiVec& x) {
-  const obs::Span span("smoother.pointblock_jacobi");
-  const idx n = be.local_n(a);
-  const int ncol = b.cols();
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
-  MultiVec r(n, ncol);
-  be.residual_mv(a, b, x, r);
-  for (int j = 0; j < ncol; ++j) {
-    const real* rcol = r.col_data(j);
-    real* xcol = x.col_data(j);
-    common::parallel_for(
-        0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-          for (idx i = ib; i < ie; ++i) {
-            const real* inv =
-                inv_blocks.data() + static_cast<std::size_t>(i) * BS * BS;
-            const real* ri = rcol + static_cast<std::size_t>(i) * BS;
-            real* xi = xcol + static_cast<std::size_t>(i) * BS;
-            for (int rr = 0; rr < BS; ++rr) {
-              real sum = 0;
-              for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-              xi[rr] += omega * sum;
-            }
-          }
-        });
-  }
-  count_flops((2LL * BS + 2) * n * ncol);
-}
-
-/// Column-blocked pointblock_chebyshev_sweep.
-template <int BS, class B, class Op>
-  requires BackendFor<B, Op>
-void pointblock_chebyshev_sweep_mv(const B& be, const Op& a,
-                                   std::span<const real> inv_blocks,
-                                   int degree, real lmin, real lmax,
-                                   const MultiVec& b, MultiVec& x) {
-  const obs::Span span("smoother.pointblock_chebyshev");
-  const idx n = be.local_n(a);
-  const int ncol = b.cols();
-  PROM_CHECK(n % BS == 0);
-  PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol &&
-             static_cast<idx>(inv_blocks.size()) == n * BS);
-  const real theta = (lmax + lmin) / 2;
-  const real delta = (lmax - lmin) / 2;
-  const real sigma = theta / delta;
-  real rho = 1 / sigma;
-
-  MultiVec r(n, ncol), d(n, ncol), ad(n, ncol);
-  be.residual_mv(a, b, x, r);
-  for (int j = 0; j < ncol; ++j) {
-    const real* rcol = r.col_data(j);
-    real* dcol = d.col_data(j);
-    common::parallel_for(
-        0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-          for (idx i = ib; i < ie; ++i) {
-            const real* inv =
-                inv_blocks.data() + static_cast<std::size_t>(i) * BS * BS;
-            const real* ri = rcol + static_cast<std::size_t>(i) * BS;
-            real* di = dcol + static_cast<std::size_t>(i) * BS;
-            for (int rr = 0; rr < BS; ++rr) {
-              real sum = 0;
-              for (int c = 0; c < BS; ++c) sum += inv[rr * BS + c] * ri[c];
-              di[rr] = sum / theta;
-            }
-          }
-        });
-  }
-  for (int k = 0; k < degree; ++k) {
-    for (int j = 0; j < ncol; ++j) axpy(1, d.col(j), x.col(j));
-    if (k + 1 == degree) break;
-    be.apply_mv(a, d, ad);
-    for (int j = 0; j < ncol; ++j) axpy(-1, ad.col(j), r.col(j));
-    const real rho_new = 1 / (2 * sigma - rho);
-    for (int j = 0; j < ncol; ++j) {
-      const real* rcol = r.col_data(j);
-      real* dcol = d.col_data(j);
-      common::parallel_for(
-          0, n / BS, kSmootherPointGrain / BS, [&](idx ib, idx ie) {
-            for (idx i = ib; i < ie; ++i) {
-              const real* inv =
-                  inv_blocks.data() + static_cast<std::size_t>(i) * BS * BS;
-              const real* ri = rcol + static_cast<std::size_t>(i) * BS;
-              real* di = dcol + static_cast<std::size_t>(i) * BS;
-              for (int rr = 0; rr < BS; ++rr) {
-                real zi = 0;
-                for (int c = 0; c < BS; ++c) zi += inv[rr * BS + c] * ri[c];
-                di[rr] = rho_new * rho * di[rr] + 2 * rho_new / delta * zi;
-              }
-            }
-          });
-    }
-    rho = rho_new;
-    count_flops((2LL * BS + 6) * n * ncol);
   }
 }
 

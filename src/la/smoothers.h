@@ -28,13 +28,6 @@ class Smoother {
   /// A x = b for the matrix bound at construction.
   virtual void smooth(std::span<const real> b, std::span<real> x) const = 0;
 
-  /// Column-blocked smoothing step. The default smooths one column at a
-  /// time (trivially bitwise-equal to k standalone sweeps); overrides must
-  /// preserve that per-column equality.
-  virtual void smooth_mv(const MultiVec& b, MultiVec& x) const {
-    for (int j = 0; j < b.cols(); ++j) smooth(b.col(j), x.col(j));
-  }
-
   virtual idx n() const = 0;
 };
 

@@ -17,17 +17,6 @@ void HierarchyCycleView::coarse_solve(std::span<const real> b,
   }
 }
 
-void HierarchyCycleView::coarse_solve_mv(const la::MultiVec& b,
-                                         la::MultiVec& x) const {
-  const MgLevel& lv = h->level(h->num_levels() - 1);
-  if (lv.sparse_direct == nullptr && lv.direct != nullptr) {
-    // The dense LDL^T factor solves every column in one blocked call.
-    lv.direct->solve(b, x);
-  } else {
-    for (int j = 0; j < b.cols(); ++j) coarse_solve(b.col(j), x.col(j));
-  }
-}
-
 void vcycle(const Hierarchy& h, int level, std::span<const real> b,
             std::span<real> x) {
   vcycle_any(HierarchyCycleView{&h}, level, b, x);

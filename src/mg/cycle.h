@@ -14,17 +14,11 @@
 namespace prom::mg {
 
 /// Adapts the serial Hierarchy (with built operators and smoothers) to the
-/// generic cycle templates.
+/// single-vector cycle templates, on its CSR operators. The column-blocked
+/// cycles (MultiCycleView) and the bsr3/mf formats run only through
+/// dla::DistHierarchy.
 struct HierarchyCycleView {
   const Hierarchy* h;
-  /// Apply level operators through their node-block (BAIJ) views when the
-  /// hierarchy has them (Hierarchy::enable_bsr). Same bits as the scalar
-  /// path — the blocked SpMV preserves the CSR accumulation order.
-  bool use_bsr = false;
-  /// Apply the finest level through its matrix-free element view when the
-  /// hierarchy has one (Hierarchy::enable_mf); coarse levels always go
-  /// through their assembled operators.
-  bool use_mf = false;
 
   int num_levels() const { return h->num_levels(); }
   idx local_n(int l) const { return h->level(l).a.nrows; }
@@ -45,14 +39,7 @@ struct HierarchyCycleView {
     for (idx i : lv.smooth_rows) x[i] = tmp[i];
   }
   void apply_a(int l, std::span<const real> x, std::span<real> y) const {
-    const MgLevel& lv = h->level(l);
-    if (use_mf && lv.a_mf != nullptr) {
-      lv.a_mf->apply(x, y);
-    } else if (use_bsr && lv.a_bsr != nullptr) {
-      lv.a_bsr->apply(x, y);
-    } else {
-      lv.a.spmv(x, y);
-    }
+    h->level(l).a.spmv(x, y);
   }
   void restrict_to(int l, std::span<const real> xf, std::span<real> xc) const {
     h->level(l).r.spmv(xf, xc);
@@ -61,42 +48,6 @@ struct HierarchyCycleView {
     h->level(l).r.spmv_transpose(xc, xf);
   }
   void coarse_solve(std::span<const real> b, std::span<real> x) const;
-
-  // Column-blocked level operations (MultiCycleView); column j bitwise
-  // equals the scalar operation on that column.
-  void smooth_mv(int l, const la::MultiVec& b, la::MultiVec& x) const {
-    const MgLevel& lv = h->level(l);
-    if (lv.smooth_rows.empty()) {
-      lv.smoother->smooth_mv(b, x);
-      return;
-    }
-    la::MultiVec tmp = x;
-    lv.smoother->smooth_mv(b, tmp);
-    for (int j = 0; j < x.cols(); ++j) {
-      real* xj = x.col_data(j);
-      const real* tj = tmp.col_data(j);
-      for (idx i : lv.smooth_rows) xj[i] = tj[i];
-    }
-  }
-  void apply_a_mv(int l, const la::MultiVec& x, la::MultiVec& y) const {
-    const MgLevel& lv = h->level(l);
-    if (use_mf && lv.a_mf != nullptr) {
-      lv.a_mf->apply_mv(x, y);
-    } else if (use_bsr && lv.a_bsr != nullptr) {
-      lv.a_bsr->apply_mv(x, y);
-    } else {
-      lv.a.spmm(x, y);
-    }
-  }
-  void restrict_to_mv(int l, const la::MultiVec& xf, la::MultiVec& xc) const {
-    h->level(l).r.spmm(xf, xc);
-  }
-  void prolong_mv(int l, const la::MultiVec& xc, la::MultiVec& xf) const {
-    for (int j = 0; j < xc.cols(); ++j) {
-      h->level(l).r.spmv_transpose(xc.col(j), xf.col(j));
-    }
-  }
-  void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const;
 };
 
 /// One V-cycle at `level` for A_level x = b, improving x in place.

@@ -395,7 +395,6 @@ void Hierarchy::set_fine_matrix(la::Csr a_fine) {
   PROM_CHECK(!levels_.empty());
   PROM_CHECK(a_fine.nrows == levels_[0].a.nrows);
   levels_[0].a = std::move(a_fine);
-  levels_[0].a_bsr.reset();  // stale node-block view; enable_bsr rebuilds
 }
 
 void Hierarchy::build_operators() {
@@ -416,7 +415,6 @@ void Hierarchy::build_operators() {
     levels_[l].direct.reset();
     levels_[l].direct_lu.reset();
     levels_[l].sparse_direct.reset();
-    levels_[l].a_bsr.reset();  // stale node-block view; enable_bsr rebuilds
     if (coarsest && levels_.size() > 1 &&
         opts_.coarse_solver == CoarseSolverKind::kDenseLu) {
       // Partial-pivoting LU: the non-symmetric coarse solve. No shift
@@ -499,32 +497,6 @@ idx agglom_min_rows_from_env() {
   PROM_CHECK_MSG(end != env && *end == '\0' && v >= 0,
                  "PROM_MIN_ROWS_PER_RANK must be a non-negative integer");
   return static_cast<idx>(v);
-}
-
-void Hierarchy::enable_bsr() {
-  const obs::Span span("setup.enable_bsr");
-  PROM_CHECK_MSG(block_size_ == 3,
-                 "node-block (bsr3) format requires block size 3");
-  for (MgLevel& lv : levels_) {
-    PROM_CHECK(static_cast<idx>(lv.free_dofs.size()) == lv.a.nrows);
-    la::NodeBlockMap map = la::node_block_map(lv.free_dofs);
-    la::Bsr3 blocked = la::bsr_from_free_csr(lv.a, map);
-    lv.a_bsr =
-        std::make_unique<la::BsrOperator>(std::move(blocked), std::move(map));
-  }
-}
-
-void Hierarchy::enable_mf(const mesh::Mesh& mesh,
-                          std::span<const fem::Material> materials,
-                          const fem::DofMap& dofmap, bool bbar) {
-  PROM_CHECK(!levels_.empty());
-  PROM_CHECK_MSG(block_size_ == 3,
-                 "matrix-free elasticity format requires block size 3");
-  fem::MatrixFreeOperator op =
-      fem::MatrixFreeOperator::build(mesh, materials, dofmap, bbar);
-  PROM_CHECK_MSG(op.rows() == levels_[0].a.nrows,
-                 "enable_mf: dofmap does not match the fine operator");
-  levels_[0].a_mf = std::make_unique<fem::MatrixFreeOperator>(std::move(op));
 }
 
 std::string Hierarchy::describe() const {

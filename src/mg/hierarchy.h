@@ -11,9 +11,7 @@
 #include "coarsen/coarsen.h"
 #include "common/config.h"
 #include "fem/assembly.h"
-#include "fem/matrix_free.h"
 #include "fem/scalar.h"
-#include "la/bsr.h"
 #include "la/csr.h"
 #include "la/dense.h"
 #include "la/smoothers.h"
@@ -37,7 +35,9 @@ enum class SmootherKind : std::uint8_t {
 /// while every coarse level stays assembled Galerkin. All three produce
 /// the same residual history to rounding: the blocked SpMV preserves the
 /// scalar accumulation order exactly (la/bsr.h), the element apply to
-/// reassociation rounding (~1e-12).
+/// reassociation rounding (~1e-12). Only dla::DistHierarchy builds the
+/// bsr3 and mf operators (run it on one rank for a serial solve); the
+/// serial drivers of mg/solver.h are CSR.
 enum class MatrixFormat : std::uint8_t { kCsr, kBsr3, kMf };
 
 /// Reads the PROM_MATRIX environment switch ("csr" | "bsr3" | "mf"; unset
@@ -91,12 +91,6 @@ struct MgLevel {
   /// Restriction from the next-finer level's free dofs to this level's
   /// (empty on level 0). Prolongation is r^T.
   la::Csr r;
-  /// Node-block (BAIJ) view of `a`, built by Hierarchy::enable_bsr();
-  /// null in the default scalar configuration.
-  std::unique_ptr<la::BsrOperator> a_bsr;
-  /// Matrix-free element view of `a`, built by Hierarchy::enable_mf();
-  /// level 0 only (coarse levels have no elements to integrate over).
-  std::unique_ptr<fem::MatrixFreeOperator> a_mf;
   std::unique_ptr<la::Smoother> smoother;        // all but coarsest
   std::unique_ptr<la::DenseLdlt> direct;         // coarsest (dense mode)
   std::unique_ptr<la::DenseLu> direct_lu;        // coarsest (dense LU mode)
@@ -200,20 +194,6 @@ class Hierarchy {
   /// distributed path (Newton with dist_ranks > 0 rebuilds the Galerkin
   /// chain row-distributed from this matrix each iteration).
   void set_fine_matrix(la::Csr a_fine);
-
-  /// Re-blocks every level's operator into the padded node-block space
-  /// (MgLevel::a_bsr) so the solve phase can run in MatrixFormat::kBsr3.
-  /// Call after operators exist (build / update_fine_matrix); idempotent.
-  void enable_bsr();
-
-  /// Builds the fine level's matrix-free element view (MgLevel::a_mf) so
-  /// the solve phase can run in MatrixFormat::kMf. Valid only for the
-  /// unloaded-state tangent (what assemble_linear_system produced — see
-  /// fem/matrix_free.h); the mesh/materials/dofmap must be the ones the
-  /// fine matrix was assembled from. Idempotent (rebuilds the view).
-  void enable_mf(const mesh::Mesh& mesh,
-                 std::span<const fem::Material> materials,
-                 const fem::DofMap& dofmap, bool bbar = true);
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
   const MgLevel& level(int l) const { return levels_[l]; }

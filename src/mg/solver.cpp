@@ -3,34 +3,27 @@
 #include "common/error.h"
 
 namespace prom::mg {
+namespace {
+
+/// The serial drivers apply the hierarchy's CSR operators only.
+void check_csr_format(const MgSolveOptions& opts) {
+  PROM_CHECK_MSG(opts.format == MatrixFormat::kCsr,
+                 "the serial MG drivers run MatrixFormat::kCsr only; bsr3 "
+                 "and mf run through dla::DistHierarchy (one rank for a "
+                 "serial solve)");
+}
+
+}  // namespace
 
 void MgPreconditioner::apply(std::span<const real> x,
                              std::span<real> y) const {
-  const bool use_bsr = format_ == MatrixFormat::kBsr3;
-  const bool use_mf = format_ == MatrixFormat::kMf;
-  apply_cycle(HierarchyCycleView{h_, use_bsr, use_mf}, kind_, x, y);
-}
-
-void MgPreconditioner::apply_mv(const la::MultiVec& x,
-                                la::MultiVec& y) const {
-  const bool use_bsr = format_ == MatrixFormat::kBsr3;
-  const bool use_mf = format_ == MatrixFormat::kMf;
-  apply_cycle_mv(HierarchyCycleView{h_, use_bsr, use_mf}, kind_, x, y);
+  apply_cycle(HierarchyCycleView{h_}, kind_, x, y);
 }
 
 la::KrylovResult mg_pcg_solve(const Hierarchy& h, std::span<const real> b,
                               std::span<real> x, const MgSolveOptions& opts) {
-  const MgPreconditioner precond(h, opts.cycle, opts.format);
-  if (opts.format == MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires Hierarchy::enable_bsr()");
-    return la::pcg(*h.level(0).a_bsr, precond, b, x, to_krylov_options(opts));
-  }
-  if (opts.format == MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires Hierarchy::enable_mf()");
-    return la::pcg(*h.level(0).a_mf, precond, b, x, to_krylov_options(opts));
-  }
+  check_csr_format(opts);
+  const MgPreconditioner precond(h, opts.cycle);
   const la::CsrOperator a(h.level(0).a);
   return la::pcg(a, precond, b, x, to_krylov_options(opts));
 }
@@ -41,44 +34,13 @@ la::KrylovResult mg_krylov_solve(const Hierarchy& h, std::span<const real> b,
   if (opts.krylov == la::KrylovKind::kPcg) {
     return mg_pcg_solve(h, b, x, opts);
   }
-  const MgPreconditioner precond(h, opts.cycle, opts.format);
-  const la::CsrOperator a_csr(h.level(0).a);
-  const la::LinearOperator* a = &a_csr;
-  if (opts.format == MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires Hierarchy::enable_bsr()");
-    a = h.level(0).a_bsr.get();
-  } else if (opts.format == MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires Hierarchy::enable_mf()");
-    a = h.level(0).a_mf.get();
-  }
-  if (opts.krylov == la::KrylovKind::kGmres) {
-    return la::gmres(*a, &precond, b, x, to_gmres_options(opts));
-  }
-  return la::bicgstab(*a, &precond, b, x, to_krylov_options(opts));
-}
-
-std::vector<la::KrylovResult> mg_pcg_solve_mv(const Hierarchy& h,
-                                              const la::MultiVec& b,
-                                              la::MultiVec& x,
-                                              const MgSolveOptions& opts,
-                                              la::KrylovWorkspace* ws) {
-  const MgPreconditioner precond(h, opts.cycle, opts.format);
-  if (opts.format == MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires Hierarchy::enable_bsr()");
-    return la::pcg_multi(*h.level(0).a_bsr, &precond, b, x,
-                         to_krylov_options(opts), ws);
-  }
-  if (opts.format == MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires Hierarchy::enable_mf()");
-    return la::pcg_multi(*h.level(0).a_mf, &precond, b, x,
-                         to_krylov_options(opts), ws);
-  }
+  check_csr_format(opts);
+  const MgPreconditioner precond(h, opts.cycle);
   const la::CsrOperator a(h.level(0).a);
-  return la::pcg_multi(a, &precond, b, x, to_krylov_options(opts), ws);
+  if (opts.krylov == la::KrylovKind::kGmres) {
+    return la::gmres(a, &precond, b, x, to_gmres_options(opts));
+  }
+  return la::bicgstab(a, &precond, b, x, to_krylov_options(opts));
 }
 
 }  // namespace prom::mg

@@ -16,21 +16,15 @@ namespace prom::mg {
 /// Adapts one multigrid cycle to the preconditioner interface.
 class MgPreconditioner final : public la::LinearOperator {
  public:
-  MgPreconditioner(const Hierarchy& h, CycleKind kind,
-                   MatrixFormat format = MatrixFormat::kCsr)
-      : h_(&h), kind_(kind), format_(format) {}
+  MgPreconditioner(const Hierarchy& h, CycleKind kind) : h_(&h), kind_(kind) {}
 
   idx rows() const override { return h_->level(0).a.nrows; }
   idx cols() const override { return rows(); }
   void apply(std::span<const real> x, std::span<real> y) const override;
-  /// One blocked cycle serves all k columns (column j bitwise equals
-  /// `apply` on that column).
-  void apply_mv(const la::MultiVec& x, la::MultiVec& y) const override;
 
  private:
   const Hierarchy* h_;
   CycleKind kind_;
-  MatrixFormat format_;
 };
 
 struct MgSolveOptions {
@@ -38,8 +32,9 @@ struct MgSolveOptions {
   int max_iters = 200;
   CycleKind cycle = CycleKind::kFmg;
   bool track_history = false;
-  /// kBsr3 applies every level operator through its node-block view
-  /// (requires Hierarchy::enable_bsr() first).
+  /// Operator format of the solve phase. The serial drivers below run
+  /// kCsr only and reject the others; bsr3 and mf run through
+  /// dla::DistHierarchy (dla/dist_mg.h), on one rank for a serial solve.
   MatrixFormat format = MatrixFormat::kCsr;
   /// Outer Krylov driver (mg_krylov_solve / dist_mg_krylov_solve): PCG
   /// for SPD operators, GMRES/BiCGStab for non-symmetric ones. The MG
@@ -84,16 +79,5 @@ la::KrylovResult mg_pcg_solve(const Hierarchy& h, std::span<const real> b,
 la::KrylovResult mg_krylov_solve(const Hierarchy& h, std::span<const real> b,
                                  std::span<real> x,
                                  const MgSolveOptions& opts = {});
-
-/// Solves A_0 X = B for k right-hand sides with one blocked MG-PCG run:
-/// every operator application and cycle serves all columns at once, and
-/// column j of the result is bitwise identical to `mg_pcg_solve` on that
-/// column alone. `ws` (optional) reuses PCG work vectors across solves.
-std::vector<la::KrylovResult> mg_pcg_solve_mv(const Hierarchy& h,
-                                              const la::MultiVec& b,
-                                              la::MultiVec& x,
-                                              const MgSolveOptions& opts = {},
-                                              la::KrylovWorkspace* ws =
-                                                  nullptr);
 
 }  // namespace prom::mg

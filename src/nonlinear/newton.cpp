@@ -11,6 +11,18 @@
 #include "parx/runtime.h"
 
 namespace prom::nonlinear {
+namespace {
+
+/// The retry after a PCG breakdown on an indefinite tangent: restarted
+/// GMRES(40) with the same MG preconditioner and tolerance still produces
+/// a usable Newton direction.
+mg::MgSolveOptions gmres_fallback_options(mg::MgSolveOptions so) {
+  so.krylov = la::KrylovKind::kGmres;
+  so.restart = 40;
+  return so;
+}
+
+}  // namespace
 
 NewtonDriver::NewtonDriver(fem::FeProblem& problem,
                            const mg::MgOptions& mg_opts,
@@ -49,8 +61,15 @@ la::KrylovResult NewtonDriver::solve_linear_distributed(
     std::vector<real> b_local(static_cast<std::size_t>(nloc));
     std::vector<real> x_local(static_cast<std::size_t>(nloc), 0);
     for (idx i = 0; i < nloc; ++i) b_local[i] = rhs[perm[b0 + i]];
-    const la::KrylovResult lin =
+    la::KrylovResult lin =
         dla::dist_mg_pcg_solve(comm, dist, b_local, x_local, so);
+    // Breakdown is decided from allreduced scalars, so every rank takes
+    // the same branch.
+    if (lin.breakdown && opts_.gmres_fallback) {
+      std::fill(x_local.begin(), x_local.end(), real{0});
+      lin = dla::dist_mg_krylov_solve(comm, dist, b_local, x_local,
+                                      gmres_fallback_options(so));
+    }
     // Ranks own disjoint index ranges, so the scatter back to the serial
     // ordering is race-free; the result is identical on every rank.
     for (idx i = 0; i < nloc; ++i) dx[perm[b0 + i]] = x_local[i];
@@ -119,16 +138,9 @@ NewtonStepReport NewtonDriver::solve_step(real bc_scale) {
                                ? solve_linear_distributed(rhs, dx, so)
                                : mg::mg_pcg_solve(hierarchy_, rhs, dx, so);
     if (lin.breakdown && opts_.gmres_fallback && opts_.dist_ranks == 0) {
-      // Indefinite tangent: restarted GMRES with the same FMG
-      // preconditioner still produces a usable Newton direction.
       std::fill(dx.begin(), dx.end(), real{0});
-      const mg::MgPreconditioner precond(hierarchy_, opts_.cycle);
-      const la::CsrOperator a(hierarchy_.level(0).a);
-      la::GmresOptions gopts;
-      gopts.rtol = rtol;
-      gopts.max_iters = opts_.max_linear_iters;
-      gopts.restart = 40;
-      lin = la::gmres(a, &precond, rhs, dx, gopts);
+      lin = mg::mg_krylov_solve(hierarchy_, rhs, dx,
+                                gmres_fallback_options(so));
     }
     report.linear_iters.push_back(lin.iterations);
     report.linear_rtols.push_back(rtol);

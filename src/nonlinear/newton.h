@@ -42,7 +42,7 @@ struct NewtonOptions {
   /// ranks — per-iteration matrix setup (the Galerkin chain + smoothers)
   /// is then the row-distributed dla::DistHierarchy::build, reusing the
   /// serially-built grids. 0 keeps the serial path. The GMRES breakdown
-  /// fallback is serial-only and is skipped in distributed mode.
+  /// fallback runs on the same distributed hierarchy.
   int dist_ranks = 0;
 };
 
@@ -83,7 +83,8 @@ class NewtonDriver {
 
  private:
   /// Distributed linear solve: builds the per-tangent DistHierarchy on
-  /// opts_.dist_ranks virtual ranks and runs distributed MG-PCG; `dx` is
+  /// opts_.dist_ranks virtual ranks and runs distributed MG-PCG, retried
+  /// with MG-GMRES on breakdown (NewtonOptions::gmres_fallback); `dx` is
   /// scattered back to the serial ordering.
   la::KrylovResult solve_linear_distributed(std::span<const real> rhs,
                                             std::span<real> dx,

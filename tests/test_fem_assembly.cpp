@@ -172,55 +172,6 @@ TEST_F(AssemblyFixture, BcCouplingMatchesExplicitProduct) {
   }
 }
 
-TEST_F(AssemblyFixture, BlockedAssemblyMatchesScalar) {
-  // The node-block assembly path must reproduce the scalar one: same rhs
-  // and stiffness entries bit for bit (both merges sum duplicates in cell
-  // order), identity pivots on every constrained diagonal slot, zeros
-  // elsewhere in constrained rows/cols.
-  FeProblem scalar_problem(mesh_, {Material{}}, dofmap_);
-  const LinearSystem sys = assemble_linear_system(scalar_problem);
-  FeProblem blocked_problem(mesh_, {Material{}}, dofmap_);
-  const LinearSystemBsr bsys = assemble_linear_system_bsr(blocked_problem);
-
-  ASSERT_EQ(bsys.rhs.size(), sys.rhs.size());
-  for (std::size_t i = 0; i < sys.rhs.size(); ++i) {
-    EXPECT_EQ(bsys.rhs[i], sys.rhs[i]) << "rhs entry " << i;
-  }
-
-  const la::NodeBlockMap& map = bsys.map;
-  ASSERT_EQ(map.nfree, sys.stiffness.nrows);
-  for (idx i = 0; i < map.nfree; ++i) {
-    for (nnz_t k = sys.stiffness.rowptr[i]; k < sys.stiffness.rowptr[i + 1];
-         ++k) {
-      EXPECT_EQ(bsys.stiffness.at(map.slot_of_free[i],
-                                  map.slot_of_free[sys.stiffness.colidx[k]]),
-                sys.stiffness.vals[k])
-          << "entry (" << i << ", " << sys.stiffness.colidx[k] << ")";
-    }
-  }
-  for (idx s = 0; s < map.nslots(); ++s) {
-    if (map.free_of_slot[s] == kInvalidIdx) {
-      EXPECT_EQ(bsys.stiffness.at(s, s), 1.0) << "padding slot " << s;
-    }
-  }
-
-  // The blocked operator applied through the map matches the scalar SpMV.
-  const la::BsrOperator op(bsys.stiffness, map);
-  std::vector<real> x(static_cast<std::size_t>(map.nfree));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(static_cast<real>(i) + 1);
-  }
-  std::vector<real> yb(x.size());
-  std::vector<real> ys(x.size());
-  op.apply(x, yb);
-  sys.stiffness.spmv(x, ys);
-  real scale = 0;
-  for (real v : sys.stiffness.vals) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(yb[i], ys[i], 1e-12 * scale) << "spmv entry " << i;
-  }
-}
-
 // --- Matrix-free element cross-check ---------------------------------------
 // fem::mf_element_apply runs one element through the batched SIMD kernel;
 // it must reproduce Ke x for the assembled unloaded-state tangent on every

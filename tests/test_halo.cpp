@@ -4,7 +4,9 @@
 // drain peers in arrival order, finish boundary) is BIT-identical to the
 // synchronous rank-ordered path for spmv/residual/transpose, in both the
 // scalar CSR and node-block BSR formats, at 1/2/8 kernel threads — even
-// when peers stagger their sends adversarially.
+// when peers stagger their sends adversarially. The node-block operators
+// of a constrained problem (padded constrained components) must also
+// reproduce their level's CSR operator bit for bit.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -54,7 +56,33 @@ void expect_bitwise_equal(const std::vector<real>& a,
                           const std::vector<real>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(real)), 0)
-      << what << ": overlap and sync results differ bitwise";
+      << what << ": results differ bitwise";
+}
+
+void expect_bitwise_equal(const la::MultiVec& a, const la::MultiVec& b,
+                          const char* what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (int j = 0; j < a.cols(); ++j) {
+    EXPECT_EQ(std::memcmp(a.col_data(j), b.col_data(j),
+                          static_cast<std::size_t>(a.rows()) * sizeof(real)),
+              0)
+        << what << ", column " << j << ": results differ bitwise";
+  }
+}
+
+/// This rank's rows of k global random vectors (seeds seed..seed+k-1) in
+/// the level's distributed numbering (perm[global] = serial index).
+la::MultiVec local_random_block(const std::vector<idx>& perm,
+                                const RowDist& rows, int rank, int k,
+                                std::uint64_t seed) {
+  const idx lo = rows.begin(rank);
+  la::MultiVec m(rows.local_size(rank), k);
+  for (int j = 0; j < k; ++j) {
+    const auto g = random_vec(rows.global_size(), seed + j);
+    for (idx i = 0; i < m.rows(); ++i) m.col_data(j)[i] = g[perm[lo + i]];
+  }
+  return m;
 }
 
 /// Restores the halo mode (and kernel threads) when a test exits.
@@ -175,8 +203,9 @@ TEST_P(HaloRanks, CsrTransposeOverlapMatchesSyncBitwise) {
 TEST_P(HaloRanks, Bsr3OverlapMatchesSyncBitwise) {
   const int p = GetParam();
   const HaloModeGuard guard;
-  // Real node-block operator: the fine-level elasticity stiffness of a
-  // small box problem, distributed with an RCB vertex partition.
+  // Real node-block operators: every level of the elasticity hierarchy of
+  // a small constrained box problem, distributed with an RCB vertex
+  // partition.
   const app::ModelProblem model = app::make_box_problem(5);
   fem::FeProblem fe(model.mesh, model.materials, model.dofmap);
   const fem::LinearSystem sys = fem::assemble_linear_system(fe);
@@ -184,40 +213,55 @@ TEST_P(HaloRanks, Bsr3OverlapMatchesSyncBitwise) {
   mopts.coarsest_max_dofs = 150;
   const mg::Hierarchy serial_h =
       mg::Hierarchy::build(model.mesh, model.dofmap, sys.stiffness, mopts);
+  ASSERT_GE(serial_h.num_levels(), 2);
   const auto owner = partition::rcb_partition(model.mesh.coords(), p);
-  const idx n = static_cast<idx>(sys.rhs.size());
-  const auto x = random_vec(n, 7);
-  const auto b = random_vec(n, 8);
+  constexpr int k = 3;
   for (const int threads : kThreadCounts) {
     common::set_kernel_threads(threads);
     parx::Runtime::run(p, [&](parx::Comm& comm) {
       const DistHierarchy dh = DistHierarchy::build(comm, serial_h, owner,
                                                     mg::MatrixFormat::kBsr3);
-      ASSERT_NE(dh.level(0).a_bsr, nullptr);
-      const DistBsr& da = *dh.level(0).a_bsr;
-      const auto& perm = dh.permutation(0);
-      const RowDist& rows = dh.level(0).a.row_dist();
-      const idx lo = rows.begin(comm.rank());
-      const idx ln = rows.local_size(comm.rank());
-      std::vector<real> xl(static_cast<std::size_t>(ln));
-      std::vector<real> bl(static_cast<std::size_t>(ln));
-      for (idx i = 0; i < ln; ++i) {
-        xl[i] = x[perm[lo + i]];
-        bl[i] = b[perm[lo + i]];
+      for (int l = 0; l < dh.num_levels(); ++l) {
+        ASSERT_NE(dh.level(l).a_bsr, nullptr);
+        const DistBsr& da = *dh.level(l).a_bsr;
+        const DistCsr& ac = dh.level(l).a;
+        const RowDist& rows = ac.row_dist();
+        const la::MultiVec xm = local_random_block(
+            dh.permutation(l), rows, comm.rank(), k, 7 + 10 * l);
+        const la::MultiVec bm = local_random_block(
+            dh.permutation(l), rows, comm.rank(), k, 107 + 10 * l);
+        const std::vector<real> xl(xm.col(0).begin(), xm.col(0).end());
+        const std::vector<real> bl(bm.col(0).begin(), bm.col(0).end());
+        // Block rows partition into interior + boundary.
+        EXPECT_EQ(static_cast<idx>(da.interior_brows().size() +
+                                   da.boundary_brows().size()),
+                  da.local_matrix().nbrows);
+        const std::size_t ln = xl.size();
+        std::vector<real> y_sync(ln), y_over(ln), r_sync(ln), r_over(ln);
+        std::vector<real> y_csr(ln), r_csr(ln);
+        set_halo_mode(HaloMode::kSync);
+        da.spmv(comm, xl, y_sync);
+        da.residual(comm, bl, xl, r_sync);
+        set_halo_mode(HaloMode::kOverlap);
+        da.spmv(comm, xl, y_over);
+        da.residual(comm, bl, xl, r_over);
+        expect_bitwise_equal(y_over, y_sync, "bsr3 spmv overlap vs sync");
+        expect_bitwise_equal(r_over, r_sync, "bsr3 residual overlap vs sync");
+
+        // The padded node blocks against the level's CSR operator.
+        ac.spmv(comm, xl, y_csr);
+        ac.residual(comm, bl, xl, r_csr);
+        expect_bitwise_equal(y_sync, y_csr, "bsr3 vs csr spmv");
+        expect_bitwise_equal(r_sync, r_csr, "bsr3 vs csr residual");
+        la::MultiVec ym_bsr(xm.rows(), k), ym_csr(xm.rows(), k);
+        la::MultiVec rm_bsr(xm.rows(), k), rm_csr(xm.rows(), k);
+        da.spmm(comm, xm, ym_bsr);
+        ac.spmm(comm, xm, ym_csr);
+        da.residual_mv(comm, bm, xm, rm_bsr);
+        ac.residual_mv(comm, bm, xm, rm_csr);
+        expect_bitwise_equal(ym_bsr, ym_csr, "bsr3 vs csr spmm");
+        expect_bitwise_equal(rm_bsr, rm_csr, "bsr3 vs csr residual_mv");
       }
-      // Block rows partition into interior + boundary.
-      EXPECT_EQ(static_cast<idx>(da.interior_brows().size() +
-                                 da.boundary_brows().size()),
-                da.local_matrix().nbrows);
-      std::vector<real> y_sync(ln), y_over(ln), r_sync(ln), r_over(ln);
-      set_halo_mode(HaloMode::kSync);
-      da.spmv(comm, xl, y_sync);
-      da.residual(comm, bl, xl, r_sync);
-      set_halo_mode(HaloMode::kOverlap);
-      da.spmv(comm, xl, y_over);
-      da.residual(comm, bl, xl, r_over);
-      expect_bitwise_equal(y_over, y_sync, "bsr3 spmv");
-      expect_bitwise_equal(r_over, r_sync, "bsr3 residual");
     });
   }
 }

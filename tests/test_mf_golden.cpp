@@ -15,12 +15,14 @@
 #include <vector>
 
 #include "app/driver.h"
+#include "dla/dist_mg.h"
 #include "fem/assembly.h"
 #include "la/krylov.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "parx/runtime.h"
 
 #ifndef PROM_GOLDEN_DIR
 #error "PROM_GOLDEN_DIR must point at the committed golden files"
@@ -35,31 +37,39 @@ struct SolveOutcome {
 };
 
 /// The quickstart problem (8^3 box, clamped bottom, pressed top) solved
-/// with the requested solve-phase format under a fresh tracing window.
+/// on one virtual rank as examples/quickstart runs it — grids from
+/// mg::Hierarchy, operators from dla::DistHierarchy — with the requested
+/// solve-phase format, setup and solve under a fresh tracing window.
 SolveOutcome run_quickstart(mg::MatrixFormat format) {
   const app::ModelProblem p = app::make_box_problem(8);
   fem::FeProblem fe(p.mesh, p.materials, p.dofmap);
   fem::LinearSystem sys = fem::assemble_linear_system(fe);
-  mg::Hierarchy h =
-      mg::Hierarchy::build(p.mesh, p.dofmap, std::move(sys.stiffness), {});
+  const mg::Hierarchy grids = mg::Hierarchy::build_grids(
+      p.mesh, p.dofmap, std::move(sys.stiffness), {});
+  const std::vector<idx> owner(
+      static_cast<std::size_t>(p.mesh.num_vertices()), 0);
+  const dla::MfProblem mf{&p.mesh, &p.materials, &p.dofmap, /*bbar=*/true};
 
   obs::Tracer& tracer = obs::Tracer::instance();
   const bool was_tracing = obs::tracing();
   tracer.set_enabled(true);
   const std::int64_t mark = obs::Tracer::now_ns();
 
-  // Inside the window so the mf.setup span is recorded.
-  if (format == mg::MatrixFormat::kMf) {
-    h.enable_mf(p.mesh, p.materials, p.dofmap);
-  }
-
   mg::MgSolveOptions opts;
   opts.rtol = 1e-8;
   opts.track_history = true;
   opts.format = format;
-  std::vector<real> x(sys.rhs.size(), 0);
   SolveOutcome out;
-  out.result = mg::mg_pcg_solve(h, sys.rhs, x, opts);
+  parx::Runtime::run(1, [&](parx::Comm& comm) {
+    const dla::DistHierarchy dist = dla::DistHierarchy::build(
+        comm, grids, owner, format,
+        format == mg::MatrixFormat::kMf ? &mf : nullptr);
+    const std::vector<idx>& perm = dist.permutation(0);
+    std::vector<real> b(sys.rhs.size());
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = sys.rhs[perm[i]];
+    std::vector<real> x(b.size(), 0);
+    out.result = dla::dist_mg_pcg_solve(comm, dist, b, x, opts);
+  });
   tracer.set_enabled(was_tracing);
   out.report = obs::build_report(mark);
   return out;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "app/driver.h"
+#include "common/error.h"
 #include "fem/assembly.h"
 #include "la/vec.h"
 #include "mesh/generate.h"
@@ -126,6 +128,29 @@ TEST_P(MgCycleKinds, PcgConvergesTight) {
 
 INSTANTIATE_TEST_SUITE_P(Cycles, MgCycleKinds,
                          ::testing::Values(CycleKind::kV, CycleKind::kFmg));
+
+TEST(MgSolver, SerialDriversRejectNonCsrFormats) {
+  // The serial hierarchy holds CSR operators only; bsr3 and mf solves
+  // are built by dla::DistHierarchy, and the error says so.
+  const BuiltProblem bp = build_box(3);
+  for (const MatrixFormat format : {MatrixFormat::kBsr3, MatrixFormat::kMf}) {
+    for (const la::KrylovKind krylov :
+         {la::KrylovKind::kPcg, la::KrylovKind::kGmres}) {
+      MgSolveOptions so;
+      so.format = format;
+      so.krylov = krylov;
+      std::vector<real> x(bp.sys.rhs.size(), 0.0);
+      try {
+        mg_krylov_solve(bp.hierarchy, bp.sys.rhs, x, so);
+        ADD_FAILURE() << "non-CSR format must throw";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("dla::DistHierarchy"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
 
 TEST(MgSolver, IterationCountMeshIndependent) {
   // The headline multigrid property: iterations stay bounded as the mesh

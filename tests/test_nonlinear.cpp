@@ -128,6 +128,40 @@ TEST(Newton, AdaptiveSubsteppingRecoversFromAggressiveStep) {
   EXPECT_TRUE(rep.converged);
 }
 
+TEST(Newton, DistributedStepRetriesBreakdownWithGmres) {
+  // A crushed Neo-Hookean cube whose tangent loses definiteness mid-step:
+  // PCG breaks down and the MG-GMRES retry must run on the distributed
+  // path as it does on the serial one. On one rank the distributed step
+  // then reproduces the serial one.
+  const app::ModelProblem model = nh_cube(4, 0.15);
+  mg::MgOptions mopts;
+  mopts.coarsest_max_dofs = 100;
+  const auto run = [&](int dist_ranks) {
+    fem::FeProblem prob(model.mesh, model.materials, model.dofmap);
+    NewtonOptions nopts;
+    nopts.dist_ranks = dist_ranks;
+    NewtonDriver driver(prob, mopts, nopts);
+    return driver.solve_step(1.0);
+  };
+  const NewtonStepReport serial = run(0);
+  ASSERT_TRUE(serial.converged);
+
+  const NewtonStepReport one = run(1);
+  EXPECT_TRUE(one.converged);
+  EXPECT_EQ(one.newton_iters, serial.newton_iters);
+  EXPECT_EQ(one.linear_iters, serial.linear_iters);
+  ASSERT_EQ(one.residual_norms.size(), serial.residual_norms.size());
+  for (std::size_t m = 0; m < serial.residual_norms.size(); ++m) {
+    EXPECT_NEAR(one.residual_norms[m], serial.residual_norms[m],
+                1e-12 * serial.residual_norms[m])
+        << "Newton iteration " << m;
+  }
+
+  const NewtonStepReport two = run(2);
+  EXPECT_TRUE(two.converged);
+  EXPECT_LE(two.newton_iters, serial.newton_iters);
+}
+
 TEST(Newton, MixedMaterialSphereStepMatchesPaperIterationBand) {
   // One load step of the §7 problem at small scale: first linear solve
   // iteration count lands in the paper's 20-40 band.

@@ -284,7 +284,7 @@ TEST_P(EquivRanks, AdvdiffBicgstabHistoryMatchesSerial) {
 // position, padding contributes exact zeros), so the format change adds no
 // rounding of its own on top of the backend's allreduce-vs-serial delta.
 TEST_P(EquivRanks, Bsr3PcgHistoryMatchesSerialCsr) {
-  Problem prob = build_problem(mg::SmootherKind::kJacobi);
+  const Problem prob = build_problem(mg::SmootherKind::kJacobi);
   mg::MgSolveOptions so;
   so.rtol = 1e-8;
   so.track_history = true;
@@ -294,23 +294,9 @@ TEST_P(EquivRanks, Bsr3PcgHistoryMatchesSerialCsr) {
   ASSERT_TRUE(ref.converged);
   ASSERT_FALSE(ref.history.empty());
 
-  // Serial bsr3 against serial CSR first: same residual history to the
-  // reassociation-free tolerance.
-  prob.hierarchy.enable_bsr();
+  // Distributed bsr3 at every rank count.
   mg::MgSolveOptions so_bsr = so;
   so_bsr.format = mg::MatrixFormat::kBsr3;
-  std::vector<real> x_sb(prob.rhs.size(), 0);
-  const la::KrylovResult sb =
-      mg::mg_pcg_solve(prob.hierarchy, prob.rhs, x_sb, so_bsr);
-  EXPECT_EQ(sb.iterations, ref.iterations);
-  ASSERT_EQ(sb.history.size(), ref.history.size());
-  for (std::size_t i = 0; i < ref.history.size(); ++i) {
-    EXPECT_NEAR(sb.history[i], ref.history[i], 1e-12 * ref.history[0])
-        << "serial bsr3 history entry " << i;
-  }
-  expect_vectors_close(x_ref, x_sb, 1e-12);
-
-  // Distributed bsr3 at every rank count.
   const DistOutcome got = run_distributed(prob, GetParam(), Run::kPcg, so_bsr,
                                           mg::MatrixFormat::kBsr3);
   const la::KrylovResult& d = got.results[0];

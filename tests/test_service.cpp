@@ -342,7 +342,8 @@ TEST(ServiceRefine, EmitsImbalanceGauges) {
 TEST(ServiceRefine, ScalarRejectsNodeBlockFormats) {
   // bsr3 and mf are built around the 3-dof node block; the scalar classes
   // must be rejected at entry with a message naming the combination, not
-  // silently downgraded to CSR.
+  // silently downgraded to CSR. A rejected build leaves the cache as it
+  // was, so the service stays usable.
   for (const mg::MatrixFormat format :
        {mg::MatrixFormat::kBsr3, mg::MatrixFormat::kMf}) {
     SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)));
@@ -350,7 +351,11 @@ TEST(ServiceRefine, ScalarRejectsNodeBlockFormats) {
     service.register_problem("het", make_poisson_het_problem(4, 1e3));
     service.register_problem("adv", make_advdiff_problem(4, 10.0));
     EXPECT_THROW(service.acquire("het"), prom::Error);
+    EXPECT_EQ(service.cache_size(), 0u);
     EXPECT_THROW(service.acquire("adv"), prom::Error);
+    EXPECT_EQ(service.cache_size(), 0u);
+    EXPECT_THROW(service.acquire("unregistered"), prom::Error);
+    EXPECT_EQ(service.cache_size(), 0u);
     try {
       service.acquire("het");
       FAIL() << "scalar + non-CSR format must throw";
@@ -363,9 +368,20 @@ TEST(ServiceRefine, ScalarRejectsNodeBlockFormats) {
           << what;
       EXPECT_NE(what.find("elasticity-only"), std::string::npos) << what;
     }
-    // Elasticity keeps working in the same format.
+    EXPECT_EQ(service.cache_size(), 0u);
+    // Elasticity keeps working in the same format: one build, then a hit.
     service.register_problem("box", make_box_problem(4));
-    EXPECT_TRUE(service.solve({.mesh_id = "box"}).results[0].converged);
+    SolveRequest box;
+    box.mesh_id = "box";
+    const SolveResponse first = service.solve(box);
+    EXPECT_TRUE(first.results[0].converged);
+    EXPECT_FALSE(first.cache_hit);
+    EXPECT_EQ(service.cache_size(), 1u);
+    const SolveResponse second = service.solve(box);
+    EXPECT_TRUE(second.results[0].converged);
+    EXPECT_TRUE(second.cache_hit);
+    EXPECT_EQ(service.cache_size(), 1u);
+    EXPECT_EQ(service.cache_hits(), 1);
   }
   // The supported scalar configuration still solves.
   SolveService csr(small_config(2, mg::MatrixFormat::kCsr));
