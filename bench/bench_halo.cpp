@@ -1,15 +1,18 @@
-// Halo-exchange rank × threads sweep: fine-level SpMV on the box-problem
-// stiffness, synchronous rank-ordered drain vs the latency-hiding
-// schedule (post sends, compute interior rows, drain peers in arrival
-// order, finish boundary rows). Both paths produce bitwise-identical
-// results (gated by test_halo); this harness measures what the overlap
-// buys and where the time goes, reading every number out of the obs
-// tracer: the SpMV loop runs under "phase.halo_spmv" and the plan's
-// "halo.post"/"halo.interior"/"halo.finish"/"halo.boundary" spans break
-// the overlapped wall into its pieces. Emits BENCH_halo.json with the
-// interior/boundary row split per configuration, so the speedup can be
-// judged against the boundary fraction (overlap pays off where interior
-// work dominates — the paper's surface-to-volume argument).
+// Halo-exchange rank × threads sweep: fine-level SpMV (a one-column
+// DistCsr::spmm) on the box-problem stiffness, synchronous rank-ordered
+// drain vs the latency-hiding schedule (post sends, compute interior
+// rows, drain peers in arrival order, finish boundary rows). Both paths
+// produce bitwise-identical results (gated by test_halo); this harness
+// measures what the overlap buys and where the time goes, reading every
+// number out of the obs tracer: the SpMV loop runs under
+// "phase.halo_spmv" and the plan's "halo.post"/"halo.interior"/
+// "halo.finish"/"halo.boundary" spans break the overlapped wall into its
+// pieces. Emits BENCH_halo.json with the interior/boundary row split per
+// configuration, so the speedup can be judged against the boundary
+// fraction (overlap pays off where interior work dominates — the paper's
+// surface-to-volume argument), and with the messages and bytes one SpMV
+// sends, summed over ranks from the parx traffic counters. Those counts
+// are exact; the bench fails if the two halo modes disagree on them.
 //
 // Environment: PROM_BENCH_FULL=1 enlarges the problem; PROM_BENCH_SMOKE=1
 // shrinks it (the CI smoke lane).
@@ -61,6 +64,8 @@ int main() {
     int threads;
     std::int64_t interior_rows;
     std::int64_t boundary_rows;
+    std::int64_t messages;  // per SpMV, summed over ranks
+    std::int64_t bytes;
     double wall_sync;
     double wall_overlap;
     double post_s;
@@ -78,9 +83,11 @@ int main() {
   std::printf("halo exchange rank x threads sweep, %d unknowns, %d spmv "
               "iterations per timing, %u host cores\n",
               unknowns, iters, cores);
-  std::printf("%-6s %-8s | %-10s %-10s | %-11s %-11s %-8s | %-27s\n", "ranks",
-              "threads", "interior", "boundary", "sync (s)", "overlap (s)",
-              "speedup", "overlap post/int/fin/bnd (ms)");
+  std::printf("%-6s %-8s | %-10s %-10s | %-5s %-7s | %-11s %-11s %-8s | "
+              "%-27s\n",
+              "ranks", "threads", "interior", "boundary", "msgs", "bytes",
+              "sync (s)", "overlap (s)", "speedup",
+              "overlap post/int/fin/bnd (ms)");
   const std::vector<int> rank_sweep =
       smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
   const std::vector<int> thread_sweep =
@@ -95,9 +102,14 @@ int main() {
       row.threads = t;
       std::vector<std::int64_t> interior(static_cast<std::size_t>(p), 0);
       std::vector<std::int64_t> boundary(static_cast<std::size_t>(p), 0);
+      // Messages and bytes the timed loop sent, per rank and halo mode.
+      std::vector<parx::TrafficStats> sent[2];
       for (const dla::HaloMode mode :
            {dla::HaloMode::kSync, dla::HaloMode::kOverlap}) {
         dla::set_halo_mode(mode);
+        std::vector<parx::TrafficStats>& mode_sent =
+            sent[mode == dla::HaloMode::kSync ? 0 : 1];
+        mode_sent.assign(static_cast<std::size_t>(p), {});
         const std::int64_t mark = obs::Tracer::now_ns();
         parx::Runtime::run(p, [&](parx::Comm& comm) {
           const dla::DistHierarchy dh =
@@ -109,12 +121,16 @@ int main() {
               static_cast<std::int64_t>(a.boundary_rows().size());
           const idx ln = a.local_rows();
           Rng rng(17 + static_cast<std::uint64_t>(comm.rank()));
-          std::vector<real> x(static_cast<std::size_t>(ln));
-          for (real& v : x) v = rng.next_real() - 0.5;
-          std::vector<real> y(static_cast<std::size_t>(ln));
+          // One vector is a one-column block.
+          la::MultiVec x(ln, 1), y(ln, 1);
+          for (real& v : x.col(0)) v = rng.next_real() - 0.5;
           comm.barrier();
           const obs::Span span("phase.halo_spmv");
-          for (int it = 0; it < iters; ++it) a.spmv(comm, x, y);
+          const parx::TrafficStats before = comm.traffic();
+          for (int it = 0; it < iters; ++it) a.spmm(comm, x, y);
+          const parx::TrafficStats after = comm.traffic();
+          mode_sent[comm.rank()] = {after.messages_sent - before.messages_sent,
+                                    after.bytes_sent - before.bytes_sent};
           comm.barrier();
         });
         obs::build_report(mark).write_json("report.json");
@@ -134,16 +150,35 @@ int main() {
           row.boundary_s = component_max_seconds(rep, "halo.boundary");
         }
       }
+      std::int64_t messages[2] = {}, bytes[2] = {};
       for (int r = 0; r < p; ++r) {
         row.interior_rows += interior[static_cast<std::size_t>(r)];
         row.boundary_rows += boundary[static_cast<std::size_t>(r)];
+        for (int m = 0; m < 2; ++m) {
+          messages[m] += sent[m][static_cast<std::size_t>(r)].messages_sent;
+          bytes[m] += sent[m][static_cast<std::size_t>(r)].bytes_sent;
+        }
       }
+      if (messages[0] != messages[1] || bytes[0] != bytes[1]) {
+        std::fprintf(stderr,
+                     "halo modes sent different traffic at p = %d: sync "
+                     "%lld messages / %lld bytes, overlap %lld / %lld\n",
+                     p, static_cast<long long>(messages[0]),
+                     static_cast<long long>(bytes[0]),
+                     static_cast<long long>(messages[1]),
+                     static_cast<long long>(bytes[1]));
+        return 1;
+      }
+      row.messages = messages[0] / iters;
+      row.bytes = bytes[0] / iters;
       rows.push_back(row);
       std::printf(
-          "%-6d %-8d | %-10lld %-10lld | %-11.4f %-11.4f %-8.2f | "
-          "%.1f/%.1f/%.1f/%.1f\n",
+          "%-6d %-8d | %-10lld %-10lld | %-5lld %-7lld | %-11.4f %-11.4f "
+          "%-8.2f | %.1f/%.1f/%.1f/%.1f\n",
           row.ranks, row.threads, static_cast<long long>(row.interior_rows),
-          static_cast<long long>(row.boundary_rows), row.wall_sync,
+          static_cast<long long>(row.boundary_rows),
+          static_cast<long long>(row.messages),
+          static_cast<long long>(row.bytes), row.wall_sync,
           row.wall_overlap,
           row.wall_overlap > 0 ? row.wall_sync / row.wall_overlap : 0.0,
           row.post_s * 1e3, row.interior_s * 1e3, row.finish_s * 1e3,
@@ -184,12 +219,15 @@ int main() {
     std::fprintf(
         json,
         "    {\"ranks\": %d, \"threads\": %d, \"interior_rows\": %lld, "
-        "\"boundary_rows\": %lld, \"wall_sync_s\": %.6f, "
+        "\"boundary_rows\": %lld, \"messages\": %lld, \"bytes\": %lld, "
+        "\"wall_sync_s\": %.6f, "
         "\"wall_overlap_s\": %.6f, \"halo_post_s\": %.6f, "
         "\"halo_interior_s\": %.6f, \"halo_finish_s\": %.6f, "
         "\"halo_boundary_s\": %.6f}%s\n",
         r.ranks, r.threads, static_cast<long long>(r.interior_rows),
-        static_cast<long long>(r.boundary_rows), r.wall_sync, r.wall_overlap,
+        static_cast<long long>(r.boundary_rows),
+        static_cast<long long>(r.messages), static_cast<long long>(r.bytes),
+        r.wall_sync, r.wall_overlap,
         r.post_s, r.interior_s, r.finish_s, r.boundary_s,
         i + 1 < rows.size() ? "," : "");
   }

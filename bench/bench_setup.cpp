@@ -12,6 +12,7 @@
 //
 // Environment: PROM_BENCH_FULL=1 enlarges the problem; PROM_BENCH_SMOKE=1
 // shrinks it (the CI smoke lane).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -127,8 +128,9 @@ int main() {
       const dla::DistHierarchy dist =
           dla::DistHierarchy::build(comm, agrids, tr_owner);
       const idx nloc = dist.level(0).local_n();
-      std::vector<real> b(static_cast<std::size_t>(nloc), 1.0);
-      std::vector<real> x(static_cast<std::size_t>(nloc), 0.0);
+      la::MultiVec b(nloc, 1);
+      std::fill(b.col(0).begin(), b.col(0).end(), 1.0);
+      la::MultiVec x(nloc, 1);
       comm.barrier();
       for (int it = 0; it < kCycles; ++it) dist_vcycle(comm, dist, 0, b, x);
     });

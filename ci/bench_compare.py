@@ -27,7 +27,9 @@ that reproduce bit for bit on any host must equal the baseline exactly,
 and flags must hold. In BENCH_equations.json and BENCH_refine.json every
 row's `iterations` must equal the baseline row's and every `converged`
 must be true, so one extra Krylov iteration fails the gate whatever the
-host is doing.
+host is doing. In BENCH_halo.json every row's interior/boundary row
+split and the messages and bytes one SpMV sends must equal the
+baseline's, so one extra halo message fails the gate.
 
 A series present in the baseline but missing from the fresh output fails
 the gate (a renamed or dropped series must come with a baseline refresh,
@@ -78,6 +80,8 @@ RATIO_RULES = {
 COUNT_RULES = {
     "BENCH_equations.json": {"equal": ("iterations",), "true": ("converged",)},
     "BENCH_refine.json": {"equal": ("iterations",), "true": ("converged",)},
+    "BENCH_halo.json": {"equal": ("interior_rows", "boundary_rows",
+                                  "messages", "bytes")},
 }
 
 DEFAULT_FILES = ("BENCH_kernels.json", "BENCH_halo.json", "BENCH_service.json",
@@ -201,7 +205,7 @@ def check_counts(name: str, baseline: dict[str, float],
         return series.rsplit(".", 1)[-1]
 
     for series in sorted(baseline):
-        if leaf(series) not in rules["equal"]:
+        if leaf(series) not in rules.get("equal", ()):
             continue
         base = baseline[series]
         got = fresh.get(series)
@@ -213,7 +217,7 @@ def check_counts(name: str, baseline: dict[str, float],
                             f"from the baseline {base:g}")
         print(f"{verdict}{name}:{series} {shown} (baseline {base:g})")
     for series in sorted(fresh):
-        if leaf(series) not in rules["true"]:
+        if leaf(series) not in rules.get("true", ()):
             continue
         verdict = "  ok  "
         if fresh[series] is not True:

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The one-command CI gate: optimized build + tier-1 test suite, the same
-# suite again on an AVX2 + FMA build and under Address/UB sanitizers, then
-# the ThreadSanitizer race gate (ci/tsan.sh). Everything a PR must pass.
+# suite again on an AVX2 + FMA build and under Address/UB sanitizers, the
+# ThreadSanitizer race gate (ci/tsan.sh), then the perfbench build and
+# smoke runs (ci/perfbench_smoke.sh). Everything a PR must pass.
 #
 # By default only tier-1 tests run (`ctest -L tier1`) — the fast PR gate.
 # Pass --full to also run slow-labelled tests in every configuration, the
@@ -68,5 +69,9 @@ ctest --preset asan-ubsan -j"$(nproc)" "${label_args[@]}"
 
 ./ci/tsan.sh
 ccache_epilogue tsan
+
+# The SolveService benchmark compiles against the solver surface from its
+# own CMake package; build it and smoke every workload.
+./ci/perfbench_smoke.sh
 
 echo "ci/check.sh: OK"

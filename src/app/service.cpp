@@ -325,6 +325,13 @@ SolveResponse SolveService::solve_with(const EntryHandle& entry,
     }
     comm.barrier();
   });
+  // One count per unconverged or broken-down column, added here on the
+  // calling thread after the ranks joined, so the rank count does not
+  // multiply them.
+  for (const la::KrylovResult& r : resp.results) {
+    obs::counter_add("solve.not_converged", r.converged ? 0 : 1);
+    obs::counter_add("solve.breakdown", r.breakdown ? 1 : 0);
+  }
   return resp;
 }
 

@@ -122,6 +122,8 @@ class SolveService {
   /// Runs the blocked solve against an already-acquired entry. The entry
   /// stays valid even if the cache has since evicted it. Rejects a
   /// non-finite right-hand side as `solve` does, before any rank launches.
+  /// Records the `solve.not_converged` and `solve.breakdown` counters,
+  /// one count per affected right-hand side.
   SolveResponse solve_with(const EntryHandle& entry,
                            const SolveRequest& req) const;
 

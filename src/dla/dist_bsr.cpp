@@ -225,75 +225,15 @@ DistBsr DistBsr::build(parx::Comm& comm, const DistCsr& a,
     }
     (interior ? d.interior_brows_ : d.boundary_brows_).push_back(br);
   }
-
-  // Persistent padded work vectors. Zero invariants: owned padding slots
-  // of x_ext_ are never rewritten (the per-call scatter touches only free
-  // owned slots, the exchange rewrites whole ghost nodes incl. their
-  // padding zeros); b_pad_ padding likewise stays 0 after this fill.
-  d.x_ext_.assign(static_cast<std::size_t>(d.local_.cols()), real{0});
-  d.y_pad_.assign(static_cast<std::size_t>(d.local_.rows()), real{0});
-  d.b_pad_.assign(static_cast<std::size_t>(d.local_.rows()), real{0});
-  d.r_pad_.assign(static_cast<std::size_t>(d.local_.rows()), real{0});
   return d;
-}
-
-void DistBsr::spmv(parx::Comm& comm, std::span<const real> x_local,
-                   std::span<real> y_local) const {
-  PROM_CHECK(static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(y_local.size()) == nlocal_);
-  plan_.post(comm, x_local);
-  for (idx i = 0; i < nlocal_; ++i) {
-    x_ext_[slot_of_owned_col_[i]] = x_local[i];
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmv_brows(x_ext_, y_pad_, interior_brows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.spmv_brows(x_ext_, y_pad_, boundary_brows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.spmv(x_ext_, y_pad_);
-  }
-  for (idx i = 0; i < nlocal_; ++i) y_local[i] = y_pad_[row_slot_of_free_[i]];
-}
-
-void DistBsr::residual(parx::Comm& comm, std::span<const real> b_local,
-                       std::span<const real> x_local,
-                       std::span<real> r_local) const {
-  PROM_CHECK(static_cast<idx>(b_local.size()) == nlocal_ &&
-             static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(r_local.size()) == nlocal_);
-  plan_.post(comm, x_local);
-  for (idx i = 0; i < nlocal_; ++i) {
-    x_ext_[slot_of_owned_col_[i]] = x_local[i];
-  }
-  for (idx i = 0; i < nlocal_; ++i) {
-    b_pad_[row_slot_of_free_[i]] = b_local[i];
-  }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_brows(b_pad_, x_ext_, r_pad_, interior_brows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.residual_brows(b_pad_, x_ext_, r_pad_, boundary_brows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.residual(b_pad_, x_ext_, r_pad_);
-  }
-  for (idx i = 0; i < nlocal_; ++i) r_local[i] = r_pad_[row_slot_of_free_[i]];
 }
 
 void DistBsr::ensure_mv_buffers(int k) const {
   if (x_ext_mv_.cols() == k) return;
-  x_ext_mv_.resize(static_cast<idx>(x_ext_.size()), k);
-  y_pad_mv_.resize(static_cast<idx>(y_pad_.size()), k);
-  b_pad_mv_.resize(static_cast<idx>(b_pad_.size()), k);
-  r_pad_mv_.resize(static_cast<idx>(r_pad_.size()), k);
+  x_ext_mv_.resize(local_.cols(), k);
+  y_pad_mv_.resize(local_.rows(), k);
+  b_pad_mv_.resize(local_.rows(), k);
+  r_pad_mv_.resize(local_.rows(), k);
 }
 
 void DistBsr::spmm(parx::Comm& comm, const la::MultiVec& x_local,

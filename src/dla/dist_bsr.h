@@ -53,30 +53,24 @@ class DistBsr {
   /// The exchange plan (persistent staging; see dla/halo.h).
   const HaloPlan& halo_plan() const { return plan_; }
 
-  /// y_local = A x on free-dof local blocks; ships whole node blocks in
-  /// the ghost exchange. Collective.
-  void spmv(parx::Comm& comm, std::span<const real> x_local,
-            std::span<real> y_local) const;
-
-  /// r_local = b - A x, fused (same bits as spmv + subtraction).
+  /// Y_local = A X on free-dof local blocks: one node-block ghost exchange
+  /// (whole node blocks on the wire) and one blocked matrix pass serve all
+  /// k columns; column j is bitwise the k = 1 call on that column.
   /// Collective.
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local, std::span<real> r_local) const;
-
-  /// Column-blocked spmv: one node-block ghost exchange and one blocked
-  /// matrix pass serve all k columns; column j bitwise equals `spmv` on
-  /// that column. Collective.
   void spmm(parx::Comm& comm, const la::MultiVec& x_local,
             la::MultiVec& y_local) const;
 
-  /// Column-blocked fused residual. Collective.
+  /// R_local = B - A X, fused (same bits as spmm + subtraction).
+  /// Collective.
   void residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
                    const la::MultiVec& x_local, la::MultiVec& r_local) const;
 
  private:
-  /// Reshapes the padded mv work buffers to width k. The zero-fill on
-  /// reshape re-establishes the padding invariants per column (owned
-  /// padding slots stay zero; ghost padding is rewritten every exchange).
+  /// Reshapes the padded work buffers to width k. The zero-fill on
+  /// reshape establishes the padding invariants per column: owned padding
+  /// slots of x_ext_mv_ and b_pad_mv_ are never rewritten (the per-call
+  /// scatters touch only free owned slots), and the exchange rewrites
+  /// whole ghost nodes including their padding zeros.
   void ensure_mv_buffers(int k) const;
   int rank_ = 0;
   idx nlocal_ = 0;  // owned scalar rows (free dofs)
@@ -94,12 +88,7 @@ class DistBsr {
   HaloPlan plan_;
   std::vector<idx> interior_brows_;  // block rows with owned columns only
   std::vector<idx> boundary_brows_;  // the rest
-  // Persistent padded work vectors (see build() for the zero invariants).
-  mutable std::vector<real> x_ext_;
-  mutable std::vector<real> y_pad_;
-  mutable std::vector<real> b_pad_;
-  mutable std::vector<real> r_pad_;
-  // Blocked counterparts (see ensure_mv_buffers).
+  // Persistent padded work blocks (see ensure_mv_buffers).
   mutable la::MultiVec x_ext_mv_;
   mutable la::MultiVec y_pad_mv_;
   mutable la::MultiVec b_pad_mv_;
@@ -112,15 +101,6 @@ class DistBsrOperator final : public DistOperator {
  public:
   explicit DistBsrOperator(const DistBsr& a) : a_(&a) {}
   idx local_n() const override { return a_->local_rows(); }
-  void apply(parx::Comm& comm, std::span<const real> x_local,
-             std::span<real> y_local) const override {
-    a_->spmv(comm, x_local, y_local);
-  }
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local,
-                std::span<real> r_local) const {
-    a_->residual(comm, b_local, x_local, r_local);
-  }
   void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
                 la::MultiVec& y_local) const override {
     a_->spmm(comm, x_local, y_local);

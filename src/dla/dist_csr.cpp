@@ -89,9 +89,6 @@ void DistCsr::init_from_local(parx::Comm& comm, const la::Csr& local_rows) {
     }
     (interior ? interior_rows_ : boundary_rows_).push_back(i);
   }
-
-  x_ext_.assign(static_cast<std::size_t>(local_.ncols), real{0});
-  y_ext_.assign(static_cast<std::size_t>(local_.ncols), real{0});
 }
 
 DistCsr::DistCsr(parx::Comm& comm, const la::Csr& a, RowDist row_dist,
@@ -168,67 +165,6 @@ DistCsr DistCsr::from_global_permuted(parx::Comm& comm, const la::Csr& a,
                          std::move(col_dist));
 }
 
-void DistCsr::spmv(parx::Comm& comm, std::span<const real> x_local,
-                   std::span<real> y_local) const {
-  const idx n_own = cols_.local_size(rank_);
-  PROM_CHECK(static_cast<idx>(x_local.size()) == n_own);
-  PROM_CHECK(static_cast<idx>(y_local.size()) == local_.nrows);
-
-  plan_.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmv_rows(x_ext_, y_local, interior_rows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.spmv_rows(x_ext_, y_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.spmv(x_ext_, y_local);
-  }
-}
-
-void DistCsr::residual(parx::Comm& comm, std::span<const real> b_local,
-                       std::span<const real> x_local,
-                       std::span<real> r_local) const {
-  const idx n_own = cols_.local_size(rank_);
-  PROM_CHECK(static_cast<idx>(x_local.size()) == n_own);
-  PROM_CHECK(static_cast<idx>(b_local.size()) == local_.nrows &&
-             static_cast<idx>(r_local.size()) == local_.nrows);
-
-  plan_.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_rows(b_local, x_ext_, r_local, interior_rows_);
-    }
-    plan_.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    local_.residual_rows(b_local, x_ext_, r_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order(comm, x_ext_);
-    local_.residual(b_local, x_ext_, r_local);
-  }
-}
-
-void DistCsr::spmv_transpose(parx::Comm& comm, std::span<const real> x_local,
-                             std::span<real> y_local) const {
-  const idx n_own_cols = cols_.local_size(rank_);
-  PROM_CHECK(static_cast<idx>(x_local.size()) == local_.nrows);
-  PROM_CHECK(static_cast<idx>(y_local.size()) == n_own_cols);
-
-  // Local A^T x over the extended column space; ghost contributions then
-  // travel the plan's reverse path back to their owners. Every owned
-  // entry of y_local is overwritten by the copy, so no zero-fill.
-  local_.spmv_transpose(x_local, y_ext_);
-  plan_.reverse_post(comm, y_ext_);
-  for (idx c = 0; c < n_own_cols; ++c) y_local[c] = y_ext_[c];
-  plan_.reverse_accumulate(comm, y_local);
-}
-
 void DistCsr::spmm(parx::Comm& comm, const la::MultiVec& x_local,
                    la::MultiVec& y_local) const {
   const idx n_own = cols_.local_size(rank_);
@@ -299,8 +235,10 @@ void DistCsr::spmm_transpose(parx::Comm& comm, const la::MultiVec& x_local,
     y_ext_mv_.resize(local_.ncols, k);
   }
 
-  // Per-column local transpose (already deterministic), then ONE blocked
-  // reverse exchange ships every column's ghost contributions per peer.
+  // Per-column local transpose over the extended column space (already
+  // deterministic), then ONE blocked reverse exchange ships every
+  // column's ghost contributions per peer. Every owned entry of y_local
+  // is overwritten by the copy, so no zero-fill.
   for (int j = 0; j < k; ++j) {
     local_.spmv_transpose(x_local.col(j), y_ext_mv_.col(j));
   }

@@ -66,35 +66,23 @@ class DistCsr {
   /// The exchange plan (persistent staging; see dla/halo.h).
   const HaloPlan& halo_plan() const { return plan_; }
 
-  /// y_local = A x (x given as the local block of the distributed input);
-  /// performs the ghost exchange, overlapping it with the interior rows
-  /// under HaloMode::kOverlap. Collective.
-  void spmv(parx::Comm& comm, std::span<const real> x_local,
-            std::span<real> y_local) const;
-
-  /// r_local = b - A x, fused (same bits as spmv + subtraction, see
-  /// la/backend.h). Collective.
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local, std::span<real> r_local) const;
-
-  /// y_local = A^T x distributed: each rank computes its rows' scatter
-  /// contributions and ships them to the owners of the output (used for
-  /// prolongation when only R is stored). Collective.
-  void spmv_transpose(parx::Comm& comm, std::span<const real> x_local,
-                      std::span<real> y_local) const;
-
-  /// Column-blocked spmv: one ghost exchange (one message per peer
-  /// carrying all k columns) and one matrix pass serve every column;
-  /// column j is bitwise identical to `spmv` on that column. Collective.
+  /// Y_local = A X on the local blocks of k distributed vectors: one ghost
+  /// exchange (one message per peer carrying all k columns) and one matrix
+  /// pass serve every column, overlapped with the interior rows under
+  /// HaloMode::kOverlap. Column j is bitwise the k = 1 call on that
+  /// column; a single vector is a one-column block. Collective.
   void spmm(parx::Comm& comm, const la::MultiVec& x_local,
             la::MultiVec& y_local) const;
 
-  /// Column-blocked fused residual. Collective.
+  /// R_local = B - A X, fused (same bits as spmm + subtraction, see
+  /// la/backend.h). Collective.
   void residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
                    const la::MultiVec& x_local, la::MultiVec& r_local) const;
 
-  /// Column-blocked spmv_transpose (one reverse message per peer carrying
-  /// all k columns). Collective.
+  /// Y_local = A^T X distributed: each rank computes its rows' scatter
+  /// contributions and ships them to the owners of the output in one
+  /// reverse message per peer carrying all k columns (prolongation when
+  /// only R is stored). Collective.
   void spmm_transpose(parx::Comm& comm, const la::MultiVec& x_local,
                       la::MultiVec& y_local) const;
 
@@ -121,15 +109,12 @@ class DistCsr {
   HaloPlan plan_;                 // ghost exchange (forward + reverse)
   std::vector<idx> interior_rows_;  // rows referencing no ghost column
   std::vector<idx> boundary_rows_;  // the rest
-  // Persistent [owned | ghost] work vectors: the owned prefix is rewritten
+  // Persistent [owned | ghost] work blocks, reshaped lazily (no allocation
+  // once the widest block has been seen): the owned prefix is rewritten
   // on every call and every ghost slot belongs to exactly one peer's recv
-  // segment, so no per-call zero-fill or allocation is needed.
-  mutable std::vector<real> x_ext_;
-  mutable std::vector<real> y_ext_;  // spmv_transpose scratch
-  // Blocked counterparts, reshaped lazily (no allocation once the widest
-  // block has been seen; same rewrite invariants as the scalar buffers).
+  // segment, so no per-call zero-fill is needed.
   mutable la::MultiVec x_ext_mv_;
-  mutable la::MultiVec y_ext_mv_;
+  mutable la::MultiVec y_ext_mv_;  // spmm_transpose scratch
 };
 
 }  // namespace prom::dla

@@ -1,7 +1,10 @@
-// Distributed preconditioned conjugate gradient over parx: literally the
-// same implementation as la::pcg (la::pcg_any), instantiated with the
-// ParxBackend so reductions allreduce and operator application is the
-// distributed SpMV — the paper's solve phase.
+// Distributed Krylov solvers over parx: literally the same implementations
+// as the serial ones (la/krylov_any.h), instantiated with the ParxBackend
+// so reductions allreduce and operator application is the distributed
+// SpMM — the paper's solve phase. Distributed operators are k-column
+// only; PCG runs blocked (la::pcg_multi_any), and the single-vector GMRES
+// and BiCGStab reach an operator through DistOperator::apply, which runs
+// it on a one-column block.
 #pragma once
 
 #include <span>
@@ -13,41 +16,28 @@
 
 namespace prom::dla {
 
-/// A distributed linear operator: applies to the local block of a
-/// distributed vector; implementations communicate internally.
+/// A distributed linear operator on the local blocks of k distributed
+/// vectors; implementations communicate internally.
 class DistOperator {
  public:
   virtual ~DistOperator() = default;
   virtual idx local_n() const = 0;
-  virtual void apply(parx::Comm& comm, std::span<const real> x_local,
-                     std::span<real> y_local) const = 0;
-  /// Column-blocked apply on the local blocks of k distributed vectors;
-  /// column j is bitwise identical to `apply` on that column. Overridden
-  /// by operators whose exchange can carry all columns in one message per
-  /// peer; the default applies column by column. Collective.
+  /// Y_local = Op X_local: one exchange per peer carries all k columns,
+  /// and column j is bitwise the k = 1 call on that column. Collective.
   virtual void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
-                        la::MultiVec& y_local) const {
-    for (int j = 0; j < x_local.cols(); ++j) {
-      apply(comm, x_local.col(j), y_local.col(j));
-    }
-  }
+                        la::MultiVec& y_local) const = 0;
+  /// The one-column adapter: y_local = Op x_local through apply_mv on a
+  /// one-column block (what ParxBackend::apply calls). Collective.
+  void apply(parx::Comm& comm, std::span<const real> x_local,
+             std::span<real> y_local) const;
 };
 
 /// Adapter for a square DistCsr, with the fused residual the ParxBackend
-/// picks up (bitwise equal to apply + waxpby, see la/backend.h).
+/// picks up (bitwise equal to apply_mv + waxpby, see la/backend.h).
 class DistCsrOperator final : public DistOperator {
  public:
   explicit DistCsrOperator(const DistCsr& a) : a_(&a) {}
   idx local_n() const override { return a_->local_rows(); }
-  void apply(parx::Comm& comm, std::span<const real> x_local,
-             std::span<real> y_local) const override {
-    a_->spmv(comm, x_local, y_local);
-  }
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local,
-                std::span<real> r_local) const {
-    a_->residual(comm, b_local, x_local, r_local);
-  }
   void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
                 la::MultiVec& y_local) const override {
     a_->spmm(comm, x_local, y_local);
@@ -61,17 +51,10 @@ class DistCsrOperator final : public DistOperator {
   const DistCsr* a_;
 };
 
-/// Distributed (P)CG; `m` may be null for plain CG. Collective; every rank
-/// receives the same KrylovResult.
-la::KrylovResult dist_pcg(parx::Comm& comm, const DistOperator& a,
-                          const DistOperator* m, std::span<const real> b_local,
-                          std::span<real> x_local,
-                          const la::KrylovOptions& opts = {});
-
-/// Column-blocked distributed PCG: one exchange per operator application
-/// serves all k right-hand sides; column j of the result is bitwise
-/// identical to `dist_pcg` on that column alone. Collective; every rank
-/// receives the same results.
+/// Distributed (P)CG for k right-hand sides; `m` may be null for plain CG.
+/// One exchange per operator application serves all k columns, and column
+/// j of the result is bitwise the k = 1 call on that column alone.
+/// Collective; every rank receives the same results.
 std::vector<la::KrylovResult> dist_pcg_multi(
     parx::Comm& comm, const DistOperator& a, const DistOperator* m,
     const la::MultiVec& b_local, la::MultiVec& x_local,

@@ -16,7 +16,7 @@ DistMf DistMf::build(parx::Comm& comm, const MfProblem& prob,
   const idx c0 = cols.begin(rank);
   const idx n_own = cols.local_size(rank);
   // The operator is square on the fine level; rows and columns must share
-  // one distribution for the owned-prefix copy in spmv to be the identity.
+  // one distribution for the owned-prefix copy in spmm to be the identity.
   PROM_CHECK(a.row_dist().begin(rank) == c0 && a.local_rows() == n_own);
   PROM_CHECK(static_cast<idx>(perm.size()) == cols.global_size());
 
@@ -71,58 +71,7 @@ DistMf DistMf::build(parx::Comm& comm, const MfProblem& prob,
         const idx slot = slot_of(g);
         return {slot, slot < n_own ? slot : kInvalidIdx};
       });
-  mf.x_ext_.assign(static_cast<std::size_t>(n_own) + a.num_ghosts(), 0);
   return mf;
-}
-
-void DistMf::spmv(parx::Comm& comm, std::span<const real> x_local,
-                  std::span<real> y_local) const {
-  PROM_CHECK(static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(y_local.size()) == nlocal_);
-  const obs::Span apply_span("mf.apply");
-
-  const HaloPlan& plan = a_->halo_plan();
-  plan.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_, 0, core_.num_interior_batches());
-    }
-    plan.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    core_.pass_a(x_ext_, core_.num_interior_batches(), core_.num_batches());
-  } else {
-    plan.finish_rank_order(comm, x_ext_);
-    core_.pass_a(x_ext_, 0, core_.num_batches());
-  }
-  core_.pass_b_apply(y_local);
-}
-
-void DistMf::residual(parx::Comm& comm, std::span<const real> b_local,
-                      std::span<const real> x_local,
-                      std::span<real> r_local) const {
-  PROM_CHECK(static_cast<idx>(x_local.size()) == nlocal_ &&
-             static_cast<idx>(b_local.size()) == nlocal_ &&
-             static_cast<idx>(r_local.size()) == nlocal_);
-  const obs::Span apply_span("mf.apply");
-
-  const HaloPlan& plan = a_->halo_plan();
-  plan.post(comm, x_local);
-  std::copy(x_local.begin(), x_local.end(), x_ext_.begin());
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_, 0, core_.num_interior_batches());
-    }
-    plan.finish(comm, x_ext_);
-    const obs::Span span("halo.boundary");
-    core_.pass_a(x_ext_, core_.num_interior_batches(), core_.num_batches());
-  } else {
-    plan.finish_rank_order(comm, x_ext_);
-    core_.pass_a(x_ext_, 0, core_.num_batches());
-  }
-  core_.pass_b_residual(b_local, r_local);
 }
 
 void DistMf::spmm(parx::Comm& comm, const la::MultiVec& x_local,

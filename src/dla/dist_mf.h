@@ -8,10 +8,11 @@
 // the non-owned free dofs of the rank's relevant elements, so no second
 // exchange plan is needed.
 //
-// Overlap schedule (PROM_HALO=overlap): Pass A runs on the interior
-// element batches (no ghost gather slots) while the halo is in flight,
-// then on the boundary batches once it lands; Pass B accumulates each
-// owned row's element contributions in ascending global element order.
+// Overlap schedule (PROM_HALO=overlap): Pass A of the first column runs
+// on the interior element batches (no ghost gather slots) while the halo
+// is in flight, then on the boundary batches once it lands; Pass B
+// accumulates each owned row's element contributions in ascending global
+// element order.
 // Per-element forces are pure per-lane functions and the accumulation
 // order is a function of the mesh alone, so the distributed apply matches
 // the serial matrix-free apply bitwise per owned row at any rank count,
@@ -51,23 +52,15 @@ class DistMf {
   idx local_rows() const { return nlocal_; }
   const fem::MfCore& core() const { return core_; }
 
-  /// y_local = K_ff x on owned rows. Collective.
-  void spmv(parx::Comm& comm, std::span<const real> x_local,
-            std::span<real> y_local) const;
-
-  /// r_local = b - K_ff x, fused. Collective.
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local, std::span<real> r_local) const;
-
-  /// Column-blocked spmv: one ghost exchange (one message per peer
-  /// carrying all k columns) serves every column; the element passes run
-  /// column by column (one per-element force buffer), with column 0
-  /// overlapped against the exchange. Column j bitwise equals `spmv` on
-  /// that column. Collective.
+  /// Y_local = K_ff X on owned rows: one ghost exchange (one message per
+  /// peer carrying all k columns) serves every column; the element passes
+  /// run column by column (one per-element force buffer), with column 0
+  /// overlapped against the exchange. Column j is bitwise the k = 1 call
+  /// on that column. Collective.
   void spmm(parx::Comm& comm, const la::MultiVec& x_local,
             la::MultiVec& y_local) const;
 
-  /// Column-blocked fused residual. Collective.
+  /// R_local = B - K_ff X, fused. Collective.
   void residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
                    const la::MultiVec& x_local, la::MultiVec& r_local) const;
 
@@ -75,8 +68,7 @@ class DistMf {
   idx nlocal_ = 0;
   const DistCsr* a_ = nullptr;  // layout + halo plan donor
   fem::MfCore core_;
-  mutable std::vector<real> x_ext_;  // [owned | ghost] gather space
-  mutable la::MultiVec x_ext_mv_;    // blocked counterpart
+  mutable la::MultiVec x_ext_mv_;  // [owned | ghost] gather space
 };
 
 /// DistOperator adapter with the fused residual the ParxBackend picks up.
@@ -84,15 +76,6 @@ class DistMfOperator final : public DistOperator {
  public:
   explicit DistMfOperator(const DistMf& a) : a_(&a) {}
   idx local_n() const override { return a_->local_rows(); }
-  void apply(parx::Comm& comm, std::span<const real> x_local,
-             std::span<real> y_local) const override {
-    a_->spmv(comm, x_local, y_local);
-  }
-  void residual(parx::Comm& comm, std::span<const real> b_local,
-                std::span<const real> x_local,
-                std::span<real> r_local) const {
-    a_->residual(comm, b_local, x_local, r_local);
-  }
   void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
                 la::MultiVec& y_local) const override {
     a_->spmm(comm, x_local, y_local);

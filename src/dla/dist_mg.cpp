@@ -100,9 +100,10 @@ RowDist agglom_rowdist(const std::vector<idx>& free_dofs,
   return RowDist{std::move(off)};
 }
 
-/// Adapts the distributed hierarchy to the generic cycle templates
+/// Adapts the distributed hierarchy to the k-column cycle templates
 /// (mg/cycle_any.h): the one V-cycle / FMG implementation runs on local
-/// blocks, and only these level operations communicate.
+/// blocks, and only these level operations communicate. Column j of each
+/// operation is bitwise the k = 1 operation on that column.
 struct DistCycleView {
   parx::Comm* comm;
   const DistHierarchy* h;
@@ -118,59 +119,9 @@ struct DistCycleView {
   bool level_inactive(int l) const {
     return comm->rank() >= h->active_ranks(l);
   }
-  void smooth(int l, std::span<const real> b, std::span<real> x) const {
-    h->level(l).smooth(*comm, b, x);
+  mg::CycleScratch& scratch(int l) const {
+    return h->level(l).cycle_scratch;
   }
-  void apply_a(int l, std::span<const real> x, std::span<real> y) const {
-    const DistMgLevel& lv = h->level(l);
-    if (lv.a_mf != nullptr) {
-      lv.a_mf->spmv(*comm, x, y);
-    } else if (lv.a_bsr != nullptr) {
-      lv.a_bsr->spmv(*comm, x, y);
-    } else {
-      lv.a.spmv(*comm, x, y);
-    }
-  }
-  void restrict_to(int l, std::span<const real> xf, std::span<real> xc) const {
-    h->level(l).r.spmv(*comm, xf, xc);
-  }
-  void prolong(int l, std::span<const real> xc, std::span<real> xf) const {
-    h->level(l).r.spmv_transpose(*comm, xc, xf);
-  }
-  void coarse_solve(std::span<const real> b, std::span<real> x) const {
-    const int nl = h->num_levels();
-    const DistMgLevel& lv = h->level(nl - 1);
-    if (lv.direct != nullptr || lv.direct_lu != nullptr) {
-      // Redundant coarse solve: gather, factor-solve locally, keep my
-      // slice (§5 — the coarsest problem is constant-size). When the
-      // coarsest level is agglomerated, only its active ranks reach this
-      // point (the cycle skips idle ranks), so the gather collective must
-      // run over the active subset alone.
-      const int active = h->active_ranks(nl - 1);
-      std::vector<real> b_full;
-      if (active < comm->size()) {
-        parx::Comm sub = active_subcomm(*comm, active);
-        b_full =
-            dist_gather_all(sub, active_rowdist(lv.a.row_dist(), active), b);
-      } else {
-        b_full = dist_gather_all(*comm, lv.a.row_dist(), b);
-      }
-      std::vector<real> x_full(b_full.size());
-      if (lv.direct != nullptr) {
-        lv.direct->solve(b_full, x_full);
-      } else {
-        lv.direct_lu->solve(b_full, x_full);
-      }
-      const idx b0 = lv.a.row_dist().begin(comm->rank());
-      for (idx i = 0; i < lv.local_n(); ++i) x[i] = x_full[b0 + i];
-    } else {
-      // Single-level hierarchy: a few smoothing steps stand in.
-      for (int s = 0; s < 4; ++s) lv.smooth(*comm, b, x);
-    }
-  }
-
-  // Column-blocked level operations (MultiCycleView); column j bitwise
-  // equals the scalar operation on that column.
   void smooth_mv(int l, const la::MultiVec& b, la::MultiVec& x) const {
     h->level(l).smooth_mv(*comm, b, x);
   }
@@ -194,9 +145,13 @@ struct DistCycleView {
     const int nl = h->num_levels();
     const DistMgLevel& lv = h->level(nl - 1);
     if (lv.direct != nullptr || lv.direct_lu != nullptr) {
-      // One allgatherv carries every column; the factor-solve is local.
-      // The LDL^T factor solves all columns in one blocked call, the LU
-      // one column at a time. Same active-subset rule as the scalar path.
+      // Redundant coarse solve (§5 — the coarsest problem is
+      // constant-size): one allgatherv carries every column, the
+      // factor-solve is local, and each rank keeps its slice. The LDL^T
+      // factor solves all columns in one blocked call, the LU one column
+      // at a time. When the coarsest level is agglomerated, only its
+      // active ranks reach this point (the cycle skips idle ranks), so the
+      // gather collective must run over the active subset alone.
       const int active = h->active_ranks(nl - 1);
       la::MultiVec b_full;
       if (active < comm->size()) {
@@ -221,38 +176,14 @@ struct DistCycleView {
         for (idx i = 0; i < lv.local_n(); ++i) xj[i] = fj[b0 + i];
       }
     } else {
+      // Single-level hierarchy: a few smoothing steps stand in.
       for (int s = 0; s < 4; ++s) lv.smooth_mv(*comm, b, x);
     }
   }
 };
 
-}  // namespace
-
-namespace {
-
 /// Smoother dispatch over the operator view: the sweeps are generic in
 /// the operator, so the CSR and node-block paths share one body.
-template <class Op>
-void smooth_with(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
-                 std::span<const real> b_local, std::span<real> x_local) {
-  const ParxBackend be{&comm};
-  switch (lv.kind) {
-    case mg::SmootherKind::kJacobi:
-      la::jacobi_sweep(be, op, lv.inv_diag, lv.omega, b_local, x_local);
-      break;
-    case mg::SmootherKind::kChebyshev:
-      la::chebyshev_sweep(be, op, lv.inv_diag, lv.cheby_degree, lv.cheby_lmin,
-                          lv.cheby_lmax, b_local, x_local);
-      break;
-    default:
-      la::block_jacobi_sweep(be, op, lv.blocks, lv.factors, lv.omega, b_local,
-                             x_local);
-      break;
-  }
-}
-
-/// Column-blocked smoother dispatch; same structure as smooth_with over
-/// the mv sweeps.
 template <class Op>
 void smooth_with_mv(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
                     const la::MultiVec& b_local, la::MultiVec& x_local) {
@@ -272,35 +203,33 @@ void smooth_with_mv(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
   }
 }
 
+/// The level-0 operator the solve runs in `format`; the hierarchy must
+/// have been built with that format.
+std::unique_ptr<DistOperator> fine_operator(const DistHierarchy& h,
+                                            mg::MatrixFormat format) {
+  const DistMgLevel& l0 = h.level(0);
+  if (format == mg::MatrixFormat::kBsr3) {
+    PROM_CHECK_MSG(l0.a_bsr != nullptr,
+                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
+    return std::make_unique<DistBsrOperator>(*l0.a_bsr);
+  }
+  if (format == mg::MatrixFormat::kMf) {
+    PROM_CHECK_MSG(l0.a_mf != nullptr,
+                   "MatrixFormat::kMf requires a hierarchy built with it");
+    return std::make_unique<DistMfOperator>(*l0.a_mf);
+  }
+  return std::make_unique<DistCsrOperator>(l0.a);
+}
+
 }  // namespace
 
-void DistMgLevel::smooth(parx::Comm& comm, std::span<const real> b_local,
-                         std::span<real> x_local) const {
+void DistMgLevel::smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
+                            la::MultiVec& x_local) const {
   if (smooth_masked) {
     // Local smoothing (adaptive refinement levels): the full collective
     // sweep runs on a scratch copy — same exchanges on every rank, since
     // the masked flag is a level property, not a rank property — and only
     // the refined-region rows this rank owns take the update.
-    std::vector<real> tmp(x_local.begin(), x_local.end());
-    smooth_full(comm, b_local, tmp);
-    for (idx i : smooth_rows_local) x_local[i] = tmp[i];
-    return;
-  }
-  smooth_full(comm, b_local, x_local);
-}
-
-void DistMgLevel::smooth_full(parx::Comm& comm, std::span<const real> b_local,
-                              std::span<real> x_local) const {
-  if (a_bsr != nullptr) {
-    smooth_with(*this, comm, DistBsrOperator(*a_bsr), b_local, x_local);
-  } else {
-    smooth_with(*this, comm, DistCsrOperator(a), b_local, x_local);
-  }
-}
-
-void DistMgLevel::smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                            la::MultiVec& x_local) const {
-  if (smooth_masked) {
     la::MultiVec tmp = x_local;
     smooth_full_mv(comm, b_local, tmp);
     for (int j = 0; j < x_local.cols(); ++j) {
@@ -531,19 +460,15 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
 }
 
 void dist_vcycle(parx::Comm& comm, const DistHierarchy& h, int level,
-                 std::span<const real> b_local, std::span<real> x_local) {
-  mg::vcycle_any(DistCycleView{&comm, &h}, level, b_local, x_local);
+                 const la::MultiVec& b_local, la::MultiVec& x_local) {
+  mg::vcycle_any_mv(DistCycleView{&comm, &h}, level, b_local, x_local);
 }
 
-std::vector<real> dist_fmg_cycle(parx::Comm& comm, const DistHierarchy& h,
-                                 std::span<const real> b_local) {
-  return mg::fmg_any(DistCycleView{&comm, &h}, b_local);
-}
-
-void DistMgPreconditioner::apply(parx::Comm& comm,
-                                 std::span<const real> x_local,
-                                 std::span<real> y_local) const {
-  mg::apply_cycle(DistCycleView{&comm, h_}, kind_, x_local, y_local);
+la::MultiVec dist_fmg_cycle(parx::Comm& comm, const DistHierarchy& h,
+                            const la::MultiVec& b_local) {
+  la::MultiVec x(b_local.rows(), b_local.cols());
+  mg::fmg_any_mv(DistCycleView{&comm, &h}, b_local, x);
+  return x;
 }
 
 void DistMgPreconditioner::apply_mv(parx::Comm& comm,
@@ -552,70 +477,14 @@ void DistMgPreconditioner::apply_mv(parx::Comm& comm,
   mg::apply_cycle_mv(DistCycleView{&comm, h_}, kind_, x_local, y_local);
 }
 
-la::KrylovResult dist_mg_pcg_solve(parx::Comm& comm, const DistHierarchy& h,
-                                   std::span<const real> b_local,
-                                   std::span<real> x_local,
-                                   const mg::MgSolveOptions& opts) {
-  const DistMgPreconditioner precond(h, opts.cycle);
-  if (opts.format == mg::MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
-    const DistBsrOperator a(*h.level(0).a_bsr);
-    return dist_pcg(comm, a, &precond, b_local, x_local,
-                    mg::to_krylov_options(opts));
-  }
-  if (opts.format == mg::MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires a hierarchy built with it");
-    const DistMfOperator a(*h.level(0).a_mf);
-    return dist_pcg(comm, a, &precond, b_local, x_local,
-                    mg::to_krylov_options(opts));
-  }
-  const DistCsrOperator a(h.level(0).a);
-  return dist_pcg(comm, a, &precond, b_local, x_local,
-                  mg::to_krylov_options(opts));
-}
-
 std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
     parx::Comm& comm, const DistHierarchy& h, const la::MultiVec& b_local,
     la::MultiVec& x_local, const mg::MgSolveOptions& opts,
     la::KrylovWorkspace* ws) {
   const DistMgPreconditioner precond(h, opts.cycle);
-  if (opts.format == mg::MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
-    const DistBsrOperator a(*h.level(0).a_bsr);
-    return dist_pcg_multi(comm, a, &precond, b_local, x_local,
-                          mg::to_krylov_options(opts), ws);
-  }
-  if (opts.format == mg::MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires a hierarchy built with it");
-    const DistMfOperator a(*h.level(0).a_mf);
-    return dist_pcg_multi(comm, a, &precond, b_local, x_local,
-                          mg::to_krylov_options(opts), ws);
-  }
-  const DistCsrOperator a(h.level(0).a);
-  return dist_pcg_multi(comm, a, &precond, b_local, x_local,
-                        mg::to_krylov_options(opts), ws);
+  return dist_pcg_multi(comm, *fine_operator(h, opts.format), &precond,
+                        b_local, x_local, mg::to_krylov_options(opts), ws);
 }
-
-namespace {
-
-la::KrylovResult run_nonsym(parx::Comm& comm, const DistOperator& a,
-                            const DistOperator& precond,
-                            std::span<const real> b_local,
-                            std::span<real> x_local,
-                            const mg::MgSolveOptions& opts) {
-  if (opts.krylov == la::KrylovKind::kGmres) {
-    return dist_gmres(comm, a, &precond, b_local, x_local,
-                      mg::to_gmres_options(opts));
-  }
-  return dist_bicgstab(comm, a, &precond, b_local, x_local,
-                       mg::to_krylov_options(opts));
-}
-
-}  // namespace
 
 la::KrylovResult dist_mg_krylov_solve(parx::Comm& comm,
                                       const DistHierarchy& h,
@@ -623,23 +492,23 @@ la::KrylovResult dist_mg_krylov_solve(parx::Comm& comm,
                                       std::span<real> x_local,
                                       const mg::MgSolveOptions& opts) {
   if (opts.krylov == la::KrylovKind::kPcg) {
-    return dist_mg_pcg_solve(comm, h, b_local, x_local, opts);
+    // A one-column block; x_local holds the initial guess on entry.
+    const idx n = static_cast<idx>(b_local.size());
+    la::MultiVec b(n, 1), x(n, 1);
+    std::copy(b_local.begin(), b_local.end(), b.col_data(0));
+    std::copy(x_local.begin(), x_local.end(), x.col_data(0));
+    const la::KrylovResult res = dist_mg_pcg_solve_mv(comm, h, b, x, opts)[0];
+    std::copy(x.col(0).begin(), x.col(0).end(), x_local.begin());
+    return res;
   }
   const DistMgPreconditioner precond(h, opts.cycle);
-  if (opts.format == mg::MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(h.level(0).a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
-    const DistBsrOperator a(*h.level(0).a_bsr);
-    return run_nonsym(comm, a, precond, b_local, x_local, opts);
+  const std::unique_ptr<DistOperator> a = fine_operator(h, opts.format);
+  if (opts.krylov == la::KrylovKind::kGmres) {
+    return dist_gmres(comm, *a, &precond, b_local, x_local,
+                      mg::to_gmres_options(opts));
   }
-  if (opts.format == mg::MatrixFormat::kMf) {
-    PROM_CHECK_MSG(h.level(0).a_mf != nullptr,
-                   "MatrixFormat::kMf requires a hierarchy built with it");
-    const DistMfOperator a(*h.level(0).a_mf);
-    return run_nonsym(comm, a, precond, b_local, x_local, opts);
-  }
-  const DistCsrOperator a(h.level(0).a);
-  return run_nonsym(comm, a, precond, b_local, x_local, opts);
+  return dist_bicgstab(comm, *a, &precond, b_local, x_local,
+                       mg::to_krylov_options(opts));
 }
 
 }  // namespace prom::dla

@@ -10,9 +10,11 @@
 // every rank (§5). Per-rank setup work scales with local rows: no rank
 // constructs a global-size operator at any level but the coarsest.
 //
-// The cycles and PCG are the single backend-generic implementations
+// The cycles and PCG are the backend-generic k-column implementations
 // (mg/cycle_any.h, la/krylov_any.h) instantiated with ParxBackend — this
-// file adds only the CycleView adapter and the level data.
+// file adds only the MultiCycleView adapter and the level data. Every
+// solve path here is k-column; a single right-hand side is a one-column
+// block.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "dla/dist_krylov.h"
 #include "dla/dist_mf.h"
 #include "la/dense.h"
+#include "mg/cycle_any.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
 
@@ -44,9 +47,9 @@ struct DistMgLevel {
   DistCsr a;   ///< level operator (square, row/col dist identical)
   DistCsr r;   ///< restriction from the finer level (empty on level 0)
   /// Node-block (BAIJ) view of `a`, built when the hierarchy is
-  /// constructed with mg::MatrixFormat::kBsr3; the solve phase (SpMV
+  /// constructed with mg::MatrixFormat::kBsr3; the solve phase (SpMM
   /// inside smoothers, cycles, and PCG) then ships whole node blocks in
-  /// the ghost exchange. Null in the scalar configuration. The matrix
+  /// the ghost exchange. Null in the CSR configuration. The matrix
   /// *setup* (Galerkin chain) stays CSR either way, so both formats see
   /// bit-identical operators.
   std::unique_ptr<DistBsr> a_bsr;
@@ -85,21 +88,21 @@ struct DistMgLevel {
   bool smooth_masked = false;
   std::vector<idx> smooth_rows_local;
 
+  /// The cycle temporaries of this level (mg::CycleScratch), kept across
+  /// cycles so a repeat solve allocates none; they live as long as the
+  /// hierarchy. Like the operators' exchange staging, they make one
+  /// DistMgLevel usable by one solve at a time.
+  mutable mg::CycleScratch cycle_scratch;
+
   idx local_n() const { return a.local_rows(); }
 
-  /// One smoothing step of the configured kind (collective).
-  void smooth(parx::Comm& comm, std::span<const real> b_local,
-              std::span<real> x_local) const;
-
-  /// Column-blocked smoothing step: one exchange per operator application
-  /// serves all k columns; column j bitwise equals `smooth` on that
-  /// column. Collective.
+  /// One smoothing step of the configured kind on k columns: one exchange
+  /// per operator application serves all of them, and column j is bitwise
+  /// the k = 1 step on that column. Collective.
   void smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
                  la::MultiVec& x_local) const;
 
  private:
-  void smooth_full(parx::Comm& comm, std::span<const real> b_local,
-                   std::span<real> x_local) const;
   void smooth_full_mv(parx::Comm& comm, const la::MultiVec& b_local,
                       la::MultiVec& x_local) const;
 };
@@ -150,13 +153,15 @@ class DistHierarchy {
   std::int64_t galerkin_flops_ = 0;
 };
 
-/// One distributed V-cycle at `level` (collective).
+/// One distributed V-cycle at `level` on k columns, improving x_local in
+/// place (collective).
 void dist_vcycle(parx::Comm& comm, const DistHierarchy& h, int level,
-                 std::span<const real> b_local, std::span<real> x_local);
+                 const la::MultiVec& b_local, la::MultiVec& x_local);
 
-/// One distributed full-multigrid cycle from zero (collective).
-std::vector<real> dist_fmg_cycle(parx::Comm& comm, const DistHierarchy& h,
-                                 std::span<const real> b_local);
+/// One distributed full-multigrid cycle from zero on k columns
+/// (collective).
+la::MultiVec dist_fmg_cycle(parx::Comm& comm, const DistHierarchy& h,
+                            const la::MultiVec& b_local);
 
 /// The distributed FMG/V-cycle preconditioner.
 class DistMgPreconditioner final : public DistOperator {
@@ -164,8 +169,6 @@ class DistMgPreconditioner final : public DistOperator {
   DistMgPreconditioner(const DistHierarchy& h, mg::CycleKind kind)
       : h_(&h), kind_(kind) {}
   idx local_n() const override { return h_->level(0).local_n(); }
-  void apply(parx::Comm& comm, std::span<const real> x_local,
-             std::span<real> y_local) const override;
   void apply_mv(parx::Comm& comm, const la::MultiVec& x_local,
                 la::MultiVec& y_local) const override;
 
@@ -174,27 +177,21 @@ class DistMgPreconditioner final : public DistOperator {
   mg::CycleKind kind_;
 };
 
-/// Distributed MG-preconditioned CG (collective).
-la::KrylovResult dist_mg_pcg_solve(parx::Comm& comm, const DistHierarchy& h,
-                                   std::span<const real> b_local,
-                                   std::span<real> x_local,
-                                   const mg::MgSolveOptions& opts = {});
-
-/// Column-blocked distributed MG-PCG for k right-hand sides: every ghost
+/// Distributed MG-preconditioned CG for k right-hand sides: every ghost
 /// exchange ships one message per peer carrying all k columns, and column
-/// j of the result is bitwise identical to `dist_mg_pcg_solve` on that
-/// column alone (at any rank count, kernel-thread count, and halo mode).
-/// `ws` (optional, per rank) reuses the PCG work vectors across solves.
-/// Collective.
+/// j of the result is bitwise the k = 1 solve of that column alone (at any
+/// rank count, kernel-thread count, and halo mode). `ws` (optional, per
+/// rank) reuses the PCG work vectors across solves. Collective.
 std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
     parx::Comm& comm, const DistHierarchy& h, const la::MultiVec& b_local,
     la::MultiVec& x_local, const mg::MgSolveOptions& opts = {},
     la::KrylovWorkspace* ws = nullptr);
 
-/// Distributed MG-preconditioned solve with the Krylov driver selected by
-/// `opts.krylov` (PCG, GMRES(m), or BiCGStab — the latter two for
-/// non-symmetric operators, right-preconditioned with the same cycle).
-/// Collective; every rank receives the same KrylovResult.
+/// Distributed MG-preconditioned solve of one right-hand side with the
+/// Krylov driver selected by `opts.krylov`: PCG (dist_mg_pcg_solve_mv on a
+/// one-column block), or GMRES(m) / BiCGStab for non-symmetric operators,
+/// right-preconditioned with the same cycle. Collective; every rank
+/// receives the same KrylovResult.
 la::KrylovResult dist_mg_krylov_solve(parx::Comm& comm,
                                       const DistHierarchy& h,
                                       std::span<const real> b_local,

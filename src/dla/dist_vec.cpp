@@ -1,10 +1,8 @@
 #include "dla/dist_vec.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
-#include "la/vec.h"
 
 namespace prom::dla {
 
@@ -35,28 +33,6 @@ RowDist RowDist::from_sorted_owners(std::span<const idx> owner_of,
   }
   for (int r = 0; r < nranks; ++r) d.offsets[r + 1] += d.offsets[r];
   return d;
-}
-
-real dist_dot(parx::Comm& comm, std::span<const real> a,
-              std::span<const real> b) {
-  return comm.allreduce_sum(la::dot(a, b));
-}
-
-real dist_nrm2(parx::Comm& comm, std::span<const real> a) {
-  return std::sqrt(dist_dot(comm, a, a));
-}
-
-std::vector<real> dist_gather_all(parx::Comm& comm, const RowDist& dist,
-                                  std::span<const real> local) {
-  PROM_CHECK(static_cast<idx>(local.size()) == dist.local_size(comm.rank()));
-  const auto parts =
-      comm.allgatherv(std::vector<real>(local.begin(), local.end()));
-  std::vector<real> full(static_cast<std::size_t>(dist.global_size()));
-  for (int r = 0; r < dist.nranks(); ++r) {
-    PROM_CHECK(static_cast<idx>(parts[r].size()) == dist.local_size(r));
-    std::copy(parts[r].begin(), parts[r].end(), full.begin() + dist.begin(r));
-  }
-  return full;
 }
 
 la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,

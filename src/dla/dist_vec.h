@@ -1,8 +1,9 @@
 // Distributed (row-block) vectors over the parx runtime. A distributed
 // vector is owned in contiguous global index ranges described by a
 // RowDist; each rank holds only its local block. Reductions (dot, norm)
-// are allreduce operations — exactly the communication pattern whose cost
-// §6's communication efficiency measures.
+// are allreduce operations (ParxBackend, dla/parx_backend.h) — exactly
+// the communication pattern whose cost §6's communication efficiency
+// measures.
 #pragma once
 
 #include <span>
@@ -36,20 +37,9 @@ struct RowDist {
                                     int nranks);
 };
 
-/// <a, b> over the distributed vector (local chunks passed in).
-real dist_dot(parx::Comm& comm, std::span<const real> a,
-              std::span<const real> b);
-
-/// ||a||_2 over the distributed vector.
-real dist_nrm2(parx::Comm& comm, std::span<const real> a);
-
-/// Gathers a distributed vector to a full copy on every rank.
-std::vector<real> dist_gather_all(parx::Comm& comm, const RowDist& dist,
-                                  std::span<const real> local);
-
 /// Gathers k distributed vectors to full copies on every rank with a
 /// single allgatherv (each rank contributes its column-major local
-/// block). Column j bitwise equals dist_gather_all on that column.
+/// block).
 la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
                                 const la::MultiVec& local);
 

@@ -49,103 +49,7 @@ void HaloPlan::add_recv(int peer, std::vector<idx> slots) {
 
 void HaloPlan::finalize(int tag) {
   tag_ = tag;
-  send_buf_.resize(send_idx_.size());
-  recv_buf_.resize(recv_slots_.size());
   pending_.reserve(std::max(send_peers_.size(), recv_peers_.size()));
-}
-
-void HaloPlan::post(parx::Comm& comm, std::span<const real> x_local) const {
-  const obs::Span span("halo.post");
-  for (std::size_t k = 0; k < send_idx_.size(); ++k) {
-    const idx li = send_idx_[k];
-    send_buf_[k] = li == kInvalidIdx ? real{0} : x_local[li];
-  }
-  for (std::size_t p = 0; p < send_peers_.size(); ++p) {
-    comm.send<real>(send_peers_[p], tag_,
-                    std::span<const real>(send_buf_.data() + send_off_[p],
-                                          send_off_[p + 1] - send_off_[p]));
-  }
-}
-
-void HaloPlan::scatter(std::size_t peer, std::span<real> dst) const {
-  for (std::size_t k = recv_off_[peer]; k < recv_off_[peer + 1]; ++k) {
-    dst[recv_slots_[k]] = recv_buf_[k];
-  }
-}
-
-void HaloPlan::finish(parx::Comm& comm, std::span<real> dst) const {
-  const obs::Span span("halo.finish");
-  pending_.assign(recv_peers_.begin(), recv_peers_.end());
-  while (!pending_.empty()) {
-    const int src = comm.wait_any(pending_, tag_);
-    const std::size_t p = static_cast<std::size_t>(
-        std::find(recv_peers_.begin(), recv_peers_.end(), src) -
-        recv_peers_.begin());
-    comm.recv_into<real>(
-        src, tag_,
-        std::span<real>(recv_buf_.data() + recv_off_[p],
-                        recv_off_[p + 1] - recv_off_[p]));
-    scatter(p, dst);
-    pending_.erase(std::find(pending_.begin(), pending_.end(), src));
-  }
-}
-
-void HaloPlan::finish_rank_order(parx::Comm& comm, std::span<real> dst) const {
-  const obs::Span span("halo.finish");
-  for (std::size_t p = 0; p < recv_peers_.size(); ++p) {
-    comm.recv_into<real>(
-        recv_peers_[p], tag_,
-        std::span<real>(recv_buf_.data() + recv_off_[p],
-                        recv_off_[p + 1] - recv_off_[p]));
-    scatter(p, dst);
-  }
-}
-
-void HaloPlan::reverse_post(parx::Comm& comm, std::span<const real> src)
-    const {
-  const obs::Span span("halo.post");
-  for (std::size_t k = 0; k < recv_slots_.size(); ++k) {
-    recv_buf_[k] = src[recv_slots_[k]];
-  }
-  for (std::size_t p = 0; p < recv_peers_.size(); ++p) {
-    comm.send<real>(recv_peers_[p], tag_ + 1,
-                    std::span<const real>(recv_buf_.data() + recv_off_[p],
-                                          recv_off_[p + 1] - recv_off_[p]));
-  }
-}
-
-void HaloPlan::reverse_accumulate(parx::Comm& comm,
-                                  std::span<real> y_local) const {
-  const obs::Span span("halo.finish");
-  // Stage every reply first (arrival order under kOverlap); the
-  // accumulation below runs in registration order either way, so the
-  // result is independent of message timing.
-  if (halo_mode() == HaloMode::kOverlap) {
-    pending_.assign(send_peers_.begin(), send_peers_.end());
-    while (!pending_.empty()) {
-      const int src = comm.wait_any(pending_, tag_ + 1);
-      const std::size_t p = static_cast<std::size_t>(
-          std::find(send_peers_.begin(), send_peers_.end(), src) -
-          send_peers_.begin());
-      comm.recv_into<real>(
-          src, tag_ + 1,
-          std::span<real>(send_buf_.data() + send_off_[p],
-                          send_off_[p + 1] - send_off_[p]));
-      pending_.erase(std::find(pending_.begin(), pending_.end(), src));
-    }
-  } else {
-    for (std::size_t p = 0; p < send_peers_.size(); ++p) {
-      comm.recv_into<real>(
-          send_peers_[p], tag_ + 1,
-          std::span<real>(send_buf_.data() + send_off_[p],
-                          send_off_[p + 1] - send_off_[p]));
-    }
-  }
-  for (std::size_t k = 0; k < send_idx_.size(); ++k) {
-    const idx li = send_idx_[k];
-    if (li != kInvalidIdx) y_local[li] += send_buf_[k];
-  }
-  count_flops(static_cast<std::int64_t>(send_idx_.size()));
 }
 
 void HaloPlan::ensure_mv_staging(int k) const {
@@ -266,8 +170,9 @@ void HaloPlan::reverse_accumulate_mv(parx::Comm& comm,
           std::span<real>(send_buf_mv_.data() + send_off_[p] * k, cnt * k));
     }
   }
-  // Per column, accumulate in the scalar path's flattened order (peers in
-  // registration order, entries ascending within each peer).
+  // Per column, accumulate in the fixed flattened order (peers in
+  // registration order, entries ascending within each peer), so the sums
+  // do not depend on arrival order or on k.
   for (int j = 0; j < k; ++j) {
     real* yj = y_local.col_data(j);
     for (std::size_t p = 0; p < send_peers_.size(); ++p) {

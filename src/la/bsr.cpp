@@ -124,24 +124,6 @@ void Bsr<BS>::residual(std::span<const real> b, std::span<const real> x,
 }
 
 template <int BS>
-void Bsr<BS>::spmv_brows(std::span<const real> x, std::span<real> y,
-                         std::span<const idx> brows) const {
-  check_shapes(*this, x, y);
-  run_brows<BS, RowOut::kSet>(*this, one_col(x, y), 1, brows.data(),
-                              static_cast<idx>(brows.size()));
-}
-
-template <int BS>
-void Bsr<BS>::residual_brows(std::span<const real> b, std::span<const real> x,
-                             std::span<real> r,
-                             std::span<const idx> brows) const {
-  check_shapes(*this, x, r);
-  PROM_CHECK(static_cast<idx>(b.size()) == rows());
-  run_brows<BS, RowOut::kResidual>(*this, one_col(x, r, b), 1, brows.data(),
-                                   static_cast<idx>(brows.size()));
-}
-
-template <int BS>
 void Bsr<BS>::spmm(const MultiVec& x, MultiVec& y) const {
   check_mv_shapes(*this, x, y);
   run_brows<BS, RowOut::kSet>(*this, mv_cols(x, y), x.cols(), nullptr,

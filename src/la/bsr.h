@@ -55,16 +55,6 @@ struct Bsr {
   void residual(std::span<const real> b, std::span<const real> x,
                 std::span<real> r) const;
 
-  /// y = A x restricted to the listed block rows; other entries of y are
-  /// not touched. Each block row accumulates exactly as in spmv, so
-  /// splitting the block-row space across calls reproduces spmv's bits.
-  void spmv_brows(std::span<const real> x, std::span<real> y,
-                  std::span<const idx> brows) const;
-
-  /// r = b - A x restricted to the listed block rows.
-  void residual_brows(std::span<const real> b, std::span<const real> x,
-                      std::span<real> r, std::span<const idx> brows) const;
-
   /// Y = A X, column-blocked: each pass over the block structure feeds
   /// the accumulators of up to 4 columns, each in spmv's order (column j
   /// bitwise equals spmv on X.col(j)).
@@ -73,11 +63,13 @@ struct Bsr {
   /// R = B - A X, fused column-blocked residual.
   void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const;
 
-  /// Column-blocked spmv_brows (listed block rows only).
+  /// Y = A X restricted to the listed block rows; other entries of Y are
+  /// not touched. Each block row accumulates exactly as in spmm, so
+  /// splitting the block-row space across calls reproduces spmm's bits.
   void spmm_brows(const MultiVec& x, MultiVec& y,
                   std::span<const idx> brows) const;
 
-  /// Column-blocked residual_brows.
+  /// R = B - A X restricted to the listed block rows.
   void residual_mv_brows(const MultiVec& b, const MultiVec& x, MultiVec& r,
                          std::span<const idx> brows) const;
 

@@ -160,21 +160,6 @@ void Csr::residual(std::span<const real> b, std::span<const real> x,
   run_rows<RowOut::kResidual>(*this, one_col(x, r, b), 1, nullptr, nrows);
 }
 
-void Csr::spmv_rows(std::span<const real> x, std::span<real> y,
-                    std::span<const idx> rows) const {
-  check_shapes(*this, x, y);
-  run_rows<RowOut::kSet>(*this, one_col(x, y), 1, rows.data(),
-                         static_cast<idx>(rows.size()));
-}
-
-void Csr::residual_rows(std::span<const real> b, std::span<const real> x,
-                        std::span<real> r, std::span<const idx> rows) const {
-  check_shapes(*this, x, r);
-  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
-  run_rows<RowOut::kResidual>(*this, one_col(x, r, b), 1, rows.data(),
-                              static_cast<idx>(rows.size()));
-}
-
 void Csr::spmm(const MultiVec& x, MultiVec& y) const {
   check_mv_shapes(*this, x, y);
   run_rows<RowOut::kSet>(*this, mv_cols(x, y), x.cols(), nullptr, nrows);

@@ -50,16 +50,6 @@ struct Csr {
   void residual(std::span<const real> b, std::span<const real> x,
                 std::span<real> r) const;
 
-  /// y[i] = (A x)[i] for the listed rows only; other entries of y are not
-  /// touched. Each row accumulates exactly as in spmv, so splitting the
-  /// row space across calls reproduces spmv's bits.
-  void spmv_rows(std::span<const real> x, std::span<real> y,
-                 std::span<const idx> rows) const;
-
-  /// r[i] = b[i] - (A x)[i] for the listed rows only.
-  void residual_rows(std::span<const real> b, std::span<const real> x,
-                     std::span<real> r, std::span<const idx> rows) const;
-
   /// Y = A X, column-blocked. Each pass over the matrix serves up to 8
   /// columns; each column accumulates in exactly spmv's order, so column
   /// j of the result is bitwise identical to spmv on X.col(j).
@@ -69,11 +59,13 @@ struct Csr {
   /// `residual`).
   void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const;
 
-  /// Column-blocked spmv_rows: Y[i] = (A X)[i] for the listed rows only.
+  /// Y[i] = (A X)[i] for the listed rows only; other entries of Y are not
+  /// touched. Each row accumulates exactly as in spmm, so splitting the
+  /// row space across calls reproduces spmm's bits.
   void spmm_rows(const MultiVec& x, MultiVec& y,
                  std::span<const idx> rows) const;
 
-  /// Column-blocked residual_rows.
+  /// R[i] = B[i] - (A X)[i] for the listed rows only.
   void residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
                         std::span<const idx> rows) const;
 

@@ -2,7 +2,8 @@
 // right-preconditioned GMRES(m) and BiCGStab for non-symmetric ones — each
 // written exactly once as a template over an execution backend
 // (la/backend.h). la::cg / la::pcg / la::gmres / la::bicgstab instantiate
-// them with SerialBackend; dla::dist_pcg / dist_gmres / dist_bicgstab
+// them with SerialBackend; dla::dist_pcg_multi (the k-column PCG, one
+// right-hand side being a one-column block) / dist_gmres / dist_bicgstab
 // instantiate them with ParxBackend — same code, same stopping criterion
 // (`krylov_converged`), only the reductions differ.
 #pragma once
@@ -128,8 +129,8 @@ KrylovResult pcg_any(const B& be, const Op& a, const Op* m,
 /// matrix pass (apply_mv) and ghost exchange while keeping all per-column
 /// scalar recurrences separate. Column j runs exactly pcg_any's operation
 /// sequence on its own data — per-column dots/norms reduced individually,
-/// same update order — so it is bitwise identical to a standalone pcg_any
-/// solve of that RHS, at any kernel-thread count, serial or distributed.
+/// same update order — so it is bitwise the k = 1 solve of that RHS, at
+/// any kernel-thread count.
 ///
 /// Convergence masking: a column that converges (or breaks down) freezes —
 /// its scalar recurrences stop exactly where pcg_any would have stopped.

@@ -1,9 +1,11 @@
-// The single V-cycle / full-multigrid implementation, templated over a
-// CycleView — a thin adapter exposing one multigrid hierarchy's levels as
-// local-block operations. The serial mg::Hierarchy and the distributed
-// dla::DistHierarchy both provide a view, so Figure 1's algorithm exists
-// exactly once; only the level operations (smooth, SpMV, restriction,
-// coarse solve) know whether they communicate.
+// The V-cycle / full-multigrid implementation, templated over a view — a
+// thin adapter exposing one multigrid hierarchy's levels as local-block
+// operations; only the level operations (smooth, SpMV, restriction,
+// coarse solve) know whether they communicate. Two forms remain: the
+// single-vector CycleView templates, which only the serial mg::Hierarchy
+// runs, and the k-column MultiCycleView templates, which are the only
+// cycles of the distributed dla::DistHierarchy (a single right-hand side
+// is a one-column block there).
 #pragma once
 
 #include <algorithm>
@@ -132,7 +134,7 @@ std::vector<real> fmg_any(const V& h, std::span<const real> b) {
 }
 
 /// One cycle of the requested kind as a preconditioner application
-/// y = M^{-1} x (the MG-PCG preconditioner body on every backend).
+/// y = M^{-1} x (the serial MG-PCG preconditioner body).
 template <CycleView V>
 void apply_cycle(const V& h, CycleKind kind, std::span<const real> x,
                  std::span<real> y) {
@@ -145,23 +147,43 @@ void apply_cycle(const V& h, CycleKind kind, std::span<const real> x,
   }
 }
 
-/// Column-blocked extension of CycleView: the same level operations over
-/// k columns at once, column j bitwise identical to the scalar operation
-/// on that column.
-template <class V>
-concept MultiCycleView =
-    CycleView<V> && requires(const V& h, int l, const la::MultiVec& c,
-                             la::MultiVec& m) {
-      h.smooth_mv(l, c, m);
-      h.apply_a_mv(l, c, m);
-      h.restrict_to_mv(l, c, m);
-      h.prolong_mv(l, c, m);
-      h.coarse_solve_mv(c, m);
-    };
+/// Per-level temporaries of the k-column cycles below, owned by the
+/// hierarchy so repeat cycles allocate nothing: each is reshaped with
+/// MultiVec::resize, which zero-fills and never shrinks capacity. Level
+/// l's r and dx have level l's rows, rc and xc level l+1's (the restricted
+/// residual and the coarse correction); the FMG cycle keeps level l's
+/// right-hand side in b and its iterate in x (levels >= 1).
+struct CycleScratch {
+  la::MultiVec r, rc, xc, dx;
+  la::MultiVec b, x;
+};
 
-/// Column-blocked V-cycle: the scalar vcycle_any over k columns with one
-/// exchange per level operation; column j bitwise equals `vcycle_any` on
-/// that column (the per-column BLAS-1 updates run in the scalar order).
+/// What the k-column cycle templates require of a hierarchy view: the
+/// level operations over k columns at once, column j bitwise the k = 1
+/// operation on that column. All blocks are the local blocks of level
+/// vectors; `restrict_to_mv(l, xf, xc)` applies level l's restriction R_l
+/// to a level l-1 block, `prolong_mv(l, xc, xf)` applies R_l^T
+/// (overwrite), `coarse_solve_mv` solves on the coarsest level, and
+/// `scratch(l)` hands out level l's reusable temporaries.
+template <class V>
+concept MultiCycleView = requires(const V& h, int l, const la::MultiVec& c,
+                                  la::MultiVec& m) {
+  { h.num_levels() } -> std::convertible_to<int>;
+  { h.local_n(l) } -> std::convertible_to<idx>;
+  { h.pre_smooth() } -> std::convertible_to<int>;
+  { h.post_smooth() } -> std::convertible_to<int>;
+  { h.scratch(l) } -> std::same_as<CycleScratch&>;
+  h.smooth_mv(l, c, m);
+  h.apply_a_mv(l, c, m);
+  h.restrict_to_mv(l, c, m);
+  h.prolong_mv(l, c, m);
+  h.coarse_solve_mv(c, m);
+};
+
+/// Column-blocked V-cycle at `level` for A_level X = B, improving X in
+/// place, with one exchange per level operation. Column j is bitwise the
+/// k = 1 cycle on that column (the per-column BLAS-1 updates run in the
+/// single-vector order).
 template <MultiCycleView V>
 void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
                    la::MultiVec& x) {
@@ -169,7 +191,7 @@ void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
   PROM_CHECK(b.rows() == h.local_n(level) && x.rows() == h.local_n(level) &&
              x.cols() == k);
 
-  // Same agglomeration guard as the scalar vcycle_any.
+  // Same agglomeration guard as the single-vector vcycle_any.
   if constexpr (requires {
                   { h.level_inactive(level) } -> std::convertible_to<bool>;
                 }) {
@@ -187,31 +209,34 @@ void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
     for (int s = 0; s < h.pre_smooth(); ++s) h.smooth_mv(level, b, x);
   }
 
+  CycleScratch& ws = h.scratch(level);
+  const idx n = h.local_n(level);
+  const idx nc = h.local_n(level + 1);
   // Residual and its restriction.
-  la::MultiVec r(h.local_n(level), k);
+  ws.r.resize(n, k);
   {
     const obs::Span span("mg.residual", level);
-    h.apply_a_mv(level, x, r);
+    h.apply_a_mv(level, x, ws.r);
     for (int j = 0; j < k; ++j) {
-      la::waxpby(1, b.col(j), -1, r.col(j), r.col(j));
+      la::waxpby(1, b.col(j), -1, ws.r.col(j), ws.r.col(j));
     }
   }
-  la::MultiVec rc(h.local_n(level + 1), k);
+  ws.rc.resize(nc, k);
   {
     const obs::Span span("mg.restrict", level);
-    h.restrict_to_mv(level + 1, r, rc);
+    h.restrict_to_mv(level + 1, ws.r, ws.rc);
   }
 
-  // Coarse-grid correction.
-  la::MultiVec xc(h.local_n(level + 1), k);
-  vcycle_any_mv(h, level + 1, rc, xc);
+  // Coarse-grid correction from a zero start.
+  ws.xc.resize(nc, k);
+  vcycle_any_mv(h, level + 1, ws.rc, ws.xc);
 
   // Prolongate (R^T) and add.
   {
     const obs::Span span("mg.prolong", level);
-    la::MultiVec dx(h.local_n(level), k);
-    h.prolong_mv(level + 1, xc, dx);
-    for (int j = 0; j < k; ++j) la::axpy(1, dx.col(j), x.col(j));
+    ws.dx.resize(n, k);
+    h.prolong_mv(level + 1, ws.xc, ws.dx);
+    for (int j = 0; j < k; ++j) la::axpy(1, ws.dx.col(j), x.col(j));
   }
 
   {
@@ -220,52 +245,55 @@ void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
   }
 }
 
-/// Column-blocked full multigrid cycle; column j bitwise equals `fmg_any`
-/// on that column.
+/// Column-blocked full multigrid cycle for A_0 X = B from zero, written
+/// into x (level 0's shape); column j is bitwise the k = 1 cycle on that
+/// column.
 template <MultiCycleView V>
-la::MultiVec fmg_any_mv(const V& h, const la::MultiVec& b) {
+void fmg_any_mv(const V& h, const la::MultiVec& b, la::MultiVec& x) {
   const int nl = h.num_levels();
   const int k = b.cols();
+  PROM_CHECK(b.rows() == h.local_n(0) && x.rows() == h.local_n(0) &&
+             x.cols() == k);
+  // Level l's right-hand side and iterate: b and x themselves on level 0,
+  // the level's scratch below it.
+  const auto rhs = [&](int l) -> const la::MultiVec& {
+    return l == 0 ? b : h.scratch(l).b;
+  };
+  const auto iterate = [&](int l) -> la::MultiVec& {
+    return l == 0 ? x : h.scratch(l).x;
+  };
+
   // Restrict the right-hand side to every level.
-  std::vector<la::MultiVec> bs(static_cast<std::size_t>(nl));
-  bs[0].resize(b.rows(), k);
-  for (int j = 0; j < k; ++j) {
-    std::copy(b.col(j).begin(), b.col(j).end(), bs[0].col(j).begin());
-  }
   for (int l = 1; l < nl; ++l) {
     const obs::Span span("mg.restrict", l - 1);
-    bs[l].resize(h.local_n(l), k);
-    h.restrict_to_mv(l, bs[l - 1], bs[l]);
+    h.scratch(l).b.resize(h.local_n(l), k);
+    h.restrict_to_mv(l, rhs(l - 1), h.scratch(l).b);
   }
 
-  // Coarsest solve, then work upward: prolongate and V-cycle at each grid.
-  la::MultiVec x(h.local_n(nl - 1), k);
-  vcycle_any_mv(h, nl - 1, bs[nl - 1], x);
+  // Coarsest solve from a zero start, then work upward: prolongate and
+  // V-cycle at each grid.
+  iterate(nl - 1).resize(h.local_n(nl - 1), k);
+  vcycle_any_mv(h, nl - 1, rhs(nl - 1), iterate(nl - 1));
   for (int l = nl - 2; l >= 0; --l) {
-    la::MultiVec xf(h.local_n(l), k);
     {
       const obs::Span span("mg.prolong", l);
-      h.prolong_mv(l + 1, x, xf);
+      iterate(l).resize(h.local_n(l), k);
+      h.prolong_mv(l + 1, iterate(l + 1), iterate(l));
     }
-    x = std::move(xf);
-    vcycle_any_mv(h, l, bs[l], x);
+    vcycle_any_mv(h, l, rhs(l), iterate(l));
   }
-  return x;
 }
 
-/// Column-blocked preconditioner application; column j bitwise equals
-/// `apply_cycle` on that column.
+/// Column-blocked preconditioner application Y = M^{-1} X (the MG-PCG
+/// preconditioner body of the distributed solve); column j is bitwise the
+/// k = 1 application on that column.
 template <MultiCycleView V>
 void apply_cycle_mv(const V& h, CycleKind kind, const la::MultiVec& x,
                     la::MultiVec& y) {
-  const int k = x.cols();
   if (kind == CycleKind::kFmg) {
-    const la::MultiVec z = fmg_any_mv(h, x);
-    for (int j = 0; j < k; ++j) {
-      std::copy(z.col(j).begin(), z.col(j).end(), y.col(j).begin());
-    }
+    fmg_any_mv(h, x, y);
   } else {
-    for (int j = 0; j < k; ++j) {
+    for (int j = 0; j < x.cols(); ++j) {
       std::fill(y.col(j).begin(), y.col(j).end(), real{0});
     }
     vcycle_any_mv(h, 0, x, y);

@@ -62,7 +62,7 @@ la::KrylovResult NewtonDriver::solve_linear_distributed(
     std::vector<real> x_local(static_cast<std::size_t>(nloc), 0);
     for (idx i = 0; i < nloc; ++i) b_local[i] = rhs[perm[b0 + i]];
     la::KrylovResult lin =
-        dla::dist_mg_pcg_solve(comm, dist, b_local, x_local, so);
+        dla::dist_mg_krylov_solve(comm, dist, b_local, x_local, so);
     // Breakdown is decided from allreduced scalars, so every rank takes
     // the same branch.
     if (lin.breakdown && opts_.gmres_fallback) {

@@ -65,7 +65,7 @@ SolveOutcome run_quickstart(mg::MatrixFormat format) {
     std::vector<real> b(sys.rhs.size());
     for (std::size_t i = 0; i < b.size(); ++i) b[i] = sys.rhs[perm[i]];
     std::vector<real> x(b.size(), 0);
-    out.result = dla::dist_mg_pcg_solve(comm, dist, b, x, opts);
+    out.result = dla::dist_mg_krylov_solve(comm, dist, b, x, opts);
   });
   tracer.set_enabled(was_tracing);
   out.report = obs::build_report(mark);

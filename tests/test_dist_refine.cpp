@@ -113,7 +113,7 @@ DistOutcome run_distributed(const RefinedProblem& prob, int p,
     for (idx i = 0; i < nloc; ++i) b_local[i] = prob.rhs[perm[b0 + i]];
     std::vector<real> x_local(static_cast<std::size_t>(nloc), 0);
     out.results[comm.rank()] =
-        dist_mg_pcg_solve(comm, dist, b_local, x_local, so);
+        dist_mg_krylov_solve(comm, dist, b_local, x_local, so);
     for (idx i = 0; i < nloc; ++i) out.x[perm[b0 + i]] = x_local[i];
   });
   return out;

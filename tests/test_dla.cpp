@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "app/driver.h"
@@ -9,6 +11,7 @@
 #include "dla/dist_krylov.h"
 #include "dla/dist_mg.h"
 #include "dla/dist_vec.h"
+#include "dla/parx_backend.h"
 #include "fem/assembly.h"
 #include "la/krylov.h"
 #include "la/vec.h"
@@ -34,6 +37,13 @@ std::vector<real> random_vec(idx n, std::uint64_t seed) {
   std::vector<real> v(static_cast<std::size_t>(n));
   for (real& x : v) x = rng.next_real() - 0.5;
   return v;
+}
+
+/// Entries [lo, lo + n) of `v` as a one-column block.
+la::MultiVec one_column(const std::vector<real>& v, idx lo, idx n) {
+  la::MultiVec m(n, 1);
+  std::copy(v.begin() + lo, v.begin() + lo + n, m.col_data(0));
+  return m;
 }
 
 TEST(RowDist, BlockSplit) {
@@ -71,14 +81,14 @@ TEST_P(DlaRanks, DistDotMatchesSerial) {
   const real serial = la::dot(a, b);
   const RowDist dist = RowDist::block(n, p);
   parx::Runtime::run(p, [&](parx::Comm& comm) {
+    // The reduction every distributed solver runs.
+    const ParxBackend be{&comm};
     const idx lo = dist.begin(comm.rank()), hi = dist.end(comm.rank());
-    const real mine = dist_dot(
-        comm, std::span<const real>(a).subspan(lo, hi - lo),
-        std::span<const real>(b).subspan(lo, hi - lo));
+    const real mine = be.dot(std::span<const real>(a).subspan(lo, hi - lo),
+                             std::span<const real>(b).subspan(lo, hi - lo));
     EXPECT_NEAR(mine, serial, 1e-12);
-    EXPECT_NEAR(
-        dist_nrm2(comm, std::span<const real>(a).subspan(lo, hi - lo)),
-        la::nrm2(a), 1e-12);
+    EXPECT_NEAR(be.norm2(std::span<const real>(a).subspan(lo, hi - lo)),
+                la::nrm2(a), 1e-12);
   });
 }
 
@@ -94,9 +104,12 @@ TEST_P(DlaRanks, DistSpmvMatchesSerial) {
     const DistCsr da(comm, a, dist, dist);
     const idx lo = dist.begin(comm.rank());
     const idx ln = dist.local_size(comm.rank());
-    std::vector<real> xl(x.begin() + lo, x.begin() + lo + ln), yl(ln);
-    da.spmv(comm, xl, yl);
-    for (idx i = 0; i < ln; ++i) EXPECT_NEAR(yl[i], y_ref[lo + i], 1e-13);
+    const la::MultiVec xl = one_column(x, lo, ln);
+    la::MultiVec yl(ln, 1);
+    da.spmm(comm, xl, yl);
+    for (idx i = 0; i < ln; ++i) {
+      EXPECT_NEAR(yl.col(0)[i], y_ref[lo + i], 1e-13);
+    }
   });
 }
 
@@ -119,15 +132,13 @@ TEST_P(DlaRanks, DistSpmvTransposeMatchesSerial) {
   const RowDist cols = RowDist::block(n, p);
   parx::Runtime::run(p, [&](parx::Comm& comm) {
     const DistCsr dr(comm, r, rows, cols);
-    const idx rlo = rows.begin(comm.rank());
-    std::vector<real> xl(x.begin() + rlo,
-                         x.begin() + rows.end(comm.rank()));
-    std::vector<real> yl(static_cast<std::size_t>(
-        cols.local_size(comm.rank())));
-    dr.spmv_transpose(comm, xl, yl);
+    const la::MultiVec xl =
+        one_column(x, rows.begin(comm.rank()), rows.local_size(comm.rank()));
+    la::MultiVec yl(cols.local_size(comm.rank()), 1);
+    dr.spmm_transpose(comm, xl, yl);
     const idx clo = cols.begin(comm.rank());
-    for (std::size_t i = 0; i < yl.size(); ++i) {
-      EXPECT_NEAR(yl[i], y_ref[clo + i], 1e-12);
+    for (idx i = 0; i < yl.rows(); ++i) {
+      EXPECT_NEAR(yl.col(0)[i], y_ref[clo + i], 1e-12);
     }
   });
 }
@@ -150,11 +161,15 @@ TEST_P(DlaRanks, DistPcgMatchesSerialIterationForIteration) {
     const DistCsrOperator dop(da);
     const idx lo = dist.begin(comm.rank());
     const idx ln = dist.local_size(comm.rank());
-    std::vector<real> bl(b.begin() + lo, b.begin() + lo + ln), xl(ln, 0.0);
-    const la::KrylovResult res = dist_pcg(comm, dop, nullptr, bl, xl, opts);
+    const la::MultiVec bl = one_column(b, lo, ln);
+    la::MultiVec xl(ln, 1);
+    const la::KrylovResult res =
+        dist_pcg_multi(comm, dop, nullptr, bl, xl, opts)[0];
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.iterations, serial.iterations);
-    for (idx i = 0; i < ln; ++i) EXPECT_NEAR(xl[i], x_ref[lo + i], 1e-8);
+    for (idx i = 0; i < ln; ++i) {
+      EXPECT_NEAR(xl.col(0)[i], x_ref[lo + i], 1e-8);
+    }
   });
 }
 
@@ -219,7 +234,7 @@ TEST_P(DistMgRanks, MatchesSerialMgIterationCounts) {
     const idx ln = rows.local_size(comm.rank());
     std::vector<real> bl(static_cast<std::size_t>(ln)), xl(ln, 0.0);
     for (idx i = 0; i < ln; ++i) bl[i] = sys.rhs[perm[lo + i]];
-    const la::KrylovResult res = dist_mg_pcg_solve(comm, dh, bl, xl, so);
+    const la::KrylovResult res = dist_mg_krylov_solve(comm, dh, bl, xl, so);
     EXPECT_TRUE(res.converged);
     // Identical grids and a processor-block smoother: iteration counts may
     // differ slightly from serial but must stay in the same band (the
@@ -239,15 +254,58 @@ TEST_P(DistMgRanks, GatherAllReassemblesVector) {
   const auto full = random_vec(n, 6);
   const RowDist dist = RowDist::block(n, p);
   parx::Runtime::run(p, [&](parx::Comm& comm) {
-    const idx lo = dist.begin(comm.rank());
-    std::vector<real> local(full.begin() + lo,
-                            full.begin() + dist.end(comm.rank()));
-    const std::vector<real> gathered = dist_gather_all(comm, dist, local);
-    EXPECT_EQ(gathered, full);
+    const la::MultiVec local =
+        one_column(full, dist.begin(comm.rank()), dist.local_size(comm.rank()));
+    const la::MultiVec gathered = dist_gather_all_mv(comm, dist, local);
+    ASSERT_EQ(gathered.rows(), n);
+    EXPECT_TRUE(std::equal(full.begin(), full.end(), gathered.col_data(0)));
   });
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DistMgRanks, ::testing::Values(1, 2, 4));
+
+// The k-column cycles keep their per-level temporaries in the hierarchy
+// (DistMgLevel::cycle_scratch) across calls. Reusing one hierarchy across
+// block widths and cycle kinds must give the bits of a fresh hierarchy: a
+// coarse correction or FMG iterate left over from an earlier call would
+// show here.
+TEST(DistMgScratch, ReusedHierarchyMatchesFreshBitwise) {
+  const app::ModelProblem model = app::make_box_problem(6);
+  fem::FeProblem fe(model.mesh, model.materials, model.dofmap);
+  const fem::LinearSystem sys = fem::assemble_linear_system(fe);
+  mg::MgOptions mopts;
+  mopts.coarsest_max_dofs = 60;
+  const mg::Hierarchy serial_h =
+      mg::Hierarchy::build(model.mesh, model.dofmap, sys.stiffness, mopts);
+  ASSERT_GE(serial_h.num_levels(), 3);
+  const auto owner = partition::rcb_partition(model.mesh.coords(), 2);
+  parx::Runtime::run(2, [&](parx::Comm& comm) {
+    const DistHierarchy reused = DistHierarchy::build(comm, serial_h, owner);
+    const idx n = reused.level(0).local_n();
+    for (const mg::CycleKind kind : {mg::CycleKind::kV, mg::CycleKind::kFmg}) {
+      for (const int k : {3, 1, 3}) {
+        la::MultiVec x(n, k);
+        for (int j = 0; j < k; ++j) {
+          for (idx i = 0; i < n; ++i) {
+            const real t = static_cast<real>((i + 1) * (j + 1));
+            x.col(j)[i] = std::sin(0.01 * t + comm.rank());
+          }
+        }
+        la::MultiVec got(n, k), want(n, k);
+        DistMgPreconditioner(reused, kind).apply_mv(comm, x, got);
+        const DistHierarchy fresh = DistHierarchy::build(comm, serial_h, owner);
+        DistMgPreconditioner(fresh, kind).apply_mv(comm, x, want);
+        for (int j = 0; j < k; ++j) {
+          EXPECT_EQ(std::memcmp(got.col_data(j), want.col_data(j),
+                                static_cast<std::size_t>(n) * sizeof(real)),
+                    0)
+              << (kind == mg::CycleKind::kV ? "V" : "FMG") << ", k = " << k
+              << ", column " << j << ", rank " << comm.rank();
+        }
+      }
+    }
+  });
+}
 
 }  // namespace
 }  // namespace prom::dla

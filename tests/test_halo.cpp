@@ -1,12 +1,13 @@
-// Gates for the latency-hiding halo exchange (ISSUE 5): the interior/
-// boundary split is a true partition with interior rows touching no ghost
-// column, and the overlapped schedule (post sends, compute interior,
-// drain peers in arrival order, finish boundary) is BIT-identical to the
-// synchronous rank-ordered path for spmv/residual/transpose, in both the
-// scalar CSR and node-block BSR formats, at 1/2/8 kernel threads — even
-// when peers stagger their sends adversarially. The node-block operators
-// of a constrained problem (padded constrained components) must also
-// reproduce their level's CSR operator bit for bit.
+// Gates for the latency-hiding halo exchange: the interior/boundary split
+// is a true partition with interior rows touching no ghost column, and
+// the overlapped schedule (post sends, compute interior, drain peers in
+// arrival order, finish boundary) is BIT-identical to the synchronous
+// rank-ordered path for spmm/residual/transpose, in both the CSR and
+// node-block BSR formats, at 1/2/8 kernel threads and for one-column and
+// wider blocks — even when peers stagger their sends adversarially.
+// Column j of a k-column call is bitwise the k = 1 call on that column.
+// The node-block operators of a constrained problem (padded constrained
+// components) must also reproduce their level's CSR operator bit for bit.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -52,13 +53,6 @@ std::vector<real> random_vec(idx n, std::uint64_t seed) {
   return v;
 }
 
-void expect_bitwise_equal(const std::vector<real>& a,
-                          const std::vector<real>& b, const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(real)), 0)
-      << what << ": results differ bitwise";
-}
-
 void expect_bitwise_equal(const la::MultiVec& a, const la::MultiVec& b,
                           const char* what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
@@ -69,6 +63,24 @@ void expect_bitwise_equal(const la::MultiVec& a, const la::MultiVec& b,
               0)
         << what << ", column " << j << ": results differ bitwise";
   }
+}
+
+/// Rows [lo, lo + n) of k global random vectors (seeds seed..seed+k-1).
+la::MultiVec random_block(idx nglobal, idx lo, idx n, int k,
+                          std::uint64_t seed) {
+  la::MultiVec m(n, k);
+  for (int j = 0; j < k; ++j) {
+    const auto g = random_vec(nglobal, seed + j);
+    std::copy(g.begin() + lo, g.begin() + lo + n, m.col_data(j));
+  }
+  return m;
+}
+
+/// Column j of `m` as a one-column block.
+la::MultiVec column(const la::MultiVec& m, int j) {
+  la::MultiVec c(m.rows(), 1);
+  std::copy(m.col(j).begin(), m.col(j).end(), c.col_data(0));
+  return c;
 }
 
 /// This rank's rows of k global random vectors (seeds seed..seed+k-1) in
@@ -142,8 +154,6 @@ TEST_P(HaloRanks, CsrOverlapMatchesSyncBitwise) {
   const HaloModeGuard guard;
   const idx n = 193;
   const la::Csr a = random_coupled(n, 5, 23);
-  const auto x = random_vec(n, 3);
-  const auto b = random_vec(n, 4);
   const RowDist dist = RowDist::block(n, p);
   for (const int threads : kThreadCounts) {
     common::set_kernel_threads(threads);
@@ -151,17 +161,20 @@ TEST_P(HaloRanks, CsrOverlapMatchesSyncBitwise) {
       const DistCsr da(comm, a, dist, dist);
       const idx lo = dist.begin(comm.rank());
       const idx ln = dist.local_size(comm.rank());
-      const std::vector<real> xl(x.begin() + lo, x.begin() + lo + ln);
-      const std::vector<real> bl(b.begin() + lo, b.begin() + lo + ln);
-      std::vector<real> y_sync(ln), y_over(ln), r_sync(ln), r_over(ln);
-      set_halo_mode(HaloMode::kSync);
-      da.spmv(comm, xl, y_sync);
-      da.residual(comm, bl, xl, r_sync);
-      set_halo_mode(HaloMode::kOverlap);
-      da.spmv(comm, xl, y_over);
-      da.residual(comm, bl, xl, r_over);
-      expect_bitwise_equal(y_over, y_sync, "csr spmv");
-      expect_bitwise_equal(r_over, r_sync, "csr residual");
+      for (const int k : {1, 3}) {
+        const la::MultiVec xl = random_block(n, lo, ln, k, 3);
+        const la::MultiVec bl = random_block(n, lo, ln, k, 4);
+        la::MultiVec y_sync(ln, k), y_over(ln, k), r_sync(ln, k),
+            r_over(ln, k);
+        set_halo_mode(HaloMode::kSync);
+        da.spmm(comm, xl, y_sync);
+        da.residual_mv(comm, bl, xl, r_sync);
+        set_halo_mode(HaloMode::kOverlap);
+        da.spmm(comm, xl, y_over);
+        da.residual_mv(comm, bl, xl, r_over);
+        expect_bitwise_equal(y_over, y_sync, "csr spmm");
+        expect_bitwise_equal(r_over, r_sync, "csr residual_mv");
+      }
     });
   }
 }
@@ -178,24 +191,24 @@ TEST_P(HaloRanks, CsrTransposeOverlapMatchesSyncBitwise) {
                  rng.next_real() - 0.5});
   }
   const la::Csr r = la::Csr::from_triplets(nrows, ncols, t);
-  const auto x = random_vec(nrows, 5);
   const RowDist rows = RowDist::block(nrows, p);
   const RowDist cols = RowDist::block(ncols, p);
   for (const int threads : kThreadCounts) {
     common::set_kernel_threads(threads);
     parx::Runtime::run(p, [&](parx::Comm& comm) {
       const DistCsr dr(comm, r, rows, cols);
-      const idx lo = rows.begin(comm.rank());
-      const std::vector<real> xl(x.begin() + lo,
-                                 x.begin() + rows.end(comm.rank()));
-      const std::size_t cn =
-          static_cast<std::size_t>(cols.local_size(comm.rank()));
-      std::vector<real> y_sync(cn), y_over(cn);
-      set_halo_mode(HaloMode::kSync);
-      dr.spmv_transpose(comm, xl, y_sync);
-      set_halo_mode(HaloMode::kOverlap);
-      dr.spmv_transpose(comm, xl, y_over);
-      expect_bitwise_equal(y_over, y_sync, "csr transpose");
+      const idx cn = cols.local_size(comm.rank());
+      for (const int k : {1, 3}) {
+        const la::MultiVec xl =
+            random_block(nrows, rows.begin(comm.rank()),
+                         rows.local_size(comm.rank()), k, 5);
+        la::MultiVec y_sync(cn, k), y_over(cn, k);
+        set_halo_mode(HaloMode::kSync);
+        dr.spmm_transpose(comm, xl, y_sync);
+        set_halo_mode(HaloMode::kOverlap);
+        dr.spmm_transpose(comm, xl, y_over);
+        expect_bitwise_equal(y_over, y_sync, "csr transpose");
+      }
     });
   }
 }
@@ -230,37 +243,40 @@ TEST_P(HaloRanks, Bsr3OverlapMatchesSyncBitwise) {
             dh.permutation(l), rows, comm.rank(), k, 7 + 10 * l);
         const la::MultiVec bm = local_random_block(
             dh.permutation(l), rows, comm.rank(), k, 107 + 10 * l);
-        const std::vector<real> xl(xm.col(0).begin(), xm.col(0).end());
-        const std::vector<real> bl(bm.col(0).begin(), bm.col(0).end());
         // Block rows partition into interior + boundary.
         EXPECT_EQ(static_cast<idx>(da.interior_brows().size() +
                                    da.boundary_brows().size()),
                   da.local_matrix().nbrows);
-        const std::size_t ln = xl.size();
-        std::vector<real> y_sync(ln), y_over(ln), r_sync(ln), r_over(ln);
-        std::vector<real> y_csr(ln), r_csr(ln);
+        const idx ln = xm.rows();
+        la::MultiVec y_sync(ln, k), y_over(ln, k), r_sync(ln, k),
+            r_over(ln, k);
         set_halo_mode(HaloMode::kSync);
-        da.spmv(comm, xl, y_sync);
-        da.residual(comm, bl, xl, r_sync);
+        da.spmm(comm, xm, y_sync);
+        da.residual_mv(comm, bm, xm, r_sync);
         set_halo_mode(HaloMode::kOverlap);
-        da.spmv(comm, xl, y_over);
-        da.residual(comm, bl, xl, r_over);
-        expect_bitwise_equal(y_over, y_sync, "bsr3 spmv overlap vs sync");
-        expect_bitwise_equal(r_over, r_sync, "bsr3 residual overlap vs sync");
+        da.spmm(comm, xm, y_over);
+        da.residual_mv(comm, bm, xm, r_over);
+        expect_bitwise_equal(y_over, y_sync, "bsr3 spmm overlap vs sync");
+        expect_bitwise_equal(r_over, r_sync,
+                             "bsr3 residual_mv overlap vs sync");
+
+        // Column j of the k-column calls is the k = 1 call on column j.
+        for (int j = 0; j < k; ++j) {
+          const la::MultiVec xj = column(xm, j);
+          la::MultiVec yj(ln, 1), rj(ln, 1);
+          da.spmm(comm, xj, yj);
+          da.residual_mv(comm, column(bm, j), xj, rj);
+          expect_bitwise_equal(yj, column(y_over, j), "bsr3 spmm k = 1");
+          expect_bitwise_equal(rj, column(r_over, j),
+                               "bsr3 residual_mv k = 1");
+        }
 
         // The padded node blocks against the level's CSR operator.
-        ac.spmv(comm, xl, y_csr);
-        ac.residual(comm, bl, xl, r_csr);
-        expect_bitwise_equal(y_sync, y_csr, "bsr3 vs csr spmv");
-        expect_bitwise_equal(r_sync, r_csr, "bsr3 vs csr residual");
-        la::MultiVec ym_bsr(xm.rows(), k), ym_csr(xm.rows(), k);
-        la::MultiVec rm_bsr(xm.rows(), k), rm_csr(xm.rows(), k);
-        da.spmm(comm, xm, ym_bsr);
-        ac.spmm(comm, xm, ym_csr);
-        da.residual_mv(comm, bm, xm, rm_bsr);
-        ac.residual_mv(comm, bm, xm, rm_csr);
-        expect_bitwise_equal(ym_bsr, ym_csr, "bsr3 vs csr spmm");
-        expect_bitwise_equal(rm_bsr, rm_csr, "bsr3 vs csr residual_mv");
+        la::MultiVec y_csr(ln, k), r_csr(ln, k);
+        ac.spmm(comm, xm, y_csr);
+        ac.residual_mv(comm, bm, xm, r_csr);
+        expect_bitwise_equal(y_over, y_csr, "bsr3 vs csr spmm");
+        expect_bitwise_equal(r_over, r_csr, "bsr3 vs csr residual_mv");
       }
     });
   }
@@ -282,7 +298,6 @@ TEST(Halo, StaggeredPeerSendsDrainInArrivalOrder) {
   const int p = 5;
   const idx n = 150;
   const la::Csr a = random_coupled(n, 8, 47);
-  const auto x = random_vec(n, 9);
   const RowDist dist = RowDist::block(n, p);
 
   // Synchronous reference, no stagger.
@@ -292,10 +307,9 @@ TEST(Halo, StaggeredPeerSendsDrainInArrivalOrder) {
     const DistCsr da(comm, a, dist, dist);
     const idx lo = dist.begin(comm.rank());
     const idx ln = dist.local_size(comm.rank());
-    const std::vector<real> xl(x.begin() + lo, x.begin() + lo + ln);
-    std::vector<real> yl(static_cast<std::size_t>(ln));
-    da.spmv(comm, xl, yl);
-    std::copy(yl.begin(), yl.end(), ref.begin() + lo);
+    la::MultiVec yl(ln, 1);
+    da.spmm(comm, random_block(n, lo, ln, 1, 9), yl);
+    std::copy(yl.col(0).begin(), yl.col(0).end(), ref.begin() + lo);
   });
 
   set_halo_mode(HaloMode::kOverlap);
@@ -305,13 +319,13 @@ TEST(Halo, StaggeredPeerSendsDrainInArrivalOrder) {
       const DistCsr da(comm, a, dist, dist);
       const idx lo = dist.begin(comm.rank());
       const idx ln = dist.local_size(comm.rank());
-      const std::vector<real> xl(x.begin() + lo, x.begin() + lo + ln);
-      std::vector<real> yl(static_cast<std::size_t>(ln));
+      const la::MultiVec xl = random_block(n, lo, ln, 1, 9);
+      la::MultiVec yl(ln, 1);
       // Rotate which ranks lag: delayed ranks post their sends late.
       const int lag = (comm.rank() + round) % p;
       std::this_thread::sleep_for(std::chrono::milliseconds(3 * lag));
-      da.spmv(comm, xl, yl);
-      std::copy(yl.begin(), yl.end(), got.begin() + lo);
+      da.spmm(comm, xl, yl);
+      std::copy(yl.col(0).begin(), yl.col(0).end(), got.begin() + lo);
     });
     ASSERT_EQ(got.size(), ref.size());
     EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(real)),

@@ -9,6 +9,7 @@
 // iterate history.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -118,7 +119,10 @@ std::vector<real> dist_bsr3_apply(const TestProblem& p,
     const dla::DistCsr a(comm, p.k, rows, rows);
     const dla::DistBsr bsr =
         dla::DistBsr::build(comm, a, perm, p.dofmap.free_dofs());
-    bsr.spmv(comm, x, y);
+    la::MultiVec xm(n, 1), ym(n, 1);
+    std::copy(x.begin(), x.end(), xm.col_data(0));
+    bsr.spmm(comm, xm, ym);
+    std::copy(ym.col(0).begin(), ym.col(0).end(), y.begin());
   });
   return y;
 }
@@ -277,11 +281,11 @@ TEST_P(MfEquivRanks, DistributedSpmvMatchesSerialBitwise) {
       const dla::RowDist& rows = dist.level(0).a.row_dist();
       const idx b0 = rows.begin(comm.rank());
       const idx nloc = rows.local_size(comm.rank());
-      std::vector<real> x_local(static_cast<std::size_t>(nloc));
-      for (idx i = 0; i < nloc; ++i) x_local[i] = x[perm[b0 + i]];
-      std::vector<real> y_local(static_cast<std::size_t>(nloc), 0);
-      dist.level(0).a_mf->spmv(comm, x_local, y_local);
-      for (idx i = 0; i < nloc; ++i) y[perm[b0 + i]] = y_local[i];
+      la::MultiVec x_local(nloc, 1);
+      for (idx i = 0; i < nloc; ++i) x_local.col(0)[i] = x[perm[b0 + i]];
+      la::MultiVec y_local(nloc, 1);
+      dist.level(0).a_mf->spmm(comm, x_local, y_local);
+      for (idx i = 0; i < nloc; ++i) y[perm[b0 + i]] = y_local.col(0)[i];
     });
     // Pass B accumulates each owned row's element contributions in
     // ascending global element order on every rank — identical to the
@@ -326,7 +330,7 @@ TEST_P(MfEquivRanks, MfPcgHistoryMatchesSerialCsr) {
     for (idx i = 0; i < nloc; ++i) b_local[i] = prob.rhs[perm[b0 + i]];
     std::vector<real> x_local(static_cast<std::size_t>(nloc), 0);
     results[comm.rank()] =
-        dist_mg_pcg_solve(comm, dist, b_local, x_local, so_mf);
+        dist_mg_krylov_solve(comm, dist, b_local, x_local, so_mf);
   });
   const la::KrylovResult& d = results[0];
   EXPECT_TRUE(d.converged);

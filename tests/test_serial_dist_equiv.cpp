@@ -97,9 +97,10 @@ DistOutcome run_distributed(const Problem& prob, int p, Run what,
     const dla::RowDist& rows = dist.level(0).a.row_dist();
     const idx b0 = rows.begin(comm.rank());
     const idx nloc = rows.local_size(comm.rank());
-    std::vector<real> b_local(static_cast<std::size_t>(nloc));
-    for (idx i = 0; i < nloc; ++i) b_local[i] = prob.rhs[perm[b0 + i]];
-    std::vector<real> x_local(static_cast<std::size_t>(nloc), 0);
+    // One right-hand side is a one-column block.
+    la::MultiVec b_local(nloc, 1);
+    for (idx i = 0; i < nloc; ++i) b_local.col(0)[i] = prob.rhs[perm[b0 + i]];
+    la::MultiVec x_local(nloc, 1);
     switch (what) {
       case Run::kVcycle:
         dist_vcycle(comm, dist, 0, b_local, x_local);
@@ -109,15 +110,15 @@ DistOutcome run_distributed(const Problem& prob, int p, Run what,
         break;
       case Run::kPcg:
         out.results[comm.rank()] =
-            dist_mg_pcg_solve(comm, dist, b_local, x_local, so);
+            dist_mg_pcg_solve_mv(comm, dist, b_local, x_local, so)[0];
         break;
       case Run::kKrylov:
-        out.results[comm.rank()] =
-            dist_mg_krylov_solve(comm, dist, b_local, x_local, so);
+        out.results[comm.rank()] = dist_mg_krylov_solve(
+            comm, dist, b_local.col(0), x_local.col(0), so);
         break;
     }
     // Ranks own disjoint ranges: the scatter back is race-free.
-    for (idx i = 0; i < nloc; ++i) out.x[perm[b0 + i]] = x_local[i];
+    for (idx i = 0; i < nloc; ++i) out.x[perm[b0 + i]] = x_local.col(0)[i];
   });
   return out;
 }

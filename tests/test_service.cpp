@@ -400,6 +400,41 @@ TEST(ServiceSolve, ChunkingCoversWideBlocks) {
   check_blocked_matches_single(service, make_rhs_block(n, 5));
 }
 
+TEST(ServiceSolve, ReportCountsUnconvergedColumnsOnce) {
+  // A traced three-column request cut to one iteration leaves every
+  // column unconverged: the report counts each column once, however many
+  // ranks solved it. A default request counts none.
+  SolveService service(small_config(2, mg::MatrixFormat::kCsr));
+  service.register_problem("box", make_box_problem(4));
+  const idx n = service.acquire("box")->unknowns;
+  SolveRequest cut;
+  cut.mesh_id = "box";
+  cut.rhs = make_rhs_block(n, 3);
+  cut.max_iters = 1;
+  SolveRequest plain;
+  plain.mesh_id = "box";
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const bool was_tracing = obs::tracing();
+  tracer.set_enabled(true);
+  const std::int64_t cut_mark = obs::Tracer::now_ns();
+  const SolveResponse cut_resp = service.solve(cut);
+  const obs::Report cut_rep = obs::build_report(cut_mark);
+  const std::int64_t plain_mark = obs::Tracer::now_ns();
+  const SolveResponse plain_resp = service.solve(plain);
+  const obs::Report plain_rep = obs::build_report(plain_mark);
+  tracer.set_enabled(was_tracing);
+
+  for (const la::KrylovResult& r : cut_resp.results) {
+    EXPECT_FALSE(r.converged);
+  }
+  EXPECT_TRUE(plain_resp.results[0].converged);
+  EXPECT_EQ(cut_rep.counter("solve.not_converged"), 3);
+  EXPECT_EQ(cut_rep.counter("solve.breakdown"), 0);
+  EXPECT_EQ(plain_rep.counter("solve.not_converged"), 0);
+  EXPECT_EQ(plain_rep.counter("solve.breakdown"), 0);
+}
+
 TEST(ServiceSolve, NonFiniteRhsIsRejectedBeforeTheCache) {
   SolveService service(small_config(2, mg::MatrixFormat::kCsr));
   service.register_problem("box", make_box_problem(4));
