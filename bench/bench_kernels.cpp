@@ -597,6 +597,31 @@ int run_format_comparison() {
     ldlt.solve(rb, xb, 8);
     benchmark::DoNotOptimize(xb.data());
   });
+  // The factor stream a smoothing step pays: one k = 1 solve through each
+  // of 68 distinct n = 167 factors (one sphere level-0 rank's block set),
+  // so no factor stays hot in cache from the previous solve.
+  constexpr int kSweepFactors = 68;
+  std::vector<la::DenseLdlt> sweep_factors;
+  sweep_factors.reserve(kSweepFactors);
+  for (int f = 0; f < kSweepFactors; ++f) {
+    for (idx j = 0; j < nb; ++j) {
+      for (idx i = j + 1; i < nb; ++i) {
+        blk(i, j) = blk(j, i) = rng.next_real() - 0.5;
+      }
+    }
+    sweep_factors.emplace_back(blk);
+  }
+  std::vector<real> sweep_b(static_cast<std::size_t>(nb) * kSweepFactors);
+  std::vector<real> sweep_x(sweep_b.size());
+  for (real& v : sweep_b) v = rng.next_real() - 0.5;
+  const double ldlt_sweep = best_mean_ns(reps_ldlt, iters_ldlt / 20, [&] {
+    for (int f = 0; f < kSweepFactors; ++f) {
+      const std::size_t off = static_cast<std::size_t>(f) * nb;
+      sweep_factors[f].solve(std::span<const real>(sweep_b).subspan(off, nb),
+                             std::span<real>(sweep_x).subspan(off, nb));
+    }
+    benchmark::DoNotOptimize(sweep_x.data());
+  });
   // The p=1 Galerkin gap: the serial triple product R A R^T against the
   // distributed one on one rank (identity layout) for one coarsening
   // level of the same box. Only the product is timed.
@@ -672,6 +697,7 @@ int run_format_comparison() {
       "  ns/dof    csr %8.2f     bsr3 %8.2f     mf %8.2f\n"
       "  bytes/dof csr %8.1f     bsr3 %8.1f     mf %8.1f\n"
       "  ldlt n=%d k=1 %8.0f ns  k=8 %8.0f ns  (%.2fx per column)\n"
+      "  ldlt sweep of %d factors k=1 %8.0f ns  (%.0f ns per factor)\n"
       "  galerkin  serial %8.0f ns  dist p=1 %8.0f ns  (%.2fx)\n"
       "fine-level scale point (%d unknowns):\n"
       "  ns/dof    csr %8.2f     mf %8.2f\n"
@@ -682,7 +708,8 @@ int run_format_comparison() {
       bsr_k8_col_speedup, mf_apply, csr_spmv / mf_apply, csr_sweep, bsr_sweep,
       sweep_speedup, csr_spmv / a.nrows, bsr_spmv / a.nrows,
       mf_apply / a.nrows, csr_bytes, bsr_bytes, mf_bytes, nb, ldlt_k1,
-      ldlt_k8, ldlt_col_speedup, galerkin_serial, galerkin_dist,
+      ldlt_k8, ldlt_col_speedup, kSweepFactors, ldlt_sweep,
+      ldlt_sweep / kSweepFactors, galerkin_serial, galerkin_dist,
       galerkin_speedup, a_s.nrows, csr_spmv_s / a_s.nrows,
       mf_apply_s / a_s.nrows, csr_bytes_s, mf_bytes_s,
       mf_bytes_s < csr_bytes_s ? "<" : ">=");
@@ -708,7 +735,8 @@ int run_format_comparison() {
                "  \"bytes_per_dof\": {\"csr\": %.1f, \"bsr3\": %.1f, "
                "\"mf\": %.1f},\n"
                "  \"ldlt_solve\": {\"n\": %d, \"k1_ns\": %.1f, "
-               "\"k8_ns\": %.1f, \"k8_col_speedup\": %.3f},\n"
+               "\"k8_ns\": %.1f, \"k8_col_speedup\": %.3f, "
+               "\"sweep68_k1_ns\": %.1f},\n"
                "  \"galerkin_p1\": {\"serial_ns\": %.1f, \"dist_ns\": %.1f, "
                "\"speedup\": %.3f},\n"
                "  \"mf_scale\": {\"unknowns\": %d, "
@@ -721,7 +749,7 @@ int run_format_comparison() {
                csr_k8_col_speedup, bsr_k8_col_speedup, csr_sweep, bsr_sweep,
                sweep_speedup, mf_apply,
                mf_apply / a.nrows, csr_spmv / mf_apply, csr_bytes, bsr_bytes,
-               mf_bytes, nb, ldlt_k1, ldlt_k8, ldlt_col_speedup,
+               mf_bytes, nb, ldlt_k1, ldlt_k8, ldlt_col_speedup, ldlt_sweep,
                galerkin_serial, galerkin_dist, galerkin_speedup, a_s.nrows,
                csr_spmv_s / a_s.nrows, mf_apply_s / a_s.nrows, csr_bytes_s,
                mf_bytes_s);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The one-command CI gate: optimized build + tier-1 test suite, the same
-# suite again on an AVX2 + FMA build and under Address/UB sanitizers, the
+# The one-command CI gate: optimized build + tier-1 test suite (twice:
+# default format and PROM_MATRIX=csr), the same suite again on an AVX2 +
+# FMA build and under Address/UB sanitizers, the
 # ThreadSanitizer race gate (ci/tsan.sh), then the perfbench build and
 # smoke runs (ci/perfbench_smoke.sh). Everything a PR must pass.
 #
@@ -48,6 +49,11 @@ cmake --build --preset release -j"$(nproc)"
 ccache_epilogue release
 ctest --test-dir build-release --output-on-failure -j"$(nproc)" \
   "${label_args[@]}"
+# Elasticity solves default to node blocks (bsr3); the tier-1 suite again
+# under PROM_MATRIX=csr keeps the scalar CSR elasticity path covered in
+# every test that takes the environment default.
+PROM_MATRIX=csr ctest --test-dir build-release --output-on-failure \
+  -j"$(nproc)" -L tier1
 
 # The same tier-1 suite built for AVX2 + FMA: the bitwise suites must
 # hold on the wider ISA too (no FMA contraction, see CMakeLists.txt).

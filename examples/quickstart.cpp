@@ -18,18 +18,19 @@
 //
 // Run with PROM_TRACE=trace.json to get a Chrome-trace timeline of the
 // phases below plus the per-level multigrid cycle components (open it at
-// ui.perfetto.dev). PROM_MATRIX=bsr3 switches the solve phase to the
-// node-block (BAIJ-style 3x3) kernels; PROM_MATRIX=mf applies the finest
-// level matrix-free from batched element data (coarse levels stay
-// assembled). The iteration count and residual history match the default
-// CSR path to rounding either way. PROM_EQUATION=poisson_het|advdiff
-// swaps the elasticity problem for a scalar equation class (jump-
-// coefficient Poisson under MG-PCG, SUPG advection-diffusion under
-// right-preconditioned MG-GMRES) on the same cube — scalar classes run
-// CSR only (PROM_MATRIX=bsr3|mf is rejected: no node blocks at block
-// size 1). PROM_REFINE=r runs r adaptive solve-estimate-mark-refine
-// rounds first (app/refine.h) and solves on the locally refined tet
-// mesh, with the refinement levels stacked above the MIS chain.
+// ui.perfetto.dev). The solve phase runs the node-block (BAIJ-style 3x3)
+// kernels by default; PROM_MATRIX=csr switches it to the scalar CSR
+// reference, and PROM_MATRIX=mf applies the finest level matrix-free from
+// batched element data (coarse levels stay assembled). The iteration
+// count and residual history match the CSR path to rounding either way.
+// PROM_EQUATION=poisson_het|advdiff swaps the elasticity problem for a
+// scalar equation class (jump-coefficient Poisson under MG-PCG, SUPG
+// advection-diffusion under right-preconditioned MG-GMRES) on the same
+// cube — scalar classes run CSR rows, which are their 1x1 node blocks
+// (PROM_MATRIX=mf is rejected: no elasticity element kernels).
+// PROM_REFINE=r runs r adaptive solve-estimate-mark-refine rounds first
+// (app/refine.h) and solves on the locally refined tet mesh, with the
+// refinement levels stacked above the MIS chain.
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -104,11 +105,11 @@ int solve_on_one_rank(const mg::Hierarchy& grids, idx num_vertices,
 int run_scalar(app::EquationClass eq, idx n, int refine_rounds,
                const mg::MgSolveOptions& opts) {
   // Fail fast instead of silently solving in CSR: the scalar classes
-  // have no 3x3 node blocks for bsr3 and no elasticity element kernels
-  // for mf.
-  PROM_CHECK_MSG(opts.format == mg::MatrixFormat::kCsr,
+  // have no elasticity element kernels for mf. Their bsr3 node blocks
+  // are 1x1, the CSR rows.
+  PROM_CHECK_MSG(opts.format != mg::MatrixFormat::kMf,
                  "quickstart: scalar equation classes (poisson_het, advdiff) "
-                 "support only PROM_MATRIX=csr; bsr3 and mf are "
+                 "support only PROM_MATRIX=csr or bsr3; mf is "
                  "elasticity-only");
   app::ModelProblem p;
   {

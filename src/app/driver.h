@@ -106,12 +106,14 @@ struct LinearStudyConfig {
   int max_iters = 200;
   mg::MgOptions mg;
   mg::CycleKind cycle = mg::CycleKind::kFmg;
-  /// Solve-phase matrix format (PROM_MATRIX=csr|bsr3|mf by default):
-  /// kBsr3 re-blocks every level operator into 3x3 node blocks and ships
-  /// whole node blocks in the ghost exchange; kMf applies the finest
-  /// level matrix-free from batched element data (coarse levels stay
+  /// Solve-phase matrix format (PROM_MATRIX=csr|bsr3|mf, bsr3 when
+  /// unset): kBsr3 re-blocks every elasticity level operator into 3x3
+  /// node blocks and ships whole node blocks in the ghost exchange (a
+  /// scalar class's 1x1 node blocks are its CSR rows); kCsr is the scalar
+  /// reference; kMf (elasticity only) applies the finest level
+  /// matrix-free from batched element data (coarse levels stay
   /// assembled). Iteration counts and residual histories match kCsr to
-  /// rounding in both cases.
+  /// rounding in every case.
   mg::MatrixFormat format = mg::matrix_format_from_env();
   /// When non-empty, the study's obs report (report.json schema) is
   /// written here after the run.

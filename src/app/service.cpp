@@ -109,20 +109,16 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
   const ModelProblem& problem = *entry->problem;
   const bool scalar = problem.equation != EquationClass::kElasticity;
 
-  // The blocked (bsr3) and matrix-free formats are elasticity-only: both
-  // are built around the 3-dof node block (la::Bsr3 / the element
-  // kernels), and the scalar classes have no node blocks to form. Reject
-  // the combination here — at entry — instead of letting the scalar path
-  // silently fall back to CSR or trip an assert deep in the distributed
-  // setup.
-  PROM_CHECK_MSG(!scalar || config_.format == mg::MatrixFormat::kCsr,
-                 config_.format == mg::MatrixFormat::kBsr3
-                     ? "SolveService: scalar equation classes (poisson_het, "
-                       "advdiff) support only PROM_MATRIX=csr; "
-                       "PROM_MATRIX=bsr3 is elasticity-only"
-                     : "SolveService: scalar equation classes (poisson_het, "
-                       "advdiff) support only PROM_MATRIX=csr; "
-                       "PROM_MATRIX=mf is elasticity-only");
+  // The matrix-free format is elasticity-only: it is built around the
+  // elasticity element kernels, which the scalar classes do not have.
+  // Reject the combination here — at entry — instead of letting the
+  // scalar path silently fall back to CSR or trip an assert deep in the
+  // distributed setup. bsr3 needs no check: a scalar class's 1x1 node
+  // blocks are its CSR rows.
+  PROM_CHECK_MSG(!scalar || config_.format != mg::MatrixFormat::kMf,
+                 "SolveService: scalar equation classes (poisson_het, "
+                 "advdiff) support only PROM_MATRIX=csr or bsr3; "
+                 "PROM_MATRIX=mf is elasticity-only");
 
   if (refine_rounds > 0) {
     const obs::Span span("phase.refine");
@@ -270,7 +266,6 @@ SolveResponse SolveService::solve_with(const EntryHandle& entry,
   so.rtol = req.rtol;
   so.max_iters = req.max_iters;
   so.cycle = config_.cycle;
-  so.format = config_.format;
   so.track_history = req.track_history;
   so.krylov = default_krylov(entry->problem->equation);
 
@@ -309,8 +304,8 @@ SolveResponse SolveService::solve_with(const EntryHandle& entry,
         }
       }
       if (req.return_solutions) {
-        const la::MultiVec x_full =
-            dla::dist_gather_all_mv(comm, rows, x_local);
+        la::MultiVec x_full;
+        dla::dist_gather_all_mv(comm, rows, x_local, x_full);
         if (rank == 0) {
           for (int j = 0; j < k; ++j) {
             real* out = resp.solutions.col_data(j0 + j);

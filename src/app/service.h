@@ -32,6 +32,11 @@ struct ServiceConfig {
   int nranks = 2;
   mg::MgOptions mg;
   mg::CycleKind cycle = mg::CycleKind::kFmg;
+  /// Solve-phase matrix format, PROM_MATRIX when set and node blocks
+  /// (kBsr3) otherwise: elasticity entries then solve on 3x3 node blocks
+  /// and scalar classes on their CSR rows (1x1 node blocks). kCsr is the
+  /// scalar reference; kMf is elasticity-only and rejected at build for
+  /// a scalar class. Part of the cache fingerprint.
   mg::MatrixFormat format = mg::matrix_format_from_env();
   /// Cached hierarchies kept alive (LRU eviction beyond this).
   int cache_capacity = 4;

@@ -1,6 +1,5 @@
 #include "dla/dist_bsr.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -33,183 +32,163 @@ DistBsr DistBsr::build(parx::Comm& comm, const DistCsr& a,
   const std::vector<idx>& ghosts = a.ghost_cols();
   const idx n_ext = n_own + static_cast<idx>(ghosts.size());
 
-  // Extended columns sorted by global id (owned range and ghost list are
-  // both ascending — merge). A node's free dofs are contiguous in the
-  // global numbering, so grouping consecutive equal vertices yields the
-  // node partition, already ordered by global position.
-  std::vector<std::pair<idx, idx>> by_global;  // (global id, ext col)
-  by_global.reserve(static_cast<std::size_t>(n_ext));
+  // Walk the extended columns in global order (the owned range and the
+  // ghost list are both ascending — merge). A node's free dofs are
+  // contiguous in the global numbering and live on one rank, so grouping
+  // consecutive equal vertices yields the node partition, already ordered
+  // by global position; a node is owned exactly when its columns are.
+  std::vector<idx> bcol_of_ext(static_cast<std::size_t>(n_ext));
+  std::vector<idx> comp_of_ext(static_cast<std::size_t>(n_ext));
+  std::vector<idx> brow_of_node;  // owned node -> block row, else invalid
+  idx nbrows = 0;
   {
+    idx last_vertex = kInvalidIdx;
     idx io = 0;
     std::size_t ig = 0;
     while (io < n_own || ig < ghosts.size()) {
-      if (ig >= ghosts.size() || (io < n_own && c0 + io < ghosts[ig])) {
-        by_global.emplace_back(c0 + io, io);
-        ++io;
-      } else {
-        by_global.emplace_back(ghosts[ig], n_own + static_cast<idx>(ig));
-        ++ig;
+      const bool own =
+          ig >= ghosts.size() || (io < n_own && c0 + io < ghosts[ig]);
+      const idx g = own ? c0 + io : ghosts[ig];
+      const idx e = own ? io++ : n_own + static_cast<idx>(ig++);
+      const idx serial = perm[g];
+      const idx v = free_dofs[serial] / BS;
+      if (brow_of_node.empty() || v != last_vertex) {
+        last_vertex = v;
+        brow_of_node.push_back(own ? nbrows++ : kInvalidIdx);
       }
+      PROM_CHECK(own == (brow_of_node.back() != kInvalidIdx));
+      bcol_of_ext[e] = static_cast<idx>(brow_of_node.size()) - 1;
+      comp_of_ext[e] = free_dofs[serial] % BS;
     }
   }
+  const idx nnodes = static_cast<idx>(brow_of_node.size());
 
-  struct NodeInfo {
-    idx vertex;
-    int owner;
-  };
-  std::vector<NodeInfo> nodes;
-  std::vector<idx> bcol_of_ext(static_cast<std::size_t>(n_ext));
-  std::vector<idx> comp_of_ext(static_cast<std::size_t>(n_ext));
-  for (const auto& [g, e] : by_global) {
-    const idx serial = perm[g];
-    const idx v = free_dofs[serial] / BS;
-    const idx c = free_dofs[serial] % BS;
-    if (nodes.empty() || nodes.back().vertex != v) {
-      nodes.push_back({v, cols.owner(g)});
-    }
-    bcol_of_ext[e] = static_cast<idx>(nodes.size()) - 1;
-    comp_of_ext[e] = c;
-  }
-  const idx nnodes = static_cast<idx>(nodes.size());
-
-  // Owned block rows, in node (= global) order.
-  std::vector<idx> brow_of_node(static_cast<std::size_t>(nnodes),
-                                kInvalidIdx);
-  idx nbrows = 0;
-  for (idx nd = 0; nd < nnodes; ++nd) {
-    if (nodes[nd].owner == rank) brow_of_node[nd] = nbrows++;
-  }
-
+  // Block row br's scalar rows are the consecutive local rows
+  // [first_row[br], first_row[br + 1]) (owned rows run in global order).
   d.row_slot_of_free_.resize(static_cast<std::size_t>(n_own));
   d.slot_of_owned_col_.resize(static_cast<std::size_t>(n_own));
   d.own_node_dof_.assign(static_cast<std::size_t>(nbrows) * BS, kInvalidIdx);
-  for (idx i = 0; i < n_own; ++i) {
+  std::vector<idx> first_row(static_cast<std::size_t>(nbrows) + 1, n_own);
+  idx next_br = nbrows;  // block row of local row i + 1
+  for (idx i = n_own - 1; i >= 0; --i) {
     const idx nd = bcol_of_ext[i];
-    PROM_CHECK(brow_of_node[nd] != kInvalidIdx);
-    d.row_slot_of_free_[i] = BS * brow_of_node[nd] + comp_of_ext[i];
+    const idx br = brow_of_node[nd];
+    PROM_CHECK(br == next_br || br + 1 == next_br);
+    next_br = br;
+    first_row[br] = i;
+    d.row_slot_of_free_[i] = BS * br + comp_of_ext[i];
     d.slot_of_owned_col_[i] = BS * nd + comp_of_ext[i];
     d.own_node_dof_[d.row_slot_of_free_[i]] = i;
   }
+  PROM_CHECK(next_br == 0);
 
-  // Re-block the local rows. Pattern pass per block row over the node's
-  // scalar rows (consecutive local rows — owned columns are sorted by
-  // global id); the diagonal node block is always kept so constrained
-  // components get their identity pivot.
+  // Re-block the local rows in linear time. Count pass: each block row's
+  // distinct node columns in first-seen order (a per-node marker holds
+  // the last block row that saw the node); the diagonal node block is
+  // always kept so constrained components get their identity pivot.
   const la::Csr& lm = a.local_matrix();
   la::Bsr3& m = d.local_;
   m.nbrows = nbrows;
   m.nbcols = nnodes;
   m.browptr.assign(static_cast<std::size_t>(nbrows) + 1, 0);
-  std::vector<idx> marker(static_cast<std::size_t>(nnodes), kInvalidIdx);
-  std::vector<std::vector<idx>> row_bcols(static_cast<std::size_t>(nbrows));
-  for (idx i = 0; i < n_own; ++i) {
-    const idx br = d.row_slot_of_free_[i] / BS;
-    auto& bcols = row_bcols[br];
-    const idx own_nd = bcol_of_ext[i];
-    if (marker[own_nd] != br) {
-      marker[own_nd] = br;
-      bcols.push_back(own_nd);
-    }
-    for (nnz_t k = lm.rowptr[i]; k < lm.rowptr[i + 1]; ++k) {
-      const idx nd = bcol_of_ext[lm.colidx[k]];
-      if (marker[nd] != br) {
-        marker[nd] = br;
-        bcols.push_back(nd);
-      }
-    }
-  }
-  for (idx br = 0; br < nbrows; ++br) {
-    std::sort(row_bcols[br].begin(), row_bcols[br].end());
-    m.browptr[br + 1] =
-        m.browptr[br] + static_cast<nnz_t>(row_bcols[br].size());
-  }
-  m.bcolidx.resize(static_cast<std::size_t>(m.browptr[nbrows]));
-  m.vals.assign(m.bcolidx.size() * BS * BS, real{0});
-  for (idx br = 0; br < nbrows; ++br) {
-    std::copy(row_bcols[br].begin(), row_bcols[br].end(),
-              m.bcolidx.begin() + m.browptr[br]);
-  }
-  for (idx i = 0; i < n_own; ++i) {
-    const idx br = d.row_slot_of_free_[i] / BS;
-    const idx r = d.row_slot_of_free_[i] % BS;
-    const auto& bcols = row_bcols[br];
-    const nnz_t base = m.browptr[br];
-    for (nnz_t k = lm.rowptr[i]; k < lm.rowptr[i + 1]; ++k) {
-      const idx nd = bcol_of_ext[lm.colidx[k]];
-      const auto it = std::lower_bound(bcols.begin(), bcols.end(), nd);
-      const nnz_t pos = base + static_cast<nnz_t>(it - bcols.begin());
-      m.vals[static_cast<std::size_t>(pos) * BS * BS + r * BS +
-             comp_of_ext[lm.colidx[k]]] = lm.vals[k];
-    }
-  }
-  // Identity pivots on constrained (padding) components of owned nodes;
-  // the padded x entries are always 0, so SpMV results are unaffected.
-  for (idx nd = 0; nd < nnodes; ++nd) {
-    const idx br = brow_of_node[nd];
-    if (br == kInvalidIdx) continue;
-    for (int c = 0; c < BS; ++c) {
-      if (d.own_node_dof_[static_cast<std::size_t>(br) * BS + c] !=
-          kInvalidIdx) {
-        continue;
-      }
-      const auto& bcols = row_bcols[br];
-      const auto it = std::lower_bound(bcols.begin(), bcols.end(), nd);
-      const nnz_t pos =
-          m.browptr[br] + static_cast<nnz_t>(it - bcols.begin());
-      m.vals[static_cast<std::size_t>(pos) * BS * BS + c * BS + c] = 1;
-    }
-  }
-
-  // Node-granularity exchange plan: ghost nodes are requested from their
-  // owners by vertex id (identical on every rank at a given level).
-  std::vector<std::vector<idx>> requests(
-      static_cast<std::size_t>(comm.size()));
-  std::vector<std::vector<idx>> req_bcols(
-      static_cast<std::size_t>(comm.size()));
-  for (idx nd = 0; nd < nnodes; ++nd) {
-    if (nodes[nd].owner == rank) continue;
-    requests[nodes[nd].owner].push_back(nodes[nd].vertex);
-    req_bcols[nodes[nd].owner].push_back(nd);
-  }
-  const auto incoming = comm.alltoallv(requests);
-
-  std::vector<std::pair<idx, idx>> vertex_to_brow;  // owned (vertex, brow)
-  vertex_to_brow.reserve(static_cast<std::size_t>(nbrows));
-  for (idx nd = 0; nd < nnodes; ++nd) {
-    if (brow_of_node[nd] != kInvalidIdx) {
-      vertex_to_brow.emplace_back(nodes[nd].vertex, brow_of_node[nd]);
-    }
-  }
-  std::sort(vertex_to_brow.begin(), vertex_to_brow.end());
-
-  for (int r = 0; r < comm.size(); ++r) {
-    if (r == rank) continue;
-    if (!incoming[r].empty()) {
-      // Whole node blocks on the wire: BS values per requested node,
-      // padding components gathered as kInvalidIdx (shipped as 0).
-      std::vector<idx> gather;
-      gather.reserve(incoming[r].size() * BS);
-      for (idx v : incoming[r]) {
-        const auto it = std::lower_bound(
-            vertex_to_brow.begin(), vertex_to_brow.end(),
-            std::make_pair(v, idx{0}),
-            [](const auto& a_, const auto& b_) { return a_.first < b_.first; });
-        PROM_CHECK(it != vertex_to_brow.end() && it->first == v);
-        for (int c = 0; c < BS; ++c) {
-          gather.push_back(
-              d.own_node_dof_[static_cast<std::size_t>(it->second) * BS + c]);
+  std::vector<idx> seen;  // distinct node columns, block row by block row
+  seen.reserve(lm.colidx.size() / BS + static_cast<std::size_t>(nbrows));
+  std::vector<nnz_t> col_start(static_cast<std::size_t>(nnodes) + 1, 0);
+  {
+    std::vector<idx> marker(static_cast<std::size_t>(nnodes), kInvalidIdx);
+    const auto see = [&](idx br, idx nd) {
+      if (marker[nd] == br) return;
+      marker[nd] = br;
+      seen.push_back(nd);
+      ++col_start[nd + 1];
+    };
+    for (idx br = 0; br < nbrows; ++br) {
+      see(br, bcol_of_ext[first_row[br]]);
+      for (idx i = first_row[br]; i < first_row[br + 1]; ++i) {
+        for (nnz_t k = lm.rowptr[i]; k < lm.rowptr[i + 1]; ++k) {
+          see(br, bcol_of_ext[lm.colidx[k]]);
         }
       }
-      d.plan_.add_send(r, std::move(gather));
+      m.browptr[br + 1] = static_cast<nnz_t>(seen.size());
     }
-    if (!requests[r].empty()) {
-      std::vector<idx> slots;
-      slots.reserve(req_bcols[r].size() * BS);
-      for (idx nd : req_bcols[r]) {
-        for (int c = 0; c < BS; ++c) slots.push_back(nd * BS + c);
+  }
+  // Order each block row by node (global position) with two bucket
+  // passes: block rows into node-column buckets, then back into rows.
+  for (idx nd = 0; nd < nnodes; ++nd) col_start[nd + 1] += col_start[nd];
+  m.bcolidx.resize(seen.size());
+  {
+    std::vector<idx> brow_by_col(seen.size());
+    std::vector<nnz_t> next(col_start.begin(), col_start.end() - 1);
+    for (idx br = 0; br < nbrows; ++br) {
+      for (nnz_t t = m.browptr[br]; t < m.browptr[br + 1]; ++t) {
+        brow_by_col[next[seen[t]]++] = br;
       }
-      d.plan_.add_recv(r, std::move(slots));
     }
+    next.assign(m.browptr.begin(), m.browptr.end() - 1);
+    for (idx nd = 0; nd < nnodes; ++nd) {
+      for (nnz_t t = col_start[nd]; t < col_start[nd + 1]; ++t) {
+        m.bcolidx[next[brow_by_col[t]]++] = nd;
+      }
+    }
+  }
+  // Fill pass: a per-node position marker makes every entry's block
+  // lookup O(1). Constrained (padding) components of the owned node get
+  // identity pivots; the padded x entries are always 0, so SpMV results
+  // are unaffected.
+  m.vals.assign(m.bcolidx.size() * BS * BS, real{0});
+  {
+    std::vector<nnz_t> pos(static_cast<std::size_t>(nnodes));
+    for (idx br = 0; br < nbrows; ++br) {
+      for (nnz_t t = m.browptr[br]; t < m.browptr[br + 1]; ++t) {
+        pos[m.bcolidx[t]] = t;
+      }
+      for (idx i = first_row[br]; i < first_row[br + 1]; ++i) {
+        const idx r = d.row_slot_of_free_[i] % BS;
+        for (nnz_t k = lm.rowptr[i]; k < lm.rowptr[i + 1]; ++k) {
+          const idx e = lm.colidx[k];
+          m.vals[static_cast<std::size_t>(pos[bcol_of_ext[e]]) * BS * BS +
+                 r * BS + comp_of_ext[e]] = lm.vals[k];
+        }
+      }
+      const nnz_t diag = pos[bcol_of_ext[first_row[br]]];
+      for (int c = 0; c < BS; ++c) {
+        if (d.own_node_dof_[static_cast<std::size_t>(br) * BS + c] ==
+            kInvalidIdx) {
+          m.vals[static_cast<std::size_t>(diag) * BS * BS + c * BS + c] = 1;
+        }
+      }
+    }
+  }
+
+  // Node-granularity exchange plan, re-blocked from `a`'s scalar plan
+  // with no further traffic: a peer's scalar send list (its ghost columns
+  // from this rank) and this rank's recv slots per peer both run in
+  // global order, so grouping consecutive columns by node gives the
+  // nodes each side exchanges, in node order. Whole node blocks go on
+  // the wire: BS values per node, padding components gathered as
+  // kInvalidIdx (shipped as 0).
+  const HaloPlan& scalar_plan = a.halo_plan();
+  for (int s = 0; s < scalar_plan.num_send_peers(); ++s) {
+    std::vector<idx> gather;
+    idx last = kInvalidIdx;
+    for (const idx i : scalar_plan.send_list(s)) {
+      if (bcol_of_ext[i] == last) continue;
+      last = bcol_of_ext[i];
+      const idx br = brow_of_node[last];
+      const idx* dofs = d.own_node_dof_.data() + br * BS;
+      gather.insert(gather.end(), dofs, dofs + BS);
+    }
+    d.plan_.add_send(scalar_plan.send_peers()[s], std::move(gather));
+  }
+  for (int s = 0; s < scalar_plan.num_recv_peers(); ++s) {
+    std::vector<idx> slots;
+    idx last = kInvalidIdx;
+    for (const idx e : scalar_plan.recv_list(s)) {
+      if (bcol_of_ext[e] == last) continue;
+      last = bcol_of_ext[e];
+      for (int c = 0; c < BS; ++c) slots.push_back(last * BS + c);
+    }
+    d.plan_.add_recv(scalar_plan.recv_peers()[s], std::move(slots));
   }
   d.plan_.finalize(kTagNodeGhost);
 

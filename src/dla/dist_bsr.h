@@ -34,8 +34,9 @@ class DistBsr {
   /// global permutation (perm[global] = serial free-dof index, identical
   /// on all ranks) and `free_dofs` the level's serial free-dof list
   /// (kDofPerVertex * vertex + component) — together they recover the
-  /// (node, component) of every owned and ghost column. Collective
-  /// (builds the node-granularity exchange plan).
+  /// (node, component) of every owned and ghost column. Linear in the
+  /// local nonzeros; the node-granularity exchange plan is re-blocked
+  /// from `a`'s scalar plan, so the build sends no messages.
   static DistBsr build(parx::Comm& comm, const DistCsr& a,
                        std::span<const idx> perm,
                        std::span<const idx> free_dofs);

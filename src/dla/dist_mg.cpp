@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/flops.h"
@@ -100,6 +101,16 @@ RowDist agglom_rowdist(const std::vector<idx>& free_dofs,
   return RowDist{std::move(off)};
 }
 
+/// The solve's one operator-selection rule (see DistMgLevel): calls `fn`
+/// with the level's matrix-free view when built, else its node blocks
+/// when built, else its CSR operator.
+template <class Fn>
+auto with_level_operator(const DistMgLevel& lv, Fn&& fn) {
+  if (lv.a_mf != nullptr) return fn(DistMfOperator(*lv.a_mf));
+  if (lv.a_bsr != nullptr) return fn(DistBsrOperator(*lv.a_bsr));
+  return fn(DistCsrOperator(lv.a));
+}
+
 /// Adapts the distributed hierarchy to the k-column cycle templates
 /// (mg/cycle_any.h): the one V-cycle / FMG implementation runs on local
 /// blocks, and only these level operations communicate. Column j of each
@@ -126,14 +137,9 @@ struct DistCycleView {
     h->level(l).smooth_mv(*comm, b, x);
   }
   void apply_a_mv(int l, const la::MultiVec& x, la::MultiVec& y) const {
-    const DistMgLevel& lv = h->level(l);
-    if (lv.a_mf != nullptr) {
-      lv.a_mf->spmm(*comm, x, y);
-    } else if (lv.a_bsr != nullptr) {
-      lv.a_bsr->spmm(*comm, x, y);
-    } else {
-      lv.a.spmm(*comm, x, y);
-    }
+    with_level_operator(h->level(l), [&](const DistOperator& op) {
+      op.apply_mv(*comm, x, y);
+    });
   }
   void restrict_to_mv(int l, const la::MultiVec& xf, la::MultiVec& xc) const {
     h->level(l).r.spmm(*comm, xf, xc);
@@ -153,25 +159,25 @@ struct DistCycleView {
       // active ranks reach this point (the cycle skips idle ranks), so the
       // gather collective must run over the active subset alone.
       const int active = h->active_ranks(nl - 1);
-      la::MultiVec b_full;
+      DistMgLevel::SolveScratch& ws = lv.solve_scratch;
       if (active < comm->size()) {
         parx::Comm sub = active_subcomm(*comm, active);
-        b_full = dist_gather_all_mv(
-            sub, active_rowdist(lv.a.row_dist(), active), b);
+        dist_gather_all_mv(sub, active_rowdist(lv.a.row_dist(), active), b,
+                           ws.b_full);
       } else {
-        b_full = dist_gather_all_mv(*comm, lv.a.row_dist(), b);
+        dist_gather_all_mv(*comm, lv.a.row_dist(), b, ws.b_full);
       }
-      la::MultiVec x_full(b_full.rows(), b.cols());
+      ws.x_full.resize(ws.b_full.rows(), b.cols());
       if (lv.direct != nullptr) {
-        lv.direct->solve(b_full, x_full);
+        lv.direct->solve(ws.b_full, ws.x_full, ws.ldlt_work);
       } else {
         for (int j = 0; j < b.cols(); ++j) {
-          lv.direct_lu->solve(b_full.col(j), x_full.col(j));
+          lv.direct_lu->solve(ws.b_full.col(j), ws.x_full.col(j));
         }
       }
       const idx b0 = lv.a.row_dist().begin(comm->rank());
       for (int j = 0; j < b.cols(); ++j) {
-        const real* fj = x_full.col_data(j);
+        const real* fj = ws.x_full.col_data(j);
         real* xj = x.col_data(j);
         for (idx i = 0; i < lv.local_n(); ++i) xj[i] = fj[b0 + i];
       }
@@ -188,37 +194,30 @@ template <class Op>
 void smooth_with_mv(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
                     const la::MultiVec& b_local, la::MultiVec& x_local) {
   const ParxBackend be{&comm};
+  la::SweepScratch& ws = lv.solve_scratch.sweep;
   switch (lv.kind) {
     case mg::SmootherKind::kJacobi:
-      la::jacobi_sweep_mv(be, op, lv.inv_diag, lv.omega, b_local, x_local);
+      la::jacobi_sweep_mv(be, op, lv.inv_diag, lv.omega, b_local, x_local,
+                          ws);
       break;
     case mg::SmootherKind::kChebyshev:
       la::chebyshev_sweep_mv(be, op, lv.inv_diag, lv.cheby_degree,
-                             lv.cheby_lmin, lv.cheby_lmax, b_local, x_local);
+                             lv.cheby_lmin, lv.cheby_lmax, b_local, x_local,
+                             ws);
       break;
     default:
       la::block_jacobi_sweep_mv(be, op, lv.blocks, lv.factors, lv.omega,
-                                b_local, x_local);
+                                b_local, x_local, ws);
       break;
   }
 }
 
-/// The level-0 operator the solve runs in `format`; the hierarchy must
-/// have been built with that format.
-std::unique_ptr<DistOperator> fine_operator(const DistHierarchy& h,
-                                            mg::MatrixFormat format) {
-  const DistMgLevel& l0 = h.level(0);
-  if (format == mg::MatrixFormat::kBsr3) {
-    PROM_CHECK_MSG(l0.a_bsr != nullptr,
-                   "MatrixFormat::kBsr3 requires a hierarchy built with it");
-    return std::make_unique<DistBsrOperator>(*l0.a_bsr);
-  }
-  if (format == mg::MatrixFormat::kMf) {
-    PROM_CHECK_MSG(l0.a_mf != nullptr,
-                   "MatrixFormat::kMf requires a hierarchy built with it");
-    return std::make_unique<DistMfOperator>(*l0.a_mf);
-  }
-  return std::make_unique<DistCsrOperator>(l0.a);
+/// The level-0 operator of the outer Krylov solve, by the selection rule.
+std::unique_ptr<DistOperator> fine_operator(const DistHierarchy& h) {
+  return with_level_operator(
+      h.level(0), [](const auto& op) -> std::unique_ptr<DistOperator> {
+        return std::make_unique<std::decay_t<decltype(op)>>(op);
+      });
 }
 
 }  // namespace
@@ -230,7 +229,8 @@ void DistMgLevel::smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
     // sweep runs on a scratch copy — same exchanges on every rank, since
     // the masked flag is a level property, not a rank property — and only
     // the refined-region rows this rank owns take the update.
-    la::MultiVec tmp = x_local;
+    la::MultiVec& tmp = solve_scratch.x_masked;
+    tmp = x_local;  // copy-assignment reuses the held capacity
     smooth_full_mv(comm, b_local, tmp);
     for (int j = 0; j < x_local.cols(); ++j) {
       real* xj = x_local.col_data(j);
@@ -274,8 +274,8 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
   PROM_CHECK_MSG(format != mg::MatrixFormat::kMf || mf != nullptr,
                  "MatrixFormat::kMf requires an MfProblem");
   const int bs = serial.block_size();
-  PROM_CHECK_MSG(bs == 3 || format == mg::MatrixFormat::kCsr,
-                 "node-block and matrix-free formats require block size 3");
+  PROM_CHECK_MSG(bs == 3 || format != mg::MatrixFormat::kMf,
+                 "mf requires block size 3");
   const int nl = serial.num_levels();
   const int p = comm.size();
   const int rank = comm.rank();
@@ -376,9 +376,10 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
         nat_prev = &dl.a;
       }
     }
-    if (format == mg::MatrixFormat::kBsr3) {
+    if (format == mg::MatrixFormat::kBsr3 && bs == 3) {
       // Node-block view for the solve phase; the setup above stays CSR so
-      // both formats see bit-identical operators.
+      // both formats see bit-identical operators. At block size 1 the
+      // node blocks are the CSR rows, so `a` serves as they would.
       dl.a_bsr = std::make_unique<DistBsr>(DistBsr::build(
           comm, dl.a, h.perms_[l], serial.level(l).free_dofs));
     }
@@ -482,7 +483,7 @@ std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
     la::MultiVec& x_local, const mg::MgSolveOptions& opts,
     la::KrylovWorkspace* ws) {
   const DistMgPreconditioner precond(h, opts.cycle);
-  return dist_pcg_multi(comm, *fine_operator(h, opts.format), &precond,
+  return dist_pcg_multi(comm, *fine_operator(h), &precond,
                         b_local, x_local, mg::to_krylov_options(opts), ws);
 }
 
@@ -502,7 +503,7 @@ la::KrylovResult dist_mg_krylov_solve(parx::Comm& comm,
     return res;
   }
   const DistMgPreconditioner precond(h, opts.cycle);
-  const std::unique_ptr<DistOperator> a = fine_operator(h, opts.format);
+  const std::unique_ptr<DistOperator> a = fine_operator(h);
   if (opts.krylov == la::KrylovKind::kGmres) {
     return dist_gmres(comm, *a, &precond, b_local, x_local,
                       mg::to_gmres_options(opts));

@@ -26,6 +26,7 @@
 #include "dla/dist_krylov.h"
 #include "dla/dist_mf.h"
 #include "la/dense.h"
+#include "la/smoother_kernels.h"
 #include "mg/cycle_any.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
@@ -43,15 +44,20 @@ namespace prom::dla {
 std::vector<int> agglom_active_ranks(std::span<const idx> level_rows,
                                      int nranks, idx min_rows_per_rank);
 
+/// One level of the distributed hierarchy. The solve applies the level
+/// operator through one rule, whatever format the solve options name:
+/// `a_mf` when built, else `a_bsr` when built, else `a`. Smoothing uses
+/// `a_bsr` when built, else `a` (an mf level smooths on CSR).
 struct DistMgLevel {
   DistCsr a;   ///< level operator (square, row/col dist identical)
   DistCsr r;   ///< restriction from the finer level (empty on level 0)
   /// Node-block (BAIJ) view of `a`, built when the hierarchy is
-  /// constructed with mg::MatrixFormat::kBsr3; the solve phase (SpMM
-  /// inside smoothers, cycles, and PCG) then ships whole node blocks in
-  /// the ghost exchange. Null in the CSR configuration. The matrix
-  /// *setup* (Galerkin chain) stays CSR either way, so both formats see
-  /// bit-identical operators.
+  /// constructed with mg::MatrixFormat::kBsr3 for a problem with 3 dofs
+  /// per node; the solve phase (SpMM inside smoothers, cycles, and PCG)
+  /// then ships whole node blocks in the ghost exchange. Null in the CSR
+  /// configuration, and for a scalar class under kBsr3: its 1x1 node
+  /// blocks are the CSR rows of `a`. The matrix *setup* (Galerkin chain)
+  /// stays CSR either way, so both formats see bit-identical operators.
   std::unique_ptr<DistBsr> a_bsr;
   /// Matrix-free element view of `a`, built when the hierarchy is
   /// constructed with mg::MatrixFormat::kMf and an MfProblem; level 0
@@ -94,6 +100,18 @@ struct DistMgLevel {
   /// DistMgLevel usable by one solve at a time.
   mutable mg::CycleScratch cycle_scratch;
 
+  /// The smoothing and coarse-solve temporaries of this level, kept the
+  /// same way: the sweeps' residual blocks and block gathers, the masked
+  /// step's copy of x, and on the coarsest level the gathered right-hand
+  /// side, the full solution and the LDL^T staging.
+  struct SolveScratch {
+    la::SweepScratch sweep;
+    la::MultiVec x_masked;
+    la::MultiVec b_full, x_full;
+    std::vector<real> ldlt_work;
+  };
+  mutable SolveScratch solve_scratch;
+
   idx local_n() const { return a.local_rows(); }
 
   /// One smoothing step of the configured kind on k columns: one exchange
@@ -117,8 +135,12 @@ class DistHierarchy {
   /// ownership follows the MIS parent chain. Collective; deterministic and
   /// identical on all ranks. The permutations applied per level are
   /// retained so solutions can be mapped back to the serial ordering.
+  /// `format` picks the solve-phase views built next to the CSR
+  /// operators: kBsr3 adds node blocks on every level when the problem
+  /// has 3 dofs per node, kMf a matrix-free level 0 (block size 3 only).
   /// `mf` supplies the fine-level element data when `format` is
-  /// mg::MatrixFormat::kMf (required then, ignored otherwise).
+  /// mg::MatrixFormat::kMf (required then, ignored otherwise). The solve
+  /// applies whatever the hierarchy holds (see DistMgLevel).
   static DistHierarchy build(parx::Comm& comm, const mg::Hierarchy& serial,
                              std::span<const idx> fine_vertex_owner,
                              mg::MatrixFormat format = mg::MatrixFormat::kCsr,

@@ -35,15 +35,15 @@ RowDist RowDist::from_sorted_owners(std::span<const idx> owner_of,
   return d;
 }
 
-la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
-                                const la::MultiVec& local) {
+void dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
+                        const la::MultiVec& local, la::MultiVec& full) {
   const int rank = comm.rank();
   const int k = local.cols();
   PROM_CHECK(local.rows() == dist.local_size(rank));
   // Ship the whole column-major local block in one message per rank.
   const auto parts = comm.allgatherv(std::vector<real>(
       local.data(), local.data() + static_cast<std::size_t>(local.rows()) * k));
-  la::MultiVec full(dist.global_size(), k);
+  full.resize(dist.global_size(), k);
   for (int r = 0; r < dist.nranks(); ++r) {
     const idx nr = dist.local_size(r);
     PROM_CHECK(static_cast<idx>(parts[r].size()) == nr * k);
@@ -53,7 +53,6 @@ la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
                 full.col(j).begin() + dist.begin(r));
     }
   }
-  return full;
 }
 
 }  // namespace prom::dla

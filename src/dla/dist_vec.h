@@ -39,8 +39,9 @@ struct RowDist {
 
 /// Gathers k distributed vectors to full copies on every rank with a
 /// single allgatherv (each rank contributes its column-major local
-/// block).
-la::MultiVec dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
-                                const la::MultiVec& local);
+/// block), into `full` (reshaped to global size x k; a held `full` keeps
+/// its capacity across calls).
+void dist_gather_all_mv(parx::Comm& comm, const RowDist& dist,
+                        const la::MultiVec& local, la::MultiVec& full);
 
 }  // namespace prom::dla

@@ -23,6 +23,7 @@
 // same output entry, so the summation order must not depend on timing.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/config.h"
@@ -67,6 +68,15 @@ class HaloPlan {
   /// every plan role belongs to that level's active-rank set.
   const std::vector<int>& send_peers() const { return send_peers_; }
   const std::vector<int>& recv_peers() const { return recv_peers_; }
+  /// The gather list registered for send peer i and the destination
+  /// slots registered for recv peer i (i in registration order).
+  std::span<const idx> send_list(int i) const {
+    return {send_idx_.data() + send_off_[i], send_off_[i + 1] - send_off_[i]};
+  }
+  std::span<const idx> recv_list(int i) const {
+    return {recv_slots_.data() + recv_off_[i],
+            recv_off_[i + 1] - recv_off_[i]};
+  }
   /// Values shipped / received per column of a forward exchange.
   std::int64_t send_count() const {
     return static_cast<std::int64_t>(send_idx_.size());

@@ -33,29 +33,35 @@ Lanes load_lanes(const real* p) {
 
 void store_lanes(real* p, Lanes v) { std::memcpy(p, &v, sizeof(v)); }
 
+/// Entries of an order-n lower triangle, diagonal included.
+std::size_t packed_size(idx n) {
+  return static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) + 1) / 2;
+}
+
 /// One pass of the LDL^T solve over W adjacent columns of the
 /// row-interleaved x (row stride k, solved in place): the first P * kLanes
 /// columns as packs, the last R one at a time. A pack lane performs the
 /// same binary64 operation as the scalar code, so every column goes
-/// through exactly the operations of a k = 1 solve.
+/// through exactly the operations of a k = 1 solve. `l` is the packed
+/// factor: column c holds rows c..n-1 contiguously.
 template <int W>
 void ldlt_pass(const real* l, const real* d, idx n, std::size_t k, real* x) {
   constexpr int P = W / kLanes;
   constexpr int R = W % kLanes;
   constexpr int kTail = P * kLanes;
-  const std::size_t ln = static_cast<std::size_t>(n);
   // Forward L y = b, column-oriented: once y_c is final, subtract its
   // multiple from every later row, walking column c of L contiguously.
-  // Row i still receives its subtractions in ascending c.
-  for (idx c = 0; c < n; ++c) {
-    const real* lc = l + c * ln;
+  // Row i still receives its subtractions in ascending c. lc[i - c] is
+  // L(i, c).
+  const real* lc = l;
+  for (idx c = 0; c < n; lc += n - c, ++c) {
     const real* yc = x + c * k;
     std::array<Lanes, P> yp;
     std::array<real, R> yr;
     for (int p = 0; p < P; ++p) yp[p] = load_lanes(yc + p * kLanes);
     for (int r = 0; r < R; ++r) yr[r] = yc[kTail + r];
     for (idx i = c + 1; i < n; ++i) {
-      const real lic = lc[i];
+      const real lic = lc[i - c];
       real* xi = x + i * k;
       for (int p = 0; p < P; ++p) {
         real* xp = xi + p * kLanes;
@@ -65,16 +71,19 @@ void ldlt_pass(const real* l, const real* d, idx n, std::size_t k, real* x) {
     }
   }
   // Diagonal D z = y, then backward L^T x = z as a dot product over
-  // column i of L in ascending m, one accumulator per column.
+  // column i of L in ascending m, one accumulator per column; the walk
+  // runs the packed columns from the last back to the first, and
+  // li[m - i] is L(m, i).
+  const real* li = l + packed_size(n);
   for (idx i = n - 1; i >= 0; --i) {
-    const real* li = l + i * ln;
+    li -= n - i;
     real* xi = x + i * k;
     std::array<Lanes, P> ap;
     std::array<real, R> ar;
     for (int p = 0; p < P; ++p) ap[p] = load_lanes(xi + p * kLanes) / d[i];
     for (int r = 0; r < R; ++r) ar[r] = xi[kTail + r] / d[i];
     for (idx m = i + 1; m < n; ++m) {
-      const real lmi = li[m];
+      const real lmi = li[m - i];
       const real* xm = x + m * k;
       for (int p = 0; p < P; ++p) ap[p] -= lmi * load_lanes(xm + p * kLanes);
       for (int r = 0; r < R; ++r) ar[r] -= lmi * xm[kTail + r];
@@ -113,26 +122,30 @@ DenseMatrix DenseMatrix::identity(idx n) {
 }
 
 DenseLdlt::DenseLdlt(const DenseMatrix& a)
-    : n_(a.rows()), l_(a.rows(), a.rows()), d_(a.rows(), real{0}) {
+    : n_(a.rows()), l_(packed_size(a.rows())), d_(a.rows(), real{0}) {
   PROM_CHECK(a.rows() == a.cols());
   const idx n = n_;
-  // Column-by-column LDL^T using the lower triangle of `a`.
-  std::vector<real> w(n);  // workspace: column j of L*D
-  for (idx j = 0; j < n; ++j) {
-    for (idx k = 0; k < j; ++k) w[k] = l_(j, k) * d_[k];
-    real dj = a(j, j);
-    for (idx k = 0; k < j; ++k) dj -= l_(j, k) * w[k];
+  // Column-by-column LDL^T using the lower triangle of `a`. Column j is
+  // updated by every earlier column k in ascending k, each a contiguous
+  // sweep over rows j..n-1 of both packed columns, so every L(i, j) (and
+  // d_j, its row-j entry) takes its subtractions in ascending k.
+  real* lj = l_.data();  // packed column j: lj[i - j] is L(i, j)
+  for (idx j = 0; j < n; lj += n - j, ++j) {
+    for (idx i = j; i < n; ++i) lj[i - j] = a(i, j);
+    const real* lk = l_.data();
+    for (idx k = 0; k < j; lk += n - k, ++k) {
+      const real wk = lk[j - k] * d_[k];  // (L D)(j, k)
+      const real* lkj = lk + (j - k);  // lkj[t] is L(j + t, k)
+      for (idx t = 0; t < n - j; ++t) lj[t] -= lkj[t] * wk;
+    }
+    const real dj = lj[0];
     if (!(std::isfinite(dj)) || dj <= real{0}) {
       ok_ = false;
       return;
     }
     d_[j] = dj;
-    l_(j, j) = 1;
-    for (idx i = j + 1; i < n; ++i) {
-      real lij = a(i, j);
-      for (idx k = 0; k < j; ++k) lij -= l_(i, k) * w[k];
-      l_(i, j) = lij / dj;
-    }
+    lj[0] = 1;
+    for (idx t = 1; t < n - j; ++t) lj[t] /= dj;
   }
   count_flops(n * static_cast<std::int64_t>(n) * n / 3);
   ok_ = true;
@@ -147,23 +160,28 @@ void DenseLdlt::solve(std::span<const real> b, std::span<real> x,
   if (x.data() != b.data()) std::copy(b.begin(), b.end(), x.begin());
   for (int j0 = 0; j0 < k; j0 += kColsPerPass) {
     const int w = std::min(kColsPerPass, k - j0);
-    kLdltPasses[w - 1](l_.data().data(), d_.data(), n_, k, x.data() + j0);
+    kLdltPasses[w - 1](l_.data(), d_.data(), n_, k, x.data() + j0);
   }
   count_flops(2LL * n_ * n_ * k);
 }
 
-void DenseLdlt::solve(const MultiVec& b, MultiVec& x) const {
+void DenseLdlt::solve(const MultiVec& b, MultiVec& x,
+                      std::vector<real>& work) const {
   const int k = b.cols();
   PROM_CHECK(b.rows() == n_ && x.rows() == n_ && x.cols() == k);
-  std::vector<real> t(static_cast<std::size_t>(n_) * k);
+  work.resize(static_cast<std::size_t>(n_) * k);
   for (int j = 0; j < k; ++j) {
     const real* bj = b.col_data(j);
-    for (idx i = 0; i < n_; ++i) t[static_cast<std::size_t>(i) * k + j] = bj[i];
+    for (idx i = 0; i < n_; ++i) {
+      work[static_cast<std::size_t>(i) * k + j] = bj[i];
+    }
   }
-  solve(t, t, k);
+  solve(work, work, k);
   for (int j = 0; j < k; ++j) {
     real* xj = x.col_data(j);
-    for (idx i = 0; i < n_; ++i) xj[i] = t[static_cast<std::size_t>(i) * k + j];
+    for (idx i = 0; i < n_; ++i) {
+      xj[i] = work[static_cast<std::size_t>(i) * k + j];
+    }
   }
 }
 

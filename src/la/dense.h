@@ -47,7 +47,9 @@ class DenseMatrix {
 /// LDL^T factorization (no pivoting) of a symmetric matrix; intended for
 /// the symmetric positive definite systems this project produces. A
 /// non-positive or vanishing pivot marks the factorization as failed
-/// rather than producing NaNs.
+/// rather than producing NaNs. The unit lower factor is stored packed by
+/// columns (column c holds rows c..n-1 contiguously, n(n+1)/2 values), so
+/// a solve streams only the triangle it reads.
 class DenseLdlt {
  public:
   /// Factors A (reads the lower triangle). O(n^3/3).
@@ -63,19 +65,21 @@ class DenseLdlt {
   /// This is the factor's only substitution kernel. Column j gets exactly
   /// the arithmetic of a k = 1 solve of that column: the forward pass runs
   /// column-oriented (for each c, update rows i > c, contiguous in the
-  /// column-major factor) and the backward pass dot-oriented, but each
-  /// entry still sees its subtractions one at a time in ascending index
-  /// order. So column j is bitwise equal to solving it alone, at any k.
+  /// packed column) and the backward pass dot-oriented, but each entry
+  /// still sees its subtractions one at a time in ascending index order.
+  /// So column j is bitwise equal to solving it alone, at any k.
   void solve(std::span<const real> b, std::span<real> x, int k = 1) const;
 
   /// Column-blocked solve of the columns of b through the kernel above.
-  void solve(const MultiVec& b, MultiVec& x) const;
+  /// `work` stages the row-interleaved copy; it is resized as needed and
+  /// keeps its capacity, so a caller that holds it allocates once.
+  void solve(const MultiVec& b, MultiVec& x, std::vector<real>& work) const;
 
  private:
   idx n_ = 0;
   bool ok_ = false;
-  DenseMatrix l_;            // unit lower triangular (diagonal implied 1)
-  std::vector<real> d_;      // diagonal of D
+  std::vector<real> l_;  // unit lower triangle, packed by columns
+  std::vector<real> d_;  // diagonal of D
 };
 
 /// LU factorization with partial pivoting — the general-matrix counterpart

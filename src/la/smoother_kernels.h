@@ -126,16 +126,29 @@ void chebyshev_sweep(const B& be, const Op& a, std::span<const real> inv_diag,
 // update per column with the same fixed grains, so column j of a blocked
 // sweep is bitwise identical to the single-vector sweep on that column.
 
+/// The temporaries of the column-blocked sweeps, held by the caller
+/// across calls (dla keeps one per level) so a repeat sweep allocates
+/// nothing: each is reshaped per call, and reshaping keeps capacity.
+struct SweepScratch {
+  MultiVec r, d, ad;  ///< residual; Chebyshev direction and its image
+  /// Block-Jacobi gathers: block b's row-interleaved k columns at
+  /// block_off[b] * k, so concurrent chunks write disjoint slices.
+  std::vector<real> rb;
+  std::vector<std::size_t> block_off;
+};
+
 /// Column-blocked jacobi_sweep.
 template <class B, class Op>
   requires BackendFor<B, Op>
 void jacobi_sweep_mv(const B& be, const Op& a, std::span<const real> inv_diag,
-                     real omega, const MultiVec& b, MultiVec& x) {
+                     real omega, const MultiVec& b, MultiVec& x,
+                     SweepScratch& ws) {
   const obs::Span span("smoother.jacobi");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
   PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol);
-  MultiVec r(n, ncol);
+  MultiVec& r = ws.r;
+  r.resize(n, ncol);
   be.residual_mv(a, b, x, r);
   for (int j = 0; j < ncol; ++j) {
     const real* rj = r.col_data(j);
@@ -155,22 +168,29 @@ template <class B, class Op>
 void block_jacobi_sweep_mv(const B& be, const Op& a,
                            std::span<const std::vector<idx>> blocks,
                            std::span<const DenseLdlt> factors, real omega,
-                           const MultiVec& b, MultiVec& x) {
+                           const MultiVec& b, MultiVec& x, SweepScratch& ws) {
   const obs::Span span("smoother.block_jacobi");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
   PROM_CHECK(b.rows() == n && x.rows() == n && x.cols() == ncol);
-  MultiVec r(n, ncol);
+  MultiVec& r = ws.r;
+  r.resize(n, ncol);
   be.residual_mv(a, b, x, r);
+  ws.block_off.resize(blocks.size() + 1);
+  ws.block_off[0] = 0;
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    ws.block_off[k + 1] = ws.block_off[k] + blocks[k].size();
+  }
+  ws.rb.resize(ws.block_off.back() * ncol);
   // Each block solves all k columns in one blocked LDL^T call on the
   // row-interleaved gather (entry (li, j) at li * ncol + j).
   common::parallel_for(
       0, static_cast<idx>(blocks.size()), kSmootherBlockGrain,
       [&](idx kb, idx ke) {
-        std::vector<real> rb;
         for (idx k = kb; k < ke; ++k) {
           const auto& block = blocks[k];
-          rb.resize(block.size() * ncol);
+          const std::span<real> rb(ws.rb.data() + ws.block_off[k] * ncol,
+                                   block.size() * ncol);
           for (std::size_t li = 0; li < block.size(); ++li) {
             for (int j = 0; j < ncol; ++j) {
               rb[li * ncol + j] = r.col_data(j)[block[li]];
@@ -194,7 +214,8 @@ template <class B, class Op>
   requires BackendFor<B, Op>
 void chebyshev_sweep_mv(const B& be, const Op& a,
                         std::span<const real> inv_diag, int degree, real lmin,
-                        real lmax, const MultiVec& b, MultiVec& x) {
+                        real lmax, const MultiVec& b, MultiVec& x,
+                        SweepScratch& ws) {
   const obs::Span span("smoother.chebyshev");
   const idx n = be.local_n(a);
   const int ncol = b.cols();
@@ -204,7 +225,12 @@ void chebyshev_sweep_mv(const B& be, const Op& a,
   const real sigma = theta / delta;
   real rho = 1 / sigma;
 
-  MultiVec r(n, ncol), d(n, ncol), ad(n, ncol);
+  MultiVec& r = ws.r;
+  MultiVec& d = ws.d;
+  MultiVec& ad = ws.ad;
+  r.resize(n, ncol);
+  d.resize(n, ncol);
+  ad.resize(n, ncol);
   be.residual_mv(a, b, x, r);
   for (int j = 0; j < ncol; ++j) {
     const real* rj = r.col_data(j);

@@ -480,7 +480,7 @@ void Hierarchy::build_operators() {
 
 MatrixFormat matrix_format_from_env() {
   const char* env = std::getenv("PROM_MATRIX");
-  if (env == nullptr || env[0] == '\0') return MatrixFormat::kCsr;
+  if (env == nullptr || env[0] == '\0') return MatrixFormat::kBsr3;
   const std::string_view v(env);
   if (v == "csr") return MatrixFormat::kCsr;
   if (v == "bsr3") return MatrixFormat::kBsr3;

@@ -28,9 +28,12 @@ enum class SmootherKind : std::uint8_t {
   kChebyshev,
 };
 
-/// Storage format the solve phase applies operators in. kCsr is the
-/// scalar baseline (PETSc AIJ); kBsr3 re-blocks every level into dense
-/// 3x3 node blocks (PETSc BAIJ, what the paper ran on); kMf applies the
+/// Storage format the solve phase applies operators in. kBsr3 (the
+/// default) re-blocks every level into dense node blocks of the problem's
+/// dofs per node (PETSc BAIJ, what the paper ran on): 3x3 for elasticity,
+/// while a scalar class's 1x1 node blocks are its CSR rows, so it keeps
+/// the CSR operators. kCsr is the scalar reference (PETSc AIJ) the
+/// equivalence suites compare against. kMf (elasticity only) applies the
 /// finest level matrix-free from batched element data (fem/matrix_free.h)
 /// while every coarse level stays assembled Galerkin. All three produce
 /// the same residual history to rounding: the blocked SpMV preserves the
@@ -41,7 +44,7 @@ enum class SmootherKind : std::uint8_t {
 enum class MatrixFormat : std::uint8_t { kCsr, kBsr3, kMf };
 
 /// Reads the PROM_MATRIX environment switch ("csr" | "bsr3" | "mf"; unset
-/// or empty means kCsr). Fails fast on an unknown value.
+/// or empty means kBsr3). Fails fast on an unknown value.
 MatrixFormat matrix_format_from_env();
 
 /// Reads PROM_MIN_ROWS_PER_RANK (the coarse-level rank-agglomeration

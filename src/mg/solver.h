@@ -32,9 +32,11 @@ struct MgSolveOptions {
   int max_iters = 200;
   CycleKind cycle = CycleKind::kFmg;
   bool track_history = false;
-  /// Operator format of the solve phase. The serial drivers below run
-  /// kCsr only and reject the others; bsr3 and mf run through
-  /// dla::DistHierarchy (dla/dist_mg.h), on one rank for a serial solve.
+  /// Operator format of the solve phase, read only by the serial drivers
+  /// below: they run kCsr and reject the others. bsr3 and mf run through
+  /// dla::DistHierarchy (dla/dist_mg.h), on one rank for a serial solve,
+  /// whose solve applies the views the hierarchy was built with and
+  /// ignores this field.
   MatrixFormat format = MatrixFormat::kCsr;
   /// Outer Krylov driver (mg_krylov_solve / dist_mg_krylov_solve): PCG
   /// for SPD operators, GMRES/BiCGStab for non-symmetric ones. The MG

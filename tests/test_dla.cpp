@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "app/driver.h"
+#include "app/refine.h"
 #include "common/rng.h"
 #include "dla/dist_csr.h"
 #include "dla/dist_krylov.h"
@@ -256,7 +259,8 @@ TEST_P(DistMgRanks, GatherAllReassemblesVector) {
   parx::Runtime::run(p, [&](parx::Comm& comm) {
     const la::MultiVec local =
         one_column(full, dist.begin(comm.rank()), dist.local_size(comm.rank()));
-    const la::MultiVec gathered = dist_gather_all_mv(comm, dist, local);
+    la::MultiVec gathered;
+    dist_gather_all_mv(comm, dist, local, gathered);
     ASSERT_EQ(gathered.rows(), n);
     EXPECT_TRUE(std::equal(full.begin(), full.end(), gathered.col_data(0)));
   });
@@ -265,22 +269,18 @@ TEST_P(DistMgRanks, GatherAllReassemblesVector) {
 INSTANTIATE_TEST_SUITE_P(Ranks, DistMgRanks, ::testing::Values(1, 2, 4));
 
 // The k-column cycles keep their per-level temporaries in the hierarchy
-// (DistMgLevel::cycle_scratch) across calls. Reusing one hierarchy across
-// block widths and cycle kinds must give the bits of a fresh hierarchy: a
-// coarse correction or FMG iterate left over from an earlier call would
+// (DistMgLevel::cycle_scratch), and the sweeps, the masked smoothing copy
+// and the coarse solve theirs (DistMgLevel::solve_scratch), across calls.
+// Reusing one hierarchy across block widths and cycle kinds must give the
+// bits of a fresh hierarchy: a coarse correction, FMG iterate, residual
+// block or gathered right-hand side left over from an earlier call would
 // show here.
-TEST(DistMgScratch, ReusedHierarchyMatchesFreshBitwise) {
-  const app::ModelProblem model = app::make_box_problem(6);
-  fem::FeProblem fe(model.mesh, model.materials, model.dofmap);
-  const fem::LinearSystem sys = fem::assemble_linear_system(fe);
-  mg::MgOptions mopts;
-  mopts.coarsest_max_dofs = 60;
-  const mg::Hierarchy serial_h =
-      mg::Hierarchy::build(model.mesh, model.dofmap, sys.stiffness, mopts);
-  ASSERT_GE(serial_h.num_levels(), 3);
-  const auto owner = partition::rcb_partition(model.mesh.coords(), 2);
+void expect_reuse_matches_fresh(const mg::Hierarchy& serial_h,
+                                const std::vector<idx>& owner,
+                                mg::MatrixFormat format) {
   parx::Runtime::run(2, [&](parx::Comm& comm) {
-    const DistHierarchy reused = DistHierarchy::build(comm, serial_h, owner);
+    const DistHierarchy reused =
+        DistHierarchy::build(comm, serial_h, owner, format);
     const idx n = reused.level(0).local_n();
     for (const mg::CycleKind kind : {mg::CycleKind::kV, mg::CycleKind::kFmg}) {
       for (const int k : {3, 1, 3}) {
@@ -293,7 +293,8 @@ TEST(DistMgScratch, ReusedHierarchyMatchesFreshBitwise) {
         }
         la::MultiVec got(n, k), want(n, k);
         DistMgPreconditioner(reused, kind).apply_mv(comm, x, got);
-        const DistHierarchy fresh = DistHierarchy::build(comm, serial_h, owner);
+        const DistHierarchy fresh =
+            DistHierarchy::build(comm, serial_h, owner, format);
         DistMgPreconditioner(fresh, kind).apply_mv(comm, x, want);
         for (int j = 0; j < k; ++j) {
           EXPECT_EQ(std::memcmp(got.col_data(j), want.col_data(j),
@@ -305,6 +306,44 @@ TEST(DistMgScratch, ReusedHierarchyMatchesFreshBitwise) {
       }
     }
   });
+}
+
+TEST(DistMgScratch, ReusedHierarchyMatchesFreshBitwise) {
+  const app::ModelProblem model = app::make_box_problem(6);
+  fem::FeProblem fe(model.mesh, model.materials, model.dofmap);
+  const fem::LinearSystem sys = fem::assemble_linear_system(fe);
+  mg::MgOptions mopts;
+  mopts.coarsest_max_dofs = 60;
+  const mg::Hierarchy serial_h =
+      mg::Hierarchy::build(model.mesh, model.dofmap, sys.stiffness, mopts);
+  ASSERT_GE(serial_h.num_levels(), 3);
+  const auto owner = partition::rcb_partition(model.mesh.coords(), 2);
+  for (const mg::MatrixFormat format :
+       {mg::MatrixFormat::kCsr, mg::MatrixFormat::kBsr3}) {
+    SCOPED_TRACE(format == mg::MatrixFormat::kCsr ? "csr" : "bsr3");
+    expect_reuse_matches_fresh(serial_h, owner, format);
+  }
+}
+
+// The same on a refined hierarchy: its refinement level (level 1 after
+// one round) smooths only the refined region (the masked step), here on
+// node blocks.
+TEST(DistMgScratch, ReusedMaskedLevelMatchesFreshBitwise) {
+  app::AdaptiveOptions ao;
+  ao.rounds = 1;
+  ao.mark_fraction = 0.15;
+  app::AdaptiveLoop loop =
+      app::run_adaptive_refinement(app::make_box_problem(4), ao);
+  mg::MgOptions mopts;
+  mopts.coarsest_max_dofs = 60;
+  const mg::Hierarchy serial_h = mg::Hierarchy::build_grids_refined(
+      loop.mesh_ptrs(), loop.dofmap_ptrs(), loop.rounds,
+      std::move(loop.sys.stiffness), mopts);
+  ASSERT_GE(serial_h.num_levels(), 3);
+  ASSERT_FALSE(serial_h.level(1).smooth_rows.empty());
+  const auto owner =
+      partition::rcb_partition(loop.final_mesh().coords(), 2);
+  expect_reuse_matches_fresh(serial_h, owner, mg::MatrixFormat::kBsr3);
 }
 
 }  // namespace

@@ -142,6 +142,63 @@ TEST(Ldlt, SolveMatchesRowOrientedSubstitutionBitwise) {
   }
 }
 
+/// The textbook LDL^T: a row-oriented factor over a full array, each
+/// L(i, j) = (A(i, j) - sum_k L(i, k) (L(j, k) d_k)) / d_j and each d_i
+/// accumulated in ascending k.
+struct TextbookLdlt {
+  DenseMatrix l;
+  std::vector<real> d;
+};
+
+TextbookLdlt textbook_ldlt(const DenseMatrix& a) {
+  const idx n = a.rows();
+  TextbookLdlt f{DenseMatrix::identity(n), std::vector<real>(n)};
+  for (idx i = 0; i < n; ++i) {
+    for (idx j = 0; j <= i; ++j) {
+      real s = a(i, j);
+      for (idx k = 0; k < j; ++k) s -= f.l(i, k) * (f.l(j, k) * f.d[k]);
+      if (j < i) {
+        f.l(i, j) = s / f.d[j];
+      } else {
+        f.d[i] = s;
+      }
+    }
+  }
+  return f;
+}
+
+class LdltTextbook : public ::testing::TestWithParam<idx> {};
+
+// The packed column-oriented factor and its blocked solve give the bits
+// of the textbook factor and row-oriented substitution, column by column.
+TEST_P(LdltTextbook, PackedFactorSolvesMatchTextbookBitwise) {
+  const idx n = GetParam();
+  const DenseMatrix a = random_dominant(n, 23 + n);
+  const TextbookLdlt ref = textbook_ldlt(a);
+  const DenseLdlt f(a);
+  ASSERT_TRUE(f.ok());
+  Rng rng(31 + n);
+  std::vector<real> bj(n);
+  for (const int k : {1, 3, 8}) {
+    std::vector<real> b(static_cast<std::size_t>(n) * k), x(b.size());
+    for (real& v : b) v = rng.next_real() - 0.5;
+    f.solve(b, x, k);
+    for (int j = 0; j < k; ++j) {
+      for (idx i = 0; i < n; ++i) {
+        bj[i] = b[static_cast<std::size_t>(i) * k + j];
+      }
+      const std::vector<real> want = row_oriented_solve(ref.l, ref.d, bj);
+      for (idx i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_bits(x[static_cast<std::size_t>(i) * k + j], want[i]))
+            << "n=" << n << " k=" << k << " column " << j << " row " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, LdltTextbook,
+                         ::testing::Values(1, 2, 3, 17, 167, 700));
+
 class LdltBlocked : public ::testing::TestWithParam<idx> {};
 
 // Column j of a k-column blocked solve is bitwise equal to the k = 1
@@ -188,7 +245,8 @@ TEST(Ldlt, MultiVecSolveMatchesSingleSolveBitwise) {
   for (int j = 0; j < k; ++j) {
     for (idx i = 0; i < n; ++i) b.col_data(j)[i] = rng.next_real() - 0.5;
   }
-  f.solve(b, x);
+  std::vector<real> work;
+  f.solve(b, x, work);
   std::vector<real> xj(n);
   for (int j = 0; j < k; ++j) {
     f.solve(b.col(j), xj);
@@ -222,7 +280,8 @@ TEST(Ldlt, SolveOnFailedFactorizationThrows) {
   std::vector<real> b3 = {1, 2, 3}, x3(3);
   EXPECT_THROW(f.solve(b3, x3, 3), Error);
   MultiVec bm(1, 2), xm(1, 2);
-  EXPECT_THROW(f.solve(bm, xm), Error);
+  std::vector<real> work;
+  EXPECT_THROW(f.solve(bm, xm, work), Error);
 }
 
 TEST(Ldlt, BlockedSolveRejectsMismatchedSizes) {

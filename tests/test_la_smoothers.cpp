@@ -158,6 +158,7 @@ TEST(BlockJacobi, BlockedSweepMatchesSingleSweepBitwise) {
   const auto factors = factor_diagonal_blocks(a, blocks);
   const CsrOperator op(a);
   const real omega = 0.6;
+  SweepScratch ws;  // reused across widths and thread counts
   for (int k : {1, 3, 8, 16}) {
     MultiVec b(n, k), x0(n, k);
     for (int j = 0; j < k; ++j) {
@@ -176,7 +177,8 @@ TEST(BlockJacobi, BlockedSweepMatchesSingleSweepBitwise) {
     for (int threads : {1, 2, 8}) {
       common::set_kernel_threads(threads);
       MultiVec x = x0;
-      block_jacobi_sweep_mv(SerialBackend{}, op, blocks, factors, omega, b, x);
+      block_jacobi_sweep_mv(SerialBackend{}, op, blocks, factors, omega, b, x,
+                            ws);
       for (int j = 0; j < k; ++j) {
         EXPECT_EQ(std::memcmp(x.col_data(j), ref[j].data(), n * sizeof(real)),
                   0)

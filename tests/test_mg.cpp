@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "app/driver.h"
 #include "common/error.h"
@@ -227,6 +230,54 @@ TEST(MgOptions, SmootherKindsAllConverge) {
     const la::KrylovResult res =
         mg_pcg_solve(bp.hierarchy, bp.sys.rhs, x, so);
     EXPECT_TRUE(res.converged) << "smoother " << static_cast<int>(kind);
+  }
+}
+
+/// Sets PROM_MATRIX (nullopt unsets it) for one scope and restores the
+/// caller's value after.
+class MatrixEnvScope {
+ public:
+  explicit MatrixEnvScope(const std::optional<std::string>& value) {
+    if (const char* old = std::getenv("PROM_MATRIX")) saved_ = old;
+    if (value) {
+      ::setenv("PROM_MATRIX", value->c_str(), 1);
+    } else {
+      ::unsetenv("PROM_MATRIX");
+    }
+  }
+  ~MatrixEnvScope() {
+    if (saved_) {
+      ::setenv("PROM_MATRIX", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("PROM_MATRIX");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(MatrixFormatEnv, UnsetOrEmptyMeansNodeBlocks) {
+  {
+    const MatrixEnvScope env(std::nullopt);
+    EXPECT_EQ(matrix_format_from_env(), MatrixFormat::kBsr3);
+  }
+  const MatrixEnvScope env("");
+  EXPECT_EQ(matrix_format_from_env(), MatrixFormat::kBsr3);
+}
+
+TEST(MatrixFormatEnv, ParsesEveryFormatAndRejectsOthers) {
+  const std::pair<const char*, MatrixFormat> known[] = {
+      {"csr", MatrixFormat::kCsr},
+      {"bsr3", MatrixFormat::kBsr3},
+      {"mf", MatrixFormat::kMf}};
+  for (const auto& [name, format] : known) {
+    const MatrixEnvScope env(name);
+    EXPECT_EQ(matrix_format_from_env(), format) << name;
+  }
+  for (const char* bad : {"CSR", "bsr", "bsr1", " csr", "aij"}) {
+    const MatrixEnvScope env(bad);
+    EXPECT_THROW(matrix_format_from_env(), Error) << bad;
   }
 }
 

@@ -340,12 +340,12 @@ TEST(ServiceRefine, EmitsImbalanceGauges) {
 }
 
 TEST(ServiceRefine, ScalarRejectsNodeBlockFormats) {
-  // bsr3 and mf are built around the 3-dof node block; the scalar classes
+  // mf is built around the elasticity element kernels; the scalar classes
   // must be rejected at entry with a message naming the combination, not
   // silently downgraded to CSR. A rejected build leaves the cache as it
-  // was, so the service stays usable.
-  for (const mg::MatrixFormat format :
-       {mg::MatrixFormat::kBsr3, mg::MatrixFormat::kMf}) {
+  // was, so the service stays usable. (bsr3 is supported for them: their
+  // 1x1 node blocks are the CSR rows, see ServiceFormat below.)
+  for (const mg::MatrixFormat format : {mg::MatrixFormat::kMf}) {
     SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)));
     SolveService service(small_config(2, format));
     service.register_problem("het", make_poisson_het_problem(4, 1e3));
@@ -387,6 +387,89 @@ TEST(ServiceRefine, ScalarRejectsNodeBlockFormats) {
   SolveService csr(small_config(2, mg::MatrixFormat::kCsr));
   csr.register_problem("het", make_poisson_het_problem(4, 1e3));
   EXPECT_TRUE(csr.solve({.mesh_id = "het"}).results[0].converged);
+}
+
+/// One request's outcome, with the level views its entry was built with.
+struct FormatOutcome {
+  SolveResponse resp;
+  std::vector<bool> has_bsr;  ///< per level of rank 0's hierarchy
+};
+
+FormatOutcome solve_in_format(int p, mg::MatrixFormat format,
+                              const std::string& id, ModelProblem problem,
+                              const la::MultiVec& rhs) {
+  ServiceConfig sc = small_config(p, format);
+  sc.mg = default_mg_options(problem.equation);
+  sc.mg.coarsest_max_dofs = 60;
+  SolveService service(sc);
+  service.register_problem(id, std::move(problem));
+  FormatOutcome out;
+  const EntryHandle entry = service.acquire(id);
+  const dla::DistHierarchy& h = entry->per_rank[0];
+  for (int l = 0; l < h.num_levels(); ++l) {
+    out.has_bsr.push_back(h.level(l).a_bsr != nullptr);
+  }
+  SolveRequest req;
+  req.mesh_id = id;
+  req.rhs = rhs;
+  out.resp = service.solve_with(entry, req);
+  return out;
+}
+
+void expect_same_solve(const SolveResponse& a, const SolveResponse& b) {
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t j = 0; j < a.results.size(); ++j) {
+    SCOPED_TRACE("column " + std::to_string(j));
+    EXPECT_TRUE(a.results[j].converged);
+    EXPECT_EQ(a.results[j].iterations, b.results[j].iterations);
+    EXPECT_EQ(a.results[j].final_relres, b.results[j].final_relres);
+    expect_bitwise_equal(a.solutions.col(static_cast<int>(j)),
+                         b.solutions.col(static_cast<int>(j)));
+  }
+}
+
+// Elasticity under kBsr3 (the default) runs node blocks on every level,
+// and its solves are the CSR reference's bit for bit.
+TEST(ServiceFormat, ElasticityNodeBlocksMatchCsrBitwise) {
+  for (const int p : {1, 2, 4}) {
+    SCOPED_TRACE("ranks " + std::to_string(p));
+    const idx n = make_box_problem(4).dofmap.num_free();
+    const la::MultiVec rhs = make_rhs_block(n, 3);
+    const FormatOutcome bsr = solve_in_format(p, mg::MatrixFormat::kBsr3,
+                                              "box", make_box_problem(4), rhs);
+    const FormatOutcome csr = solve_in_format(p, mg::MatrixFormat::kCsr,
+                                              "box", make_box_problem(4), rhs);
+    ASSERT_GE(bsr.has_bsr.size(), 2u);
+    for (std::size_t l = 0; l < bsr.has_bsr.size(); ++l) {
+      EXPECT_TRUE(bsr.has_bsr[l]) << "level " << l;
+      EXPECT_FALSE(csr.has_bsr[l]) << "level " << l;
+    }
+    expect_same_solve(bsr.resp, csr.resp);
+  }
+}
+
+// A scalar class under bsr3 runs its 1x1 node blocks, which are its CSR
+// rows: no level builds node blocks, and PCG (poisson_het) and GMRES
+// (advdiff) solve bitwise as under csr.
+TEST(ServiceFormat, ScalarClassesUnderBsr3SolveAsCsr) {
+  for (const bool het : {true, false}) {
+    SCOPED_TRACE(het ? "poisson_het" : "advdiff");
+    const auto make = [&] {
+      return het ? make_poisson_het_problem(4, 1e3)
+                 : make_advdiff_problem(4, 10.0);
+    };
+    const idx n = make().scalar_dofmap.num_free();
+    const la::MultiVec rhs = make_rhs_block(n, 2);
+    const FormatOutcome bsr =
+        solve_in_format(2, mg::MatrixFormat::kBsr3, "scalar", make(), rhs);
+    const FormatOutcome csr =
+        solve_in_format(2, mg::MatrixFormat::kCsr, "scalar", make(), rhs);
+    ASSERT_GE(bsr.has_bsr.size(), 2u);
+    for (std::size_t l = 0; l < bsr.has_bsr.size(); ++l) {
+      EXPECT_FALSE(bsr.has_bsr[l]) << "level " << l;
+    }
+    expect_same_solve(bsr.resp, csr.resp);
+  }
 }
 
 TEST(ServiceSolve, ChunkingCoversWideBlocks) {
