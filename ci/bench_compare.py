@@ -29,7 +29,14 @@ row's `iterations` must equal the baseline row's and every `converged`
 must be true, so one extra Krylov iteration fails the gate whatever the
 host is doing. In BENCH_halo.json every row's interior/boundary row
 split and the messages and bytes one SpMV sends must equal the
-baseline's, so one extra halo message fails the gate.
+baseline's, so one extra halo message fails the gate. In
+BENCH_setup.json every rank count's busiest-rank Galerkin flops and
+setup messages and bytes, and every cycle-traffic level's active ranks,
+messages and bytes must equal the baseline's.
+
+Files in COUNTS_ONLY are gated on their count rules alone: their time
+series are printed but never fail the gate (BENCH_setup.json times one
+build per rank count, too few samples to gate on a shared host).
 
 A series present in the baseline but missing from the fresh output fails
 the gate (a renamed or dropped series must come with a baseline refresh,
@@ -49,7 +56,7 @@ import os
 import sys
 
 # Fields that identify a sweep row rather than measure it.
-KEY_FIELDS = ("ranks", "threads", "k", "level")
+KEY_FIELDS = ("ranks", "threads", "k", "level", "min_rows_per_rank")
 
 # Noise floors: baselines below these cannot be compared meaningfully on
 # a shared CI runner (timer resolution + scheduler jitter).
@@ -82,10 +89,17 @@ COUNT_RULES = {
     "BENCH_refine.json": {"equal": ("iterations",), "true": ("converged",)},
     "BENCH_halo.json": {"equal": ("interior_rows", "boundary_rows",
                                   "messages", "bytes")},
+    "BENCH_setup.json": {"equal": ("max_rank_galerkin_flops",
+                                   "setup_messages", "setup_bytes",
+                                   "active_ranks", "messages", "bytes")},
 }
 
+# Files whose time series are reported but not gated (see the docstring).
+COUNTS_ONLY = ("BENCH_setup.json",)
+
 DEFAULT_FILES = ("BENCH_kernels.json", "BENCH_halo.json", "BENCH_service.json",
-                 "BENCH_equations.json", "BENCH_refine.json")
+                 "BENCH_equations.json", "BENCH_refine.json",
+                 "BENCH_setup.json")
 
 
 def flatten(prefix: str, node, out: dict[str, float]) -> None:
@@ -148,6 +162,12 @@ def compare_file(
         if unit is None:
             continue
         base = baseline[series]
+        if name in COUNTS_ONLY:
+            got = fresh.get(series)
+            shown = "missing" if got is None else f"{got:g}{unit}"
+            print(f"  info  {name}:{series} {base:g}{unit} -> {shown} "
+                  "(time not gated)")
+            continue
         if series not in fresh:
             failures.append(
                 f"{name}: series '{series}' missing from fresh output "

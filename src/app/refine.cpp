@@ -123,9 +123,8 @@ AdaptiveLoop run_adaptive_refinement(const ModelProblem& problem,
     // Estimate solve on the current mesh.
     fem::LinearSystem sys = assemble_current(problem, loop);
     loop.round_unknowns.push_back(sys.stiffness.nrows);
-    la::Csr a = sys.stiffness;
     const mg::Hierarchy h =
-        estimate_hierarchy(problem, loop, std::move(a), opts.mg);
+        estimate_hierarchy(problem, loop, std::move(sys.stiffness), opts.mg);
     std::vector<real> x(sys.rhs.size(), 0);
     mg::mg_krylov_solve(h, sys.rhs, x, so);
 

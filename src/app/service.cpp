@@ -18,10 +18,12 @@ namespace prom::app {
 int rhs_block_from_env() {
   const char* env = std::getenv("PROM_RHS_BLOCK");
   if (env == nullptr || *env == '\0') return 8;
-  const int v = std::atoi(env);
-  PROM_CHECK_MSG(v >= 1 && v <= la::kMaxRhsBlock,
-                 "PROM_RHS_BLOCK must be in [1, la::kMaxRhsBlock]");
-  return v;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  PROM_CHECK_MSG(end != env && *end == '\0' && v >= 1 &&
+                     v <= la::kMaxRhsBlock,
+                 "PROM_RHS_BLOCK must be an integer in [1, la::kMaxRhsBlock]");
+  return static_cast<int>(v);
 }
 
 void SolveService::register_problem(std::string mesh_id,
@@ -169,24 +171,27 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
   }
   entry->unknowns = entry->sys.stiffness.nrows;
   {
+    // The grids borrow the fine stiffness for the distributed build and
+    // hand it back after it (below): the entry holds it once.
     const obs::Span span("phase.mesh_setup");
+    la::Csr a_fine = std::move(entry->sys.stiffness);
     if (refined != nullptr) {
       entry->grids =
           scalar ? mg::Hierarchy::build_grids_refined_scalar(
                        refined->mesh_ptrs(), refined->scalar_dofmap_ptrs(),
-                       refined->rounds, entry->sys.stiffness, config_.mg)
+                       refined->rounds, std::move(a_fine), config_.mg)
                  : mg::Hierarchy::build_grids_refined(
                        refined->mesh_ptrs(), refined->dofmap_ptrs(),
-                       refined->rounds, entry->sys.stiffness, config_.mg);
+                       refined->rounds, std::move(a_fine), config_.mg);
     } else {
       entry->grids =
           scalar
               ? mg::Hierarchy::build_grids_scalar(problem.mesh,
                                                   problem.scalar_dofmap,
-                                                  entry->sys.stiffness,
+                                                  std::move(a_fine),
                                                   config_.mg)
               : mg::Hierarchy::build_grids(problem.mesh, problem.dofmap,
-                                           entry->sys.stiffness, config_.mg);
+                                           std::move(a_fine), config_.mg);
     }
   }
 
@@ -208,6 +213,9 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
         config_.format == mg::MatrixFormat::kMf ? &mf : nullptr);
     comm.barrier();
   });
+  // Every rank has sliced its rows out of the grids' fine matrix; callers
+  // check residuals against `sys.stiffness`, so it goes back there.
+  entry->sys.stiffness = entry->grids.take_fine_matrix();
   return entry;
 }
 
@@ -230,6 +238,7 @@ void check_finite_rhs(const la::MultiVec& rhs) {
 
 SolveResponse SolveService::solve(const SolveRequest& req) {
   check_finite_rhs(req.rhs);
+  rhs_block_from_env();  // a malformed value fails before a cold build
   const std::int64_t hits_before = hits_;
   const EntryHandle entry = acquire(req.mesh_id, req.refine_rounds);
   SolveResponse resp = solve_with(entry, req);
@@ -241,6 +250,7 @@ SolveResponse SolveService::solve_with(const EntryHandle& entry,
                                        const SolveRequest& req) const {
   PROM_CHECK(entry != nullptr);
   check_finite_rhs(req.rhs);
+  const int kblock = rhs_block_from_env();
   const int p = config_.nranks;
 
   // The request's right-hand sides, defaulting to the assembled load
@@ -256,7 +266,6 @@ SolveResponse SolveService::solve_with(const EntryHandle& entry,
     b = req.rhs;
   }
   const int ktotal = b.cols();
-  const int kblock = rhs_block_from_env();
 
   SolveResponse resp;
   resp.results.resize(static_cast<std::size_t>(ktotal));

@@ -24,8 +24,9 @@
 
 namespace prom::app {
 
-/// Columns per blocked-PCG chunk: PROM_RHS_BLOCK (default 8; must be in
-/// [1, la::kMaxRhsBlock]). Fails fast on an out-of-range value.
+/// Columns per blocked-PCG chunk: PROM_RHS_BLOCK (8 when unset or
+/// empty). The whole value must be an integer in [1, la::kMaxRhsBlock];
+/// anything else ("8abc", "4.5", "0") throws prom::Error.
 int rhs_block_from_env();
 
 struct ServiceConfig {
@@ -51,8 +52,10 @@ struct ServiceConfig {
 
 /// One cached setup: everything DistHierarchy::build produced, per
 /// virtual rank, plus the assembled system the right-hand sides default
-/// to. Handles are shared_ptrs, so eviction never invalidates an entry a
-/// caller still holds.
+/// to. The entry holds the fine stiffness once, in `sys`: the grids
+/// borrow it for the distributed build and hand it back, so their level 0
+/// holds no entries. Handles are shared_ptrs, so eviction never
+/// invalidates an entry a caller still holds.
 struct ServiceEntry {
   std::string key;  ///< the cache fingerprint this entry was built under
   std::shared_ptr<const ModelProblem> problem;
@@ -63,7 +66,11 @@ struct ServiceEntry {
   /// system (AdaptiveLoop::sys moved out).
   std::unique_ptr<AdaptiveLoop> refined;
   std::vector<idx> vertex_owner;
+  /// The assembled fine system (serial free-dof numbering): the default
+  /// right-hand side, and the stiffness callers check residuals against.
   fem::LinearSystem sys;
+  /// Grids, restrictions and dof maps of every level; no operators (the
+  /// distributed hierarchies below own those).
   mg::Hierarchy grids;
   /// Rank r's distributed hierarchy (parx ranks share one address space,
   /// so the whole set lives here and each solve re-enters the runtime).
@@ -121,12 +128,13 @@ class SolveService {
 
   /// acquire + solve_with in one call. A right-hand side with a NaN or
   /// infinite entry throws prom::Error naming its column before the cache
-  /// is touched.
+  /// is touched, and so does a malformed PROM_RHS_BLOCK.
   SolveResponse solve(const SolveRequest& req);
 
   /// Runs the blocked solve against an already-acquired entry. The entry
   /// stays valid even if the cache has since evicted it. Rejects a
-  /// non-finite right-hand side as `solve` does, before any rank launches.
+  /// non-finite right-hand side and a malformed PROM_RHS_BLOCK as `solve`
+  /// does, before any rank launches.
   /// Records the `solve.not_converged` and `solve.breakdown` counters,
   /// one count per affected right-hand side.
   SolveResponse solve_with(const EntryHandle& entry,

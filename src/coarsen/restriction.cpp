@@ -182,7 +182,8 @@ RestrictionResult build_restriction(std::span<const Vec3> fine_coords,
       triplets.push_back({dt.point_of_vertex(tets[best_t].v[a]), v, best_w[a]});
     }
   }
-  result.r_vertex = la::Csr::from_triplets(n_coarse, n_fine, triplets);
+  result.r_vertex =
+      la::Csr::from_triplets(n_coarse, n_fine, std::move(triplets));
 
   // Pruning pass (§4.8): drop super-box tets, and tets that connect
   // vertices not near each other on the fine mesh unless a fine vertex
@@ -285,7 +286,8 @@ la::Csr expand_restriction_to_dofs(const la::Csr& r_vertex,
     }
   }
   return la::Csr::from_triplets(static_cast<idx>(coarse_free.size()),
-                                static_cast<idx>(fine_free.size()), triplets);
+                                static_cast<idx>(fine_free.size()),
+                                std::move(triplets));
 }
 
 }  // namespace prom::coarsen

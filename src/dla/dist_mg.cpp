@@ -419,7 +419,9 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
                   ? mg::SmootherKind::kBlockJacobi
                   : mo.smoother;
     dl.omega = mo.omega;
-    dl.local_diag = dl.a.local_diagonal_block();
+    // The owned-rows block is read here only: the sweeps keep the
+    // inverted diagonal or the block factors, never the block itself.
+    const la::Csr local_diag = dl.a.local_diagonal_block();
     // Local-smoothing mask (adaptive refinement levels): this rank's
     // slice of the serial MgLevel::smooth_rows, in local row numbering.
     // The masked flag is a property of the serial level, so it is
@@ -438,10 +440,10 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
     }
     switch (dl.kind) {
       case mg::SmootherKind::kJacobi:
-        dl.inv_diag = la::inverted_diagonal(dl.local_diag);
+        dl.inv_diag = la::inverted_diagonal(local_diag);
         break;
       case mg::SmootherKind::kChebyshev: {
-        dl.inv_diag = la::inverted_diagonal(dl.local_diag);
+        dl.inv_diag = la::inverted_diagonal(local_diag);
         dl.cheby_degree = std::max(1, mo.cheby_degree);
         const real lambda = la::estimate_lambda_max(
             ParxBackend{&comm}, DistCsrOperator(dl.a), dl.inv_diag,
@@ -452,8 +454,8 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
       }
       default:
         dl.blocks = partition::block_jacobi_blocks(
-            la::pattern_graph(dl.local_diag), mo.bj_blocks_per_1000);
-        dl.factors = la::factor_diagonal_blocks(dl.local_diag, dl.blocks);
+            la::pattern_graph(local_diag), mo.bj_blocks_per_1000);
+        dl.factors = la::factor_diagonal_blocks(local_diag, dl.blocks);
         break;
     }
   }

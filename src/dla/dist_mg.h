@@ -47,7 +47,10 @@ std::vector<int> agglom_active_ranks(std::span<const idx> level_rows,
 /// One level of the distributed hierarchy. The solve applies the level
 /// operator through one rule, whatever format the solve options name:
 /// `a_mf` when built, else `a_bsr` when built, else `a`. Smoothing uses
-/// `a_bsr` when built, else `a` (an mf level smooths on CSR).
+/// `a_bsr` when built, else `a` (an mf level smooths on CSR). A level
+/// keeps only what a solve reads: the operators, the restriction, the
+/// smoother data and the coarse factor; setup temporaries such as the
+/// owned-rows diagonal block die with the build.
 struct DistMgLevel {
   DistCsr a;   ///< level operator (square, row/col dist identical)
   DistCsr r;   ///< restriction from the finer level (empty on level 0)
@@ -67,9 +70,10 @@ struct DistMgLevel {
   std::unique_ptr<DistMf> a_mf;
 
   // Smoother data over the local rows (kSymGaussSeidel falls back to
-  // processor-block Jacobi — Gauss–Seidel does not parallelize).
+  // processor-block Jacobi — Gauss–Seidel does not parallelize). Built
+  // from the owned-rows x owned-columns block of `a`, which the build
+  // drops once the smoother is set up: no sweep reads it.
   mg::SmootherKind kind = mg::SmootherKind::kBlockJacobi;
-  la::Csr local_diag;               ///< owned rows x owned cols
   std::vector<real> inv_diag;       ///< Jacobi / Chebyshev
   std::vector<std::vector<idx>> blocks;
   std::vector<la::DenseLdlt> factors;

@@ -116,7 +116,6 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
   // vector are bit-identical for any thread count. Gauss-point state
   // (trial_) is indexed per cell, so chunks write disjoint slices of it.
   struct ChunkOut {
-    std::vector<la::Triplet> triplets;
     std::vector<std::pair<idx, real>> f_contrib;    // (free row, value)
     std::vector<std::pair<idx, real>> bc_contrib;   // (free row, value)
     idx plastic_gauss_points = 0;
@@ -124,13 +123,19 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
   };
   const idx nchunks = common::chunk_count(0, mesh.num_cells(), kCellGrain);
   std::vector<ChunkOut> outs(static_cast<std::size_t>(nchunks));
+  // Each chunk's stiffness triplets, kept apart: la::Csr::from_triplets
+  // merges them in chunk order and releases each chunk once bucketed.
+  std::vector<std::vector<la::Triplet>> triplets(
+      want_stiffness ? static_cast<std::size_t>(nchunks) : 0);
 
   // Element kernels, then the merge into the force vector and CSR.
   std::optional<obs::Span> phase(std::in_place, "assembly.elements");
   common::parallel_for(0, mesh.num_cells(), kCellGrain, [&](idx eb, idx ee) {
     ChunkOut& co = outs[eb / kCellGrain];
-    if (want_stiffness) {
-      co.triplets.reserve(static_cast<std::size_t>(ee - eb) * edof * edof);
+    std::vector<la::Triplet>* trip =
+        want_stiffness ? &triplets[eb / kCellGrain] : nullptr;
+    if (trip != nullptr) {
+      trip->reserve(static_cast<std::size_t>(ee - eb) * edof * edof);
     }
     la::DenseMatrix ke(edof, edof);
     std::vector<real> fe(static_cast<std::size_t>(edof));
@@ -173,7 +178,7 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
           const idx row = dofmap_.free_index(DofMap::dof_of(verts[a], ca));
           if (row == kInvalidIdx) continue;
           co.f_contrib.emplace_back(row, fe[a * 3 + ca]);
-          if (!want_stiffness) continue;
+          if (trip == nullptr) continue;
           for (int b = 0; b < npc; ++b) {
             for (int cb = 0; cb < 3; ++cb) {
               const idx coldof = DofMap::dof_of(verts[b], cb);
@@ -182,7 +187,7 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
                 co.bc_contrib.emplace_back(
                     row, ke(a * 3 + ca, b * 3 + cb) * dofmap_.bc_value(coldof));
               } else {
-                co.triplets.push_back({row, col, ke(a * 3 + ca, b * 3 + cb)});
+                trip->push_back({row, col, ke(a * 3 + ca, b * 3 + cb)});
               }
             }
           }
@@ -195,21 +200,13 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
   // applied one by one, so the accumulation order (and therefore every
   // rounding) matches the serial loop.
   phase.emplace("assembly.merge");
-  std::size_t total_triplets = 0;
   for (const ChunkOut& co : outs) {
-    total_triplets += co.triplets.size();
     for (const auto& [row, v] : co.f_contrib) out.f_int[row] += v;
     for (const auto& [row, v] : co.bc_contrib) out.bc_coupling[row] += v;
     out.plastic_gauss_points += co.plastic_gauss_points;
     out.hard_gauss_points += co.hard_gauss_points;
   }
-
   if (want_stiffness) {
-    std::vector<la::Triplet> triplets;
-    triplets.reserve(total_triplets);
-    for (const ChunkOut& co : outs) {
-      triplets.insert(triplets.end(), co.triplets.begin(), co.triplets.end());
-    }
     out.stiffness = la::Csr::from_triplets(dofmap_.num_free(),
                                            dofmap_.num_free(), triplets);
   }

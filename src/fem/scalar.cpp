@@ -1,6 +1,7 @@
 #include "fem/scalar.h"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/error.h"
@@ -8,6 +9,7 @@
 #include "fem/quadrature.h"
 #include "fem/shape.h"
 #include "la/dense.h"
+#include "obs/trace.h"
 
 namespace prom::fem {
 namespace {
@@ -120,18 +122,22 @@ ScalarAssembly assemble_scalar(const mesh::Mesh& mesh,
   out.bc_coupling.assign(static_cast<std::size_t>(dofmap.num_free()), 0);
 
   // Cell-chunk-parallel assembly with chunk-order merge, exactly the
-  // elasticity pattern: bit-identical results at any thread count.
+  // elasticity pattern (same spans, same one chunked triplet merge):
+  // bit-identical results at any thread count.
   struct ChunkOut {
-    std::vector<la::Triplet> triplets;
     std::vector<std::pair<idx, real>> load_contrib;  // (free row, value)
     std::vector<std::pair<idx, real>> bc_contrib;    // (free row, value)
   };
   const idx nchunks = common::chunk_count(0, mesh.num_cells(), kCellGrain);
   std::vector<ChunkOut> outs(static_cast<std::size_t>(nchunks));
+  std::vector<std::vector<la::Triplet>> triplets(
+      static_cast<std::size_t>(nchunks));
 
+  std::optional<obs::Span> phase(std::in_place, "assembly.elements");
   common::parallel_for(0, mesh.num_cells(), kCellGrain, [&](idx eb, idx ee) {
     ChunkOut& co = outs[eb / kCellGrain];
-    co.triplets.reserve(static_cast<std::size_t>(ee - eb) * npc * npc);
+    std::vector<la::Triplet>& trip = triplets[eb / kCellGrain];
+    trip.reserve(static_cast<std::size_t>(ee - eb) * npc * npc);
     la::DenseMatrix ke(npc, npc);
     std::vector<real> fe(static_cast<std::size_t>(npc));
     std::vector<Vec3> coords(static_cast<std::size_t>(npc));
@@ -196,23 +202,17 @@ ScalarAssembly assemble_scalar(const mesh::Mesh& mesh,
             co.bc_contrib.emplace_back(row,
                                        ke(a, b) * dofmap.bc_value(verts[b]));
           } else {
-            co.triplets.push_back({row, col, ke(a, b)});
+            trip.push_back({row, col, ke(a, b)});
           }
         }
       }
     }
   });
 
-  std::size_t total_triplets = 0;
+  phase.emplace("assembly.merge");
   for (const ChunkOut& co : outs) {
-    total_triplets += co.triplets.size();
     for (const auto& [row, v] : co.load_contrib) out.load[row] += v;
     for (const auto& [row, v] : co.bc_contrib) out.bc_coupling[row] += v;
-  }
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(total_triplets);
-  for (const ChunkOut& co : outs) {
-    triplets.insert(triplets.end(), co.triplets.begin(), co.triplets.end());
   }
   out.stiffness = la::Csr::from_triplets(dofmap.num_free(), dofmap.num_free(),
                                          triplets);

@@ -241,23 +241,29 @@ real Csr::symmetry_error() const {
 }
 
 Csr Csr::from_triplets(idx nrows, idx ncols,
-                       std::span<const Triplet> triplets) {
+                       std::span<std::vector<Triplet>> chunks) {
   // Stable counting sort by row: bucket i holds row i's (col, value)
-  // pairs in emission order. Every range is checked before any write.
+  // pairs in emission order, chunk after chunk. Every range is checked
+  // before any write; each chunk is released once it is bucketed.
   std::vector<nnz_t> start(static_cast<std::size_t>(nrows) + 1, 0);
-  for (const Triplet& t : triplets) {
-    PROM_CHECK(t.row >= 0 && t.row < nrows && t.col >= 0 && t.col < ncols);
-    ++start[t.row + 1];
+  for (const std::vector<Triplet>& chunk : chunks) {
+    for (const Triplet& t : chunk) {
+      PROM_CHECK(t.row >= 0 && t.row < nrows && t.col >= 0 && t.col < ncols);
+      ++start[t.row + 1];
+    }
   }
   for (idx i = 0; i < nrows; ++i) start[i + 1] += start[i];
-  std::vector<idx> bcol(triplets.size());
-  std::vector<real> bval(triplets.size());
+  std::vector<idx> bcol(static_cast<std::size_t>(start[nrows]));
+  std::vector<real> bval(static_cast<std::size_t>(start[nrows]));
   {
     std::vector<nnz_t> next(start.begin(), start.end() - 1);
-    for (const Triplet& t : triplets) {
-      const nnz_t pos = next[t.row]++;
-      bcol[pos] = t.col;
-      bval[pos] = t.value;
+    for (std::vector<Triplet>& chunk : chunks) {
+      for (const Triplet& t : chunk) {
+        const nnz_t pos = next[t.row]++;
+        bcol[pos] = t.col;
+        bval[pos] = t.value;
+      }
+      std::vector<Triplet>().swap(chunk);
     }
   }
 
@@ -291,6 +297,10 @@ Csr Csr::from_triplets(idx nrows, idx ncols,
   m.colidx.assign(bcol.begin(), bcol.begin() + out);
   m.vals.assign(bval.begin(), bval.begin() + out);
   return m;
+}
+
+Csr Csr::from_triplets(idx nrows, idx ncols, std::vector<Triplet> triplets) {
+  return from_triplets(nrows, ncols, std::span(&triplets, 1));
 }
 
 graph::Graph pattern_graph(const Csr& a) {

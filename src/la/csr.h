@@ -84,16 +84,25 @@ struct Csr {
   /// max_ij |A_ij - A_ji| — symmetry check for tests and assertions.
   real symmetry_error() const;
 
-  /// Builds from triplets; duplicate (i, j) entries are summed (the finite
-  /// element assembly convention). O(nnz + nrows + ncols): a stable
-  /// counting sort by row, then one pass per row with a marker array and a
-  /// dense accumulator, and a sort of each row's unique columns. Summation
-  /// order: the duplicates of (i, j) sum from a zero seed in emission
-  /// order (their order in `triplets`). Every triplet's range is checked
-  /// before anything is written, and the result is allocated at its exact
-  /// size.
+  /// Builds from triplets handed over as a list of chunks (the per-chunk
+  /// buffers of a parallel assembly); duplicate (i, j) entries are summed
+  /// (the finite element assembly convention). O(nnz + nrows + ncols): a
+  /// stable counting sort by row straight out of the chunks, then one
+  /// pass per row with a marker array and a dense accumulator, and a sort
+  /// of each row's unique columns. Summation order: the duplicates of
+  /// (i, j) sum from a zero seed in emission order — chunk 0's triplets
+  /// first, each chunk in its own order — so any chunking of one triplet
+  /// sequence gives the same bits. Every triplet's range is checked
+  /// before anything is written (a rejected call leaves every chunk as it
+  /// was). Each chunk is released as soon as it is bucketed, before the
+  /// per-row compaction, so the triplets are never held twice; the result
+  /// is allocated at its exact size.
   static Csr from_triplets(idx nrows, idx ncols,
-                           std::span<const Triplet> triplets);
+                           std::span<std::vector<Triplet>> chunks);
+
+  /// The single-chunk case (restriction and prolongation builders).
+  static Csr from_triplets(idx nrows, idx ncols,
+                           std::vector<Triplet> triplets);
 
   static Csr identity(idx n);
 

@@ -397,6 +397,11 @@ void Hierarchy::set_fine_matrix(la::Csr a_fine) {
   levels_[0].a = std::move(a_fine);
 }
 
+la::Csr Hierarchy::take_fine_matrix() {
+  PROM_CHECK(!levels_.empty());
+  return std::exchange(levels_[0].a, la::Csr{});
+}
+
 void Hierarchy::build_operators() {
   for (std::size_t l = 1; l < levels_.size(); ++l) {
     const obs::Span span("setup.galerkin", static_cast<int>(l));

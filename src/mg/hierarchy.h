@@ -125,7 +125,10 @@ class Hierarchy {
   /// restriction operators, but no Galerkin coarse operators, smoothers,
   /// or coarse factorization — those are the *matrix setup* phase, which
   /// the distributed path (dla::DistHierarchy) performs row-distributed.
-  /// The fine matrix is kept (it seeds the distributed chain).
+  /// The fine matrix is kept as level 0's operator (it seeds the
+  /// distributed chain); pass it by move, and a caller that keeps it past
+  /// the distributed build takes it back with take_fine_matrix(), so it
+  /// is never held twice.
   static Hierarchy build_grids(const mesh::Mesh& mesh,
                                const fem::DofMap& dofmap, la::Csr a_fine,
                                const MgOptions& opts = {});
@@ -197,6 +200,13 @@ class Hierarchy {
   /// distributed path (Newton with dist_ranks > 0 rebuilds the Galerkin
   /// chain row-distributed from this matrix each iteration).
   void set_fine_matrix(la::Csr a_fine);
+
+  /// Moves level 0's operator out, leaving level 0 with no entries (its
+  /// grid data stays). For a caller that lent the fine matrix to a
+  /// grids-only hierarchy for dla::DistHierarchy::build and keeps it
+  /// itself once every rank's build has returned; the hierarchy then
+  /// seeds no further build.
+  la::Csr take_fine_matrix();
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
   const MgLevel& level(int l) const { return levels_[l]; }

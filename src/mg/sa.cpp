@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -243,7 +244,7 @@ Hierarchy build_smoothed_aggregation(const mesh::Mesh& mesh,
       break;
     }
     const la::Csr p_tent =
-        la::Csr::from_triplets(n, n_coarse, pt_triplets);
+        la::Csr::from_triplets(n, n_coarse, std::move(pt_triplets));
 
     // Prolongator smoothing: P = (I - omega/rho D^{-1} A) P_tent.
     la::Csr dinv_a = lv.a;
@@ -282,7 +283,7 @@ Hierarchy build_smoothed_aggregation(const mesh::Mesh& mesh,
         sum.push_back({i, smoothed.colidx[k], smoothed.vals[k]});
       }
     }
-    const la::Csr p = la::Csr::from_triplets(n, n_coarse, sum);
+    const la::Csr p = la::Csr::from_triplets(n, n_coarse, std::move(sum));
     la::Csr r = p.transposed();
 
     // Next-level state.

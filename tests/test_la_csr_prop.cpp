@@ -10,6 +10,7 @@
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -106,6 +107,34 @@ Csr reference_from_triplets(idx nrows, idx ncols, std::vector<Triplet> t) {
   return m;
 }
 
+/// Cuts `t` into a random list of consecutive chunks: empty chunks
+/// included, so runs of duplicates of one (i, j) straddle chunk
+/// boundaries.
+std::vector<std::vector<Triplet>> random_chunks(Rng& rng,
+                                                const std::vector<Triplet>& t) {
+  std::vector<std::vector<Triplet>> chunks;
+  std::size_t k = 0;
+  while (k < t.size() || chunks.empty() || rng.next_below(4) == 0) {
+    const std::size_t len = std::min<std::size_t>(
+        t.size() - k, rng.next_below(3) == 0 ? 0 : rng.next_below(40));
+    chunks.emplace_back(t.begin() + k, t.begin() + k + len);
+    k += len;
+  }
+  return chunks;
+}
+
+void expect_csr_bitwise(const Csr& got, const Csr& ref) {
+  ASSERT_EQ(got.nrows, ref.nrows);
+  ASSERT_EQ(got.ncols, ref.ncols);
+  ASSERT_EQ(got.rowptr, ref.rowptr);
+  ASSERT_EQ(got.colidx, ref.colidx);
+  ASSERT_EQ(got.vals.size(), ref.vals.size());
+  if (got.vals.empty()) return;  // memcmp must not see null data()
+  EXPECT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
+                        got.vals.size() * sizeof(real)),
+            0);
+}
+
 TEST(CsrProperty, FromTripletsMatchesStableSortReferenceBitwise) {
   Rng rng(0x7219);
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -130,17 +159,19 @@ TEST(CsrProperty, FromTripletsMatchesStableSortReferenceBitwise) {
                      std::pow(10.0, static_cast<int>(rng.next_below(17)) - 8);
       t.push_back({i, j, v});
     }
-    const Csr got = Csr::from_triplets(nrows, ncols, t);
+    SCOPED_TRACE("trial " + std::to_string(trial));
     const Csr ref = reference_from_triplets(nrows, ncols, t);
-    ASSERT_EQ(got.nrows, nrows);
-    ASSERT_EQ(got.ncols, ncols);
-    ASSERT_EQ(got.rowptr, ref.rowptr) << "trial " << trial;
-    ASSERT_EQ(got.colidx, ref.colidx) << "trial " << trial;
-    ASSERT_EQ(got.vals.size(), ref.vals.size());
-    EXPECT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
-                          got.vals.size() * sizeof(real)),
-              0)
-        << "trial " << trial;
+    // A single chunk, then random chunkings of the same sequence: every
+    // chunk list of one emission order merges to the same bits, and each
+    // chunk is released once merged.
+    expect_csr_bitwise(Csr::from_triplets(nrows, ncols, t), ref);
+    for (int cut = 0; cut < 3; ++cut) {
+      std::vector<std::vector<Triplet>> chunks = random_chunks(rng, t);
+      expect_csr_bitwise(Csr::from_triplets(nrows, ncols, chunks), ref);
+      for (const std::vector<Triplet>& c : chunks) {
+        EXPECT_EQ(c.capacity(), 0u);
+      }
+    }
   }
 }
 
@@ -151,6 +182,33 @@ TEST(CsrProperty, FromTripletsRejectsOutOfRangeTriplet) {
   EXPECT_THROW(Csr::from_triplets(2, 3, bad_row), Error);
   const std::vector<Triplet> negative = {{0, -1, 1.0}};
   EXPECT_THROW(Csr::from_triplets(2, 3, negative), Error);
+
+  // A bad triplet in the last chunk is caught before any chunk is
+  // bucketed: the throw leaves every chunk as it was.
+  Rng rng(0xBAD7);
+  for (int trial = 0; trial < 50; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RandomProblem p = random_problem(rng);
+    std::vector<std::vector<Triplet>> chunks = random_chunks(rng, p.triplets);
+    if (rng.next_below(2) == 0) {
+      chunks.back().push_back({p.nrows, 0, 1.0});  // row out of range
+    } else {
+      chunks.back().push_back({0, p.ncols, 1.0});  // column out of range
+    }
+    const std::vector<std::vector<Triplet>> before = chunks;
+    EXPECT_THROW(Csr::from_triplets(p.nrows, p.ncols, chunks), Error);
+    ASSERT_EQ(chunks.size(), before.size());
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      ASSERT_EQ(chunks[c].size(), before[c].size()) << "chunk " << c;
+      for (std::size_t k = 0; k < chunks[c].size(); ++k) {
+        EXPECT_EQ(chunks[c][k].row, before[c][k].row);
+        EXPECT_EQ(chunks[c][k].col, before[c][k].col);
+        EXPECT_EQ(std::memcmp(&chunks[c][k].value, &before[c][k].value,
+                              sizeof(real)),
+                  0);
+      }
+    }
+  }
 }
 
 TEST(CsrProperty, SpmvMatchesDenseMatvec) {

@@ -231,6 +231,45 @@ TEST(ObsTrace, MeshSetupSpansNestUnderThePhase) {
   }
 }
 
+TEST(ObsTrace, AssemblySpansNestUnderTheFineGridPhase) {
+  // Both assemblies share the chunked triplet merge, and both report the
+  // element kernels and the merge as spans of the fine-grid phase.
+  for (const bool scalar : {true, false}) {
+    SCOPED_TRACE(scalar ? "poisson_het" : "elasticity");
+    const ScopedTracing tracing;
+    app::ServiceConfig sc;
+    sc.nranks = 1;
+    app::SolveService service(sc);
+    if (scalar) {
+      service.register_problem("p", app::make_poisson_het_problem(4, 1e3));
+    } else {
+      service.register_problem("p", app::make_box_problem(4));
+    }
+    const std::int64_t mark = obs::Tracer::now_ns();
+    service.acquire("p");
+    const std::vector<obs::SpanRecord> spans =
+        obs::Tracer::instance().spans_since(mark);
+    const auto phase =
+        std::find_if(spans.begin(), spans.end(), [](const obs::SpanRecord& s) {
+          return std::string_view(s.name) == "phase.fine_grid";
+        });
+    ASSERT_NE(phase, spans.end());
+    for (const std::string_view name :
+         {"assembly.elements", "assembly.merge"}) {
+      int count = 0;
+      for (const obs::SpanRecord& s : spans) {
+        if (std::string_view(s.name) != name) continue;
+        ++count;
+        EXPECT_EQ(s.tid, phase->tid) << name;
+        EXPECT_EQ(s.depth, phase->depth + 1) << name;
+        EXPECT_GE(s.t0_ns, phase->t0_ns) << name;
+        EXPECT_LE(s.t1_ns, phase->t1_ns) << name;
+      }
+      EXPECT_EQ(count, 1) << name;
+    }
+  }
+}
+
 TEST(ObsTrace, SpanTrafficDeltasMatchCommTraffic) {
   const ScopedTracing tracing;
   constexpr int kRanks = 4;

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,11 +24,30 @@
 namespace prom::app {
 namespace {
 
-struct EnvGuard {
+/// Restores the process-wide knobs a test changes: kernel threads, halo
+/// mode and, when one was named, an environment variable.
+class EnvGuard {
+ public:
+  EnvGuard() = default;
+  explicit EnvGuard(const char* var) : var_(var) {
+    if (const char* old = std::getenv(var)) saved_ = old;
+  }
   ~EnvGuard() {
     common::set_kernel_threads(0);
     dla::set_halo_mode(dla::HaloMode::kOverlap);
+    if (var_ == nullptr) return;
+    if (saved_) {
+      ::setenv(var_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(var_);
+    }
   }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* var_ = nullptr;
+  std::optional<std::string> saved_;
 };
 
 constexpr int kThreadCounts[] = {1, 2, 8};
@@ -57,6 +78,14 @@ la::MultiVec make_rhs_block(idx n, int k) {
 void expect_bitwise_equal(std::span<const real> a, std::span<const real> b) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(real)), 0);
+}
+
+void expect_csr_bitwise(const la::Csr& a, const la::Csr& b) {
+  EXPECT_EQ(a.nrows, b.nrows);
+  EXPECT_EQ(a.ncols, b.ncols);
+  EXPECT_EQ(a.rowptr, b.rowptr);
+  EXPECT_EQ(a.colidx, b.colidx);
+  expect_bitwise_equal(a.vals, b.vals);
 }
 
 /// Solves each column of `rhs` standalone and checks the k-RHS solve of
@@ -555,6 +584,105 @@ TEST(ServiceSolve, NonFiniteRhsIsRejectedBeforeTheCache) {
   for (int j = 0; j < 3; ++j) {
     EXPECT_EQ(cached.results[j].iterations, want.results[j].iterations);
     expect_bitwise_equal(cached.solutions.col(j), want.solutions.col(j));
+  }
+}
+
+TEST(ServiceSolve, RhsBlockEnvIsParsedStrictly) {
+  const EnvGuard guard("PROM_RHS_BLOCK");
+  ::unsetenv("PROM_RHS_BLOCK");
+  EXPECT_EQ(rhs_block_from_env(), 8);
+  ::setenv("PROM_RHS_BLOCK", "", 1);
+  EXPECT_EQ(rhs_block_from_env(), 8);
+  ::setenv("PROM_RHS_BLOCK", "3", 1);
+  EXPECT_EQ(rhs_block_from_env(), 3);
+
+  SolveService service(small_config(2, mg::MatrixFormat::kCsr));
+  service.register_problem("box", make_box_problem(4));
+  service.register_problem("cold", make_box_problem(4));
+  const EntryHandle entry = service.acquire("box");
+  SolveRequest req;
+  req.mesh_id = "box";
+  for (const char* bad : {"8abc", "abc", "4.5", "0", "17", "-2"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("PROM_RHS_BLOCK", bad, 1);
+    EXPECT_THROW(rhs_block_from_env(), Error);
+    // The solve fails before any rank launches: no solve phase is
+    // recorded, and a cold request builds nothing.
+    obs::Tracer& tracer = obs::Tracer::instance();
+    const bool was_tracing = obs::tracing();
+    tracer.set_enabled(true);
+    const std::int64_t mark = obs::Tracer::now_ns();
+    EXPECT_THROW(service.solve_with(entry, req), Error);
+    SolveRequest cold = req;
+    cold.mesh_id = "cold";
+    EXPECT_THROW(service.solve(cold), Error);
+    tracer.set_enabled(was_tracing);
+    const obs::Report rep = obs::build_report(mark);
+    EXPECT_EQ(rep.phase("solve"), nullptr);
+    EXPECT_EQ(rep.phase("matrix_setup"), nullptr);
+  }
+  EXPECT_EQ(service.cache_misses(), 1);
+  EXPECT_EQ(service.cache_size(), 1u);
+}
+
+TEST(ServiceEntry, HoldsItsFineStiffnessOnce) {
+  // The grids lend the fine stiffness to the distributed build and hand
+  // it back: after acquire their level 0 holds no entries, the entry's
+  // system is bitwise a fresh assembly of the same problem, and a cache
+  // hit solves exactly as the cold request did.
+  struct Case {
+    const char* name;
+    bool scalar;
+    mg::MatrixFormat format;
+    int refine_rounds;
+  };
+  const Case cases[] = {
+      {"elasticity csr", false, mg::MatrixFormat::kCsr, 0},
+      {"elasticity bsr3", false, mg::MatrixFormat::kBsr3, 0},
+      {"elasticity mf", false, mg::MatrixFormat::kMf, 0},
+      {"poisson_het", true, mg::MatrixFormat::kBsr3, 0},
+      {"elasticity refined", false, mg::MatrixFormat::kBsr3, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ServiceConfig sc = small_config(2, c.format);
+    sc.refine_rounds = c.refine_rounds;
+    SolveService service(sc);
+    const ModelProblem problem =
+        c.scalar ? make_poisson_het_problem(4, 1e3) : make_box_problem(4);
+    service.register_problem("p", problem);
+    SolveRequest req;
+    req.mesh_id = "p";
+    const SolveResponse cold = service.solve(req);
+    ASSERT_FALSE(cold.cache_hit);
+    ASSERT_TRUE(cold.results[0].converged);
+
+    const EntryHandle entry = service.acquire("p");
+    EXPECT_EQ(entry->grids.level(0).a.nnz(), 0);
+    EXPECT_TRUE(entry->grids.level(0).a.vals.empty());
+    EXPECT_TRUE(entry->grids.level(0).a.colidx.empty());
+
+    la::Csr fresh;
+    if (c.refine_rounds > 0) {
+      ASSERT_NE(entry->refined, nullptr);
+      fem::FeProblem fe(entry->refined->final_mesh(), problem.materials,
+                        entry->refined->final_dofmap());
+      fresh = fem::assemble_linear_system(fe).stiffness;
+    } else if (c.scalar) {
+      fresh = fem::assemble_scalar_system(problem.mesh, problem.scalar_dofmap,
+                                          problem.coeffs)
+                  .stiffness;
+    } else {
+      fem::FeProblem fe(problem.mesh, problem.materials, problem.dofmap);
+      fresh = fem::assemble_linear_system(fe).stiffness;
+    }
+    expect_csr_bitwise(entry->sys.stiffness, fresh);
+    EXPECT_EQ(entry->unknowns, fresh.nrows);
+
+    const SolveResponse warm = service.solve(req);
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(warm.results[0].iterations, cold.results[0].iterations);
+    expect_bitwise_equal(warm.solutions.col(0), cold.solutions.col(0));
   }
 }
 
