@@ -35,9 +35,10 @@
 #include "la/backend.h"
 #include "la/bsr.h"
 #include "la/dense.h"
-#include "la/smoother_kernels.h"
-#include "la/smoothers.h"
+#include "la/operator.h"
 #include "mesh/generate.h"
+#include "mg/hierarchy.h"
+#include "mg/level_solve.h"
 #include "partition/greedy.h"
 #include "parx/runtime.h"
 
@@ -114,18 +115,31 @@ BENCHMARK(BM_GalerkinTripleProduct)
       else b->Arg(8)->Arg(10);
     });
 
+/// The multigrid levels' smoother (mg/level_solve.h) of the given kind on
+/// the whole of `a`, as the serial hierarchy builds it.
+mg::LevelSolve level_smoother(const la::Csr& a, mg::SmootherKind kind,
+                              idx blocks_per_1000 = 6) {
+  mg::MgOptions mo;
+  mo.smoother = kind;
+  mo.bj_blocks_per_1000 = blocks_per_1000;
+  mg::LevelSolve s;
+  s.build_smoother(la::SerialBackend{}, la::CsrOperator(a), a, 0, mo);
+  return s;
+}
+
 void BM_BlockJacobiSweep(benchmark::State& state) {
   // Block-count ablation: the paper's 6 blocks/1000 unknowns vs denser
-  // and sparser alternatives.
+  // and sparser alternatives, one smoothing step on a one-column block.
   const Assembled& a = assembled(10);
   const idx per1000 = static_cast<idx>(state.range(0));
-  const la::BlockJacobiSmoother smoother(
-      a.stiffness,
-      partition::block_jacobi_blocks(la::pattern_graph(a.stiffness), per1000),
-      0.6);
-  std::vector<real> b(a.stiffness.nrows, 1.0), x(a.stiffness.nrows, 0.0);
+  const mg::LevelSolve smoother =
+      level_smoother(a.stiffness, mg::SmootherKind::kBlockJacobi, per1000);
+  const la::CsrOperator op(a.stiffness);
+  la::MultiVec b(a.stiffness.nrows, 1), x(a.stiffness.nrows, 1);
+  std::fill(b.col(0).begin(), b.col(0).end(), 1.0);
+  mg::SolveScratch ws;
   for (auto _ : state) {
-    smoother.smooth(b, x);
+    smoother.smooth_mv(la::SerialBackend{}, op, b, x, ws);
     benchmark::DoNotOptimize(x.data());
   }
 }
@@ -289,10 +303,14 @@ BENCHMARK(BM_SpmvThreads)->Apply([](benchmark::internal::Benchmark* b) {
 
 void BM_ChebyshevSmootherThreads(benchmark::State& state) {
   const Assembled& a = assembled(static_cast<idx>(state.range(0)));
-  const la::ChebyshevSmoother smoother(a.stiffness, 3);
-  std::vector<real> b(a.stiffness.nrows, 1.0), x(a.stiffness.nrows, 0.0);
+  const mg::LevelSolve smoother =
+      level_smoother(a.stiffness, mg::SmootherKind::kChebyshev);
+  const la::CsrOperator op(a.stiffness);
+  la::MultiVec b(a.stiffness.nrows, 1), x(a.stiffness.nrows, 1);
+  std::fill(b.col(0).begin(), b.col(0).end(), 1.0);
+  mg::SolveScratch ws;
   run_thread_sweep(state, "chebyshev", [&] {
-    smoother.smooth(b, x);
+    smoother.smooth_mv(la::SerialBackend{}, op, b, x, ws);
     benchmark::DoNotOptimize(x.data());
   });
 }
@@ -427,6 +445,13 @@ struct Bsr3SweepOperator {
                 std::span<real> r) const {
     a->residual(b, x, r);
   }
+  void apply_mv(const la::MultiVec& x, la::MultiVec& y) const {
+    a->spmm(x, y);
+  }
+  void residual_mv(const la::MultiVec& b, const la::MultiVec& x,
+                   la::MultiVec& r) const {
+    a->residual_mv(b, x, r);
+  }
 };
 
 int run_format_comparison() {
@@ -547,21 +572,23 @@ int run_format_comparison() {
     }
   }
 
-  // One point-Jacobi sweep in each format: the sweep DistMgLevel runs for
-  // SmootherKind::kJacobi, over the CSR operator and over its node blocks
-  // (with the same inverted diagonal). The two are timed in turn within
-  // each repetition, like the spmm series, so their ratio holds through a
-  // slow phase of a shared host.
+  // One point-Jacobi step in each format on a one-column block: the step
+  // DistMgLevel runs for SmootherKind::kJacobi (LevelSolve::smooth_mv,
+  // la::jacobi_sweep_mv), over the CSR operator and over its node blocks
+  // with the same level smoother. The two are timed in turn within each
+  // repetition, like the spmm series, so their ratio holds through a slow
+  // phase of a shared host.
   const la::CsrOperator sop(a);
   const Bsr3SweepOperator bop{&ab};
-  const std::vector<real> inv_diag = la::inverted_diagonal(a);
-  const std::vector<real> b(static_cast<std::size_t>(a.nrows), 1.0);
-  std::vector<real> xs(b.size(), 0.0);
+  const mg::LevelSolve jacobi = level_smoother(a, mg::SmootherKind::kJacobi);
+  la::MultiVec b(a.nrows, 1), xs(a.nrows, 1);
+  std::fill(b.col(0).begin(), b.col(0).end(), 1.0);
+  mg::SolveScratch sweep_ws;
   double csr_sweep = 0;
   double bsr_sweep = 0;
   const auto best_sweep = [&](double& best_ns, const auto& op) {
     const double ns = best_mean_ns(1, iters, [&] {
-      la::jacobi_sweep(la::SerialBackend{}, op, inv_diag, 0.6, b, xs);
+      jacobi.smooth_mv(la::SerialBackend{}, op, b, xs, sweep_ws);
       benchmark::DoNotOptimize(xs.data());
     });
     if (best_ns == 0 || ns < best_ns) best_ns = ns;

@@ -32,7 +32,11 @@ split and the messages and bytes one SpMV sends must equal the
 baseline's, so one extra halo message fails the gate. In
 BENCH_setup.json every rank count's busiest-rank Galerkin flops and
 setup messages and bytes, and every cycle-traffic level's active ranks,
-messages and bytes must equal the baseline's.
+messages and bytes must equal the baseline's. The problem sizes must
+match too: `unknowns` in every file that records it, the hierarchy's
+`levels` in BENCH_setup.json, the operator `nnz` in BENCH_kernels.json
+and each refinement row's `cells` in BENCH_refine.json (the host's core
+count is recorded but never gated).
 
 Files in COUNTS_ONLY are gated on their count rules alone: their time
 series are printed but never fail the gate (BENCH_setup.json times one
@@ -85,13 +89,18 @@ RATIO_RULES = {
 # baseline exactly (and exist in the fresh output), "true" leaves must be
 # true in the fresh output.
 COUNT_RULES = {
-    "BENCH_equations.json": {"equal": ("iterations",), "true": ("converged",)},
-    "BENCH_refine.json": {"equal": ("iterations",), "true": ("converged",)},
-    "BENCH_halo.json": {"equal": ("interior_rows", "boundary_rows",
-                                  "messages", "bytes")},
-    "BENCH_setup.json": {"equal": ("max_rank_galerkin_flops",
+    "BENCH_equations.json": {"equal": ("iterations", "unknowns"),
+                             "true": ("converged",)},
+    "BENCH_refine.json": {"equal": ("iterations", "cells", "unknowns"),
+                          "true": ("converged",)},
+    "BENCH_halo.json": {"equal": ("unknowns", "interior_rows",
+                                  "boundary_rows", "messages", "bytes")},
+    "BENCH_setup.json": {"equal": ("levels", "unknowns",
+                                   "max_rank_galerkin_flops",
                                    "setup_messages", "setup_bytes",
                                    "active_ranks", "messages", "bytes")},
+    "BENCH_kernels.json": {"equal": ("nnz", "unknowns")},
+    "BENCH_service.json": {"equal": ("unknowns",)},
 }
 
 # Files whose time series are reported but not gated (see the docstring).

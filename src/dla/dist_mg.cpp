@@ -10,55 +10,12 @@
 #include "dla/dist_vec.h"
 #include "dla/parx_backend.h"
 #include "la/krylov_any.h"
-#include "la/smoother_kernels.h"
-#include "la/smoothers.h"
 #include "la/vec.h"
 #include "mg/cycle_any.h"
 #include "obs/trace.h"
-#include "partition/greedy.h"
 
 namespace prom::dla {
 namespace {
-
-/// Redundant dense factorization of the (gathered, constant-size) coarsest
-/// operator, with the same diagonal-shift escalation as the serial build.
-std::unique_ptr<la::DenseLdlt> factor_coarse(const la::Csr& a) {
-  la::DenseMatrix dense(a.nrows, a.ncols);
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      dense(i, a.colidx[k]) = a.vals[k];
-    }
-  }
-  auto direct = std::make_unique<la::DenseLdlt>(dense);
-  if (!direct->ok()) {
-    real max_diag = 1;
-    for (idx i = 0; i < a.nrows; ++i) {
-      max_diag = std::max(max_diag, std::abs(dense(i, i)));
-    }
-    for (real shift = 1e-12 * max_diag; !direct->ok(); shift *= 10) {
-      la::DenseMatrix shifted = dense;
-      for (idx i = 0; i < a.nrows; ++i) shifted(i, i) += shift;
-      *direct = la::DenseLdlt(shifted);
-      PROM_CHECK(shift < 1e30);
-    }
-  }
-  return direct;
-}
-
-/// LU counterpart of factor_coarse for non-symmetric coarsest operators:
-/// partial pivoting needs no shift escalation.
-std::unique_ptr<la::DenseLu> factor_coarse_lu(const la::Csr& a) {
-  la::DenseMatrix dense(a.nrows, a.ncols);
-  for (idx i = 0; i < a.nrows; ++i) {
-    for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-      dense(i, a.colidx[k]) = a.vals[k];
-    }
-  }
-  auto direct = std::make_unique<la::DenseLu>(dense);
-  PROM_CHECK_MSG(direct->ok(),
-                 "coarsest-level LU factorization failed (singular)");
-  return direct;
-}
 
 /// The active-subset communicator of an agglomerated level: ranks
 /// [0, active). Pure-local construction (Comm::split), so building it per
@@ -150,16 +107,15 @@ struct DistCycleView {
   void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const {
     const int nl = h->num_levels();
     const DistMgLevel& lv = h->level(nl - 1);
-    if (lv.direct != nullptr || lv.direct_lu != nullptr) {
+    if (lv.has_coarse_factor()) {
       // Redundant coarse solve (§5 — the coarsest problem is
       // constant-size): one allgatherv carries every column, the
-      // factor-solve is local, and each rank keeps its slice. The LDL^T
-      // factor solves all columns in one blocked call, the LU one column
-      // at a time. When the coarsest level is agglomerated, only its
-      // active ranks reach this point (the cycle skips idle ranks), so the
-      // gather collective must run over the active subset alone.
+      // factor-solve is local, and each rank keeps its slice. When the
+      // coarsest level is agglomerated, only its active ranks reach this
+      // point (the cycle skips idle ranks), so the gather collective must
+      // run over the active subset alone.
       const int active = h->active_ranks(nl - 1);
-      DistMgLevel::SolveScratch& ws = lv.solve_scratch;
+      mg::SolveScratch& ws = lv.solve_scratch;
       if (active < comm->size()) {
         parx::Comm sub = active_subcomm(*comm, active);
         dist_gather_all_mv(sub, active_rowdist(lv.a.row_dist(), active), b,
@@ -168,13 +124,7 @@ struct DistCycleView {
         dist_gather_all_mv(*comm, lv.a.row_dist(), b, ws.b_full);
       }
       ws.x_full.resize(ws.b_full.rows(), b.cols());
-      if (lv.direct != nullptr) {
-        lv.direct->solve(ws.b_full, ws.x_full, ws.ldlt_work);
-      } else {
-        for (int j = 0; j < b.cols(); ++j) {
-          lv.direct_lu->solve(ws.b_full.col(j), ws.x_full.col(j));
-        }
-      }
+      lv.coarse_solve_mv(ws.b_full, ws.x_full, ws.ldlt_work);
       const idx b0 = lv.a.row_dist().begin(comm->rank());
       for (int j = 0; j < b.cols(); ++j) {
         const real* fj = ws.x_full.col_data(j);
@@ -188,30 +138,6 @@ struct DistCycleView {
   }
 };
 
-/// Smoother dispatch over the operator view: the sweeps are generic in
-/// the operator, so the CSR and node-block paths share one body.
-template <class Op>
-void smooth_with_mv(const DistMgLevel& lv, parx::Comm& comm, const Op& op,
-                    const la::MultiVec& b_local, la::MultiVec& x_local) {
-  const ParxBackend be{&comm};
-  la::SweepScratch& ws = lv.solve_scratch.sweep;
-  switch (lv.kind) {
-    case mg::SmootherKind::kJacobi:
-      la::jacobi_sweep_mv(be, op, lv.inv_diag, lv.omega, b_local, x_local,
-                          ws);
-      break;
-    case mg::SmootherKind::kChebyshev:
-      la::chebyshev_sweep_mv(be, op, lv.inv_diag, lv.cheby_degree,
-                             lv.cheby_lmin, lv.cheby_lmax, b_local, x_local,
-                             ws);
-      break;
-    default:
-      la::block_jacobi_sweep_mv(be, op, lv.blocks, lv.factors, lv.omega,
-                                b_local, x_local, ws);
-      break;
-  }
-}
-
 /// The level-0 operator of the outer Krylov solve, by the selection rule.
 std::unique_ptr<DistOperator> fine_operator(const DistHierarchy& h) {
   return with_level_operator(
@@ -224,30 +150,13 @@ std::unique_ptr<DistOperator> fine_operator(const DistHierarchy& h) {
 
 void DistMgLevel::smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
                             la::MultiVec& x_local) const {
-  if (smooth_masked) {
-    // Local smoothing (adaptive refinement levels): the full collective
-    // sweep runs on a scratch copy — same exchanges on every rank, since
-    // the masked flag is a level property, not a rank property — and only
-    // the refined-region rows this rank owns take the update.
-    la::MultiVec& tmp = solve_scratch.x_masked;
-    tmp = x_local;  // copy-assignment reuses the held capacity
-    smooth_full_mv(comm, b_local, tmp);
-    for (int j = 0; j < x_local.cols(); ++j) {
-      real* xj = x_local.col_data(j);
-      const real* tj = tmp.col_data(j);
-      for (idx i : smooth_rows_local) xj[i] = tj[i];
-    }
-    return;
-  }
-  smooth_full_mv(comm, b_local, x_local);
-}
-
-void DistMgLevel::smooth_full_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                                 la::MultiVec& x_local) const {
+  const ParxBackend be{&comm};
   if (a_bsr != nullptr) {
-    smooth_with_mv(*this, comm, DistBsrOperator(*a_bsr), b_local, x_local);
+    LevelSolve::smooth_mv(be, DistBsrOperator(*a_bsr), b_local, x_local,
+                          solve_scratch);
   } else {
-    smooth_with_mv(*this, comm, DistCsrOperator(a), b_local, x_local);
+    LevelSolve::smooth_mv(be, DistCsrOperator(a), b_local, x_local,
+                          solve_scratch);
   }
 }
 
@@ -376,10 +285,13 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
         nat_prev = &dl.a;
       }
     }
-    if (format == mg::MatrixFormat::kBsr3 && bs == 3) {
+    if (format == mg::MatrixFormat::kBsr3 && bs == 3 &&
+        (l + 1 < nl || nl == 1)) {
       // Node-block view for the solve phase; the setup above stays CSR so
       // both formats see bit-identical operators. At block size 1 the
-      // node blocks are the CSR rows, so `a` serves as they would.
+      // node blocks are the CSR rows, so `a` serves as they would. The
+      // coarsest level of a multi-level hierarchy never applies them: its
+      // direct solve reads the gathered CSR operator.
       dl.a_bsr = std::make_unique<DistBsr>(DistBsr::build(
           comm, dl.a, h.perms_[l], serial.level(l).free_dofs));
     }
@@ -398,30 +310,20 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
                      static_cast<double>(dl.a.local_matrix().vals.size()), l);
   }
 
-  // Smoothers / coarse factorization.
+  // Smoothers / coarse factorization (mg/level_solve.h).
   for (int l = 0; l < nl; ++l) {
     DistMgLevel& dl = h.levels_[l];
-    const bool coarsest = l + 1 == nl;
-    if (coarsest && nl > 1) {
+    if (l + 1 == nl && nl > 1) {
       // The coarsest operator has constant size (§5): gather it and
-      // factor redundantly on every rank — LU when the serial options ask
-      // for the non-symmetric coarse solve, LDL^T otherwise.
+      // factor redundantly on every rank.
       const obs::Span span("setup.coarse_factor", l);
-      if (mo.coarse_solver == mg::CoarseSolverKind::kDenseLu) {
-        dl.direct_lu = factor_coarse_lu(dist_gather_matrix(comm, dl.a));
-      } else {
-        dl.direct = factor_coarse(dist_gather_matrix(comm, dl.a));
-      }
+      dl.factor_coarse(dist_gather_matrix(comm, dl.a), mo.coarse_solver);
       continue;
     }
     const obs::Span span("setup.smoother", l);
-    dl.kind = mo.smoother == mg::SmootherKind::kSymGaussSeidel
-                  ? mg::SmootherKind::kBlockJacobi
-                  : mo.smoother;
-    dl.omega = mo.omega;
-    // The owned-rows block is read here only: the sweeps keep the
-    // inverted diagonal or the block factors, never the block itself.
-    const la::Csr local_diag = dl.a.local_diagonal_block();
+    dl.build_smoother(ParxBackend{&comm}, DistCsrOperator(dl.a),
+                      dl.a.local_diagonal_block(),
+                      dl.a.row_dist().begin(rank), mo);
     // Local-smoothing mask (adaptive refinement levels): this rank's
     // slice of the serial MgLevel::smooth_rows, in local row numbering.
     // The masked flag is a property of the serial level, so it is
@@ -437,26 +339,6 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
       for (idx i = 0; i < nloc; ++i) {
         if (in_mask[h.perms_[l][b0 + i]]) dl.smooth_rows_local.push_back(i);
       }
-    }
-    switch (dl.kind) {
-      case mg::SmootherKind::kJacobi:
-        dl.inv_diag = la::inverted_diagonal(local_diag);
-        break;
-      case mg::SmootherKind::kChebyshev: {
-        dl.inv_diag = la::inverted_diagonal(local_diag);
-        dl.cheby_degree = std::max(1, mo.cheby_degree);
-        const real lambda = la::estimate_lambda_max(
-            ParxBackend{&comm}, DistCsrOperator(dl.a), dl.inv_diag,
-            dl.a.row_dist().begin(rank));
-        dl.cheby_lmax = 1.1 * std::max(lambda, real{1e-12});
-        dl.cheby_lmin = dl.cheby_lmax / 30;
-        break;
-      }
-      default:
-        dl.blocks = partition::block_jacobi_blocks(
-            la::pattern_graph(local_diag), mo.bj_blocks_per_1000);
-        dl.factors = la::factor_diagonal_blocks(local_diag, dl.blocks);
-        break;
     }
   }
   return h;

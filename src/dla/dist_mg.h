@@ -10,11 +10,13 @@
 // every rank (§5). Per-rank setup work scales with local rows: no rank
 // constructs a global-size operator at any level but the coarsest.
 //
-// The cycles and PCG are the backend-generic k-column implementations
-// (mg/cycle_any.h, la/krylov_any.h) instantiated with ParxBackend — this
-// file adds only the MultiCycleView adapter and the level data. Every
-// solve path here is k-column; a single right-hand side is a one-column
-// block.
+// The cycles, PCG and the level smoother and coarse factor are the
+// backend-generic k-column implementations (mg/cycle_any.h,
+// la/krylov_any.h, mg/level_solve.h) instantiated with ParxBackend — the
+// serial mg::Hierarchy runs the same ones with SerialBackend. This file
+// adds only the MultiCycleView adapter and the distributed level data.
+// Every solve path here is k-column; a single right-hand side is a
+// one-column block.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,6 @@
 #include "dla/dist_csr.h"
 #include "dla/dist_krylov.h"
 #include "dla/dist_mf.h"
-#include "la/dense.h"
-#include "la/smoother_kernels.h"
 #include "mg/cycle_any.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
@@ -48,19 +48,22 @@ std::vector<int> agglom_active_ranks(std::span<const idx> level_rows,
 /// operator through one rule, whatever format the solve options name:
 /// `a_mf` when built, else `a_bsr` when built, else `a`. Smoothing uses
 /// `a_bsr` when built, else `a` (an mf level smooths on CSR). A level
-/// keeps only what a solve reads: the operators, the restriction, the
-/// smoother data and the coarse factor; setup temporaries such as the
-/// owned-rows diagonal block die with the build.
-struct DistMgLevel {
+/// keeps only what a solve reads: the operators, the restriction, and its
+/// LevelSolve base — the smoother data over the local rows, built from the
+/// owned-rows x owned-columns block of `a` (which dies with the build), or
+/// on the coarsest level the redundant factor of the gathered operator.
+struct DistMgLevel : mg::LevelSolve {
   DistCsr a;   ///< level operator (square, row/col dist identical)
   DistCsr r;   ///< restriction from the finer level (empty on level 0)
   /// Node-block (BAIJ) view of `a`, built when the hierarchy is
   /// constructed with mg::MatrixFormat::kBsr3 for a problem with 3 dofs
   /// per node; the solve phase (SpMM inside smoothers, cycles, and PCG)
   /// then ships whole node blocks in the ghost exchange. Null in the CSR
-  /// configuration, and for a scalar class under kBsr3: its 1x1 node
-  /// blocks are the CSR rows of `a`. The matrix *setup* (Galerkin chain)
-  /// stays CSR either way, so both formats see bit-identical operators.
+  /// configuration, for a scalar class under kBsr3 (its 1x1 node blocks
+  /// are the CSR rows of `a`), and on the coarsest level of a multi-level
+  /// hierarchy, whose direct solve reads the gathered CSR operator. The
+  /// matrix *setup* (Galerkin chain) stays CSR either way, so both formats
+  /// see bit-identical operators.
   std::unique_ptr<DistBsr> a_bsr;
   /// Matrix-free element view of `a`, built when the hierarchy is
   /// constructed with mg::MatrixFormat::kMf and an MfProblem; level 0
@@ -69,64 +72,23 @@ struct DistMgLevel {
   /// Galerkin products and the smoother diagonals.
   std::unique_ptr<DistMf> a_mf;
 
-  // Smoother data over the local rows (kSymGaussSeidel falls back to
-  // processor-block Jacobi — Gauss–Seidel does not parallelize). Built
-  // from the owned-rows x owned-columns block of `a`, which the build
-  // drops once the smoother is set up: no sweep reads it.
-  mg::SmootherKind kind = mg::SmootherKind::kBlockJacobi;
-  std::vector<real> inv_diag;       ///< Jacobi / Chebyshev
-  std::vector<std::vector<idx>> blocks;
-  std::vector<la::DenseLdlt> factors;
-  real omega = 0.6;
-  int cheby_degree = 3;
-  real cheby_lmin = 0, cheby_lmax = 0;
-
-  // Coarsest level: replicated dense factorization of the gathered
-  // (constant-size) operator; null on single-level hierarchies. LDL^T for
-  // symmetric chains, partial-pivoting LU when the serial hierarchy was
-  // built with CoarseSolverKind::kDenseLu (non-symmetric scalar classes);
-  // exactly one of the two is set on the coarsest level.
-  std::unique_ptr<la::DenseLdlt> direct;
-  std::unique_ptr<la::DenseLu> direct_lu;
-
-  /// Local smoothing (adaptive refinement levels, MgLevel::smooth_rows):
-  /// when `smooth_masked` is set — identically on every rank of the
-  /// level — a smoothing step updates only the local rows listed in
-  /// `smooth_rows_local` (this rank's slice of the refined region) and
-  /// leaves the rest of x untouched. The underlying sweep still runs
-  /// collectively on all rows, so the exchange schedule is unchanged.
-  bool smooth_masked = false;
-  std::vector<idx> smooth_rows_local;
-
   /// The cycle temporaries of this level (mg::CycleScratch), kept across
   /// cycles so a repeat solve allocates none; they live as long as the
   /// hierarchy. Like the operators' exchange staging, they make one
   /// DistMgLevel usable by one solve at a time.
   mutable mg::CycleScratch cycle_scratch;
-
   /// The smoothing and coarse-solve temporaries of this level, kept the
-  /// same way: the sweeps' residual blocks and block gathers, the masked
-  /// step's copy of x, and on the coarsest level the gathered right-hand
-  /// side, the full solution and the LDL^T staging.
-  struct SolveScratch {
-    la::SweepScratch sweep;
-    la::MultiVec x_masked;
-    la::MultiVec b_full, x_full;
-    std::vector<real> ldlt_work;
-  };
-  mutable SolveScratch solve_scratch;
+  /// same way.
+  mutable mg::SolveScratch solve_scratch;
 
   idx local_n() const { return a.local_rows(); }
 
-  /// One smoothing step of the configured kind on k columns: one exchange
-  /// per operator application serves all of them, and column j is bitwise
-  /// the k = 1 step on that column. Collective.
+  /// One smoothing step of the configured kind on k columns
+  /// (LevelSolve::smooth_mv on the parx backend): one exchange per
+  /// operator application serves all of them, and column j is bitwise the
+  /// k = 1 step on that column. Collective.
   void smooth_mv(parx::Comm& comm, const la::MultiVec& b_local,
                  la::MultiVec& x_local) const;
-
- private:
-  void smooth_full_mv(parx::Comm& comm, const la::MultiVec& b_local,
-                      la::MultiVec& x_local) const;
 };
 
 class DistHierarchy {
@@ -140,8 +102,9 @@ class DistHierarchy {
   /// identical on all ranks. The permutations applied per level are
   /// retained so solutions can be mapped back to the serial ordering.
   /// `format` picks the solve-phase views built next to the CSR
-  /// operators: kBsr3 adds node blocks on every level when the problem
-  /// has 3 dofs per node, kMf a matrix-free level 0 (block size 3 only).
+  /// operators: kBsr3 adds node blocks on every level but the coarsest
+  /// when the problem has 3 dofs per node, kMf a matrix-free level 0
+  /// (block size 3 only).
   /// `mf` supplies the fine-level element data when `format` is
   /// mg::MatrixFormat::kMf (required then, ignored otherwise). The solve
   /// applies whatever the hierarchy holds (see DistMgLevel).

@@ -1,8 +1,12 @@
 // Execution backends for the single-source solver layer. Every solve-phase
-// algorithm (PCG, the smoother drivers, the multigrid cycles) is written
-// exactly once as a template over a Backend: a small value type that knows
-// how to (a) size and apply an operator on the locally-stored part of a
-// vector and (b) combine locally-computed reductions across the machine.
+// algorithm (PCG, GMRES, BiCGStab, the smoother sweeps, the multigrid
+// cycles) is written exactly once as a template over a Backend: a small
+// value type that knows how to (a) size and apply an operator on the
+// locally-stored part of a vector and (b) combine locally-computed
+// reductions across the machine. PCG, the sweeps and the cycles take k
+// columns (apply_mv / residual_mv; one right-hand side is a one-column
+// block); GMRES, BiCGStab and the Chebyshev setup's power iteration use
+// the single-vector hooks.
 //
 // The serial backend's reduction hook is the identity (the local part IS
 // the whole vector); the parx backend (dla/parx_backend.h) reduces with an

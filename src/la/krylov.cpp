@@ -1,5 +1,6 @@
 #include "la/krylov.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -7,19 +8,36 @@
 #include "la/vec.h"
 
 namespace prom::la {
+namespace {
+
+/// One right-hand side is a one-column block of the blocked PCG; x holds
+/// the initial guess on entry.
+KrylovResult pcg_one_column(const LinearOperator& a, const LinearOperator* m,
+                            std::span<const real> b, std::span<real> x,
+                            const KrylovOptions& opts) {
+  PROM_CHECK(a.cols() == a.rows());
+  const idx n = a.rows();
+  PROM_CHECK(static_cast<idx>(b.size()) == n &&
+             static_cast<idx>(x.size()) == n);
+  MultiVec bm(n, 1), xm(n, 1);
+  std::copy(b.begin(), b.end(), bm.col_data(0));
+  std::copy(x.begin(), x.end(), xm.col_data(0));
+  const KrylovResult res = pcg_multi_any(SerialBackend{}, a, m, bm, xm, opts)[0];
+  std::copy(xm.col(0).begin(), xm.col(0).end(), x.begin());
+  return res;
+}
+
+}  // namespace
 
 KrylovResult cg(const LinearOperator& a, std::span<const real> b,
                 std::span<real> x, const KrylovOptions& opts) {
-  PROM_CHECK(a.cols() == a.rows());
-  return pcg_any(SerialBackend{}, a,
-                 static_cast<const LinearOperator*>(nullptr), b, x, opts);
+  return pcg_one_column(a, nullptr, b, x, opts);
 }
 
 KrylovResult pcg(const LinearOperator& a, const LinearOperator& m,
                  std::span<const real> b, std::span<real> x,
                  const KrylovOptions& opts) {
-  PROM_CHECK(a.cols() == a.rows());
-  return pcg_any(SerialBackend{}, a, &m, b, x, opts);
+  return pcg_one_column(a, &m, b, x, opts);
 }
 
 KrylovResult gmres(const LinearOperator& a, const LinearOperator* m,

@@ -1,6 +1,7 @@
-// Conjugate gradient solvers. The paper's outer solver is CG preconditioned
+// Serial Krylov solvers. The paper's outer solver is CG preconditioned
 // with one full multigrid cycle (§7.2); the same `pcg` below accepts any
-// symmetric positive definite preconditioner through LinearOperator.
+// symmetric positive definite preconditioner through LinearOperator. CG
+// and PCG run the blocked PCG of la/krylov_any.h on a one-column block.
 #pragma once
 
 #include <span>

@@ -1,10 +1,11 @@
 // The single-source Krylov solvers — PCG for SPD operators, restarted
 // right-preconditioned GMRES(m) and BiCGStab for non-symmetric ones — each
 // written exactly once as a template over an execution backend
-// (la/backend.h). la::cg / la::pcg / la::gmres / la::bicgstab instantiate
-// them with SerialBackend; dla::dist_pcg_multi (the k-column PCG, one
-// right-hand side being a one-column block) / dist_gmres / dist_bicgstab
-// instantiate them with ParxBackend — same code, same stopping criterion
+// (la/backend.h). PCG is k-column only (pcg_multi_any; one right-hand
+// side is a one-column block); GMRES and BiCGStab have no blocked form
+// and stay single-vector. la::cg / la::pcg / la::gmres / la::bicgstab
+// instantiate them with SerialBackend; dla::dist_pcg_multi / dist_gmres /
+// dist_bicgstab with ParxBackend — same code, same stopping criterion
 // (`krylov_converged`), only the reductions differ.
 #pragma once
 
@@ -37,103 +38,21 @@ struct KrylovWorkspace {
   }
 };
 
-/// PCG for SPD systems over any backend; `m == nullptr` means
-/// unpreconditioned. `b` and `x` are the local blocks of the distributed
-/// right-hand side and iterate (the whole vectors on SerialBackend); x
-/// holds the initial guess on entry and the solution on exit. On a
-/// collective backend every rank receives the same KrylovResult. A
+/// PCG for SPD systems over any backend, on k right-hand sides against one
+/// operator; `m == nullptr` means unpreconditioned. `b` and `x` are the
+/// local blocks of the distributed right-hand sides and iterates (the
+/// whole vectors on SerialBackend); x holds the initial guess on entry and
+/// the solution on exit, and a single right-hand side is a one-column
+/// block. Every matrix pass (apply_mv) and ghost exchange is shared, while
+/// the per-column scalar recurrences stay separate: column j runs the
+/// single-vector PCG operation sequence on its own data — per-column
+/// dots/norms reduced individually, same update order — so it is bitwise
+/// the k = 1 solve of that RHS, at any kernel-thread count. On a
+/// collective backend every rank receives the same results. A
 /// caller-owned `ws` makes repeat solves allocation-free.
-template <class B, class Op>
-  requires BackendFor<B, Op>
-KrylovResult pcg_any(const B& be, const Op& a, const Op* m,
-                     std::span<const real> b, std::span<real> x,
-                     const KrylovOptions& opts,
-                     KrylovWorkspace* ws = nullptr) {
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-
-  KrylovResult result;
-  KrylovWorkspace local_ws;
-  KrylovWorkspace& w = ws != nullptr ? *ws : local_ws;
-  w.ensure(n, 1);
-  const std::span<real> r = w.r.col(0);
-  const std::span<real> z = w.z.col(0);
-  const std::span<real> p = w.p.col(0);
-  const std::span<real> ap = w.ap.col(0);
-
-  const real bnorm = be.norm2(b);
-  if (opts.track_history) result.history.push_back(bnorm);
-  // Residual history into the obs series registry (same convention as
-  // `history`: entry 0 is ||b||). Identical values on every rank of a
-  // collective backend; the report keeps one representative copy.
-  obs::series_push("pcg.residual", bnorm);
-  if (bnorm == real{0}) {
-    set_all(x, 0);
-    result.converged = true;
-    return result;
-  }
-
-  // r = b - A x
-  be.apply(a, x, r);
-  waxpby(1, b, -1, r, r);
-
-  real rnorm = be.norm2(r);
-  if (krylov_converged(rnorm, bnorm, opts.rtol)) {
-    result.converged = true;
-    result.final_relres = rnorm / bnorm;
-    return result;
-  }
-
-  if (m != nullptr) {
-    be.apply(*m, r, z);
-  } else {
-    copy(r, z);
-  }
-  copy(z, p);
-  real rz = be.dot(r, z);
-
-  for (int it = 1; it <= opts.max_iters; ++it) {
-    be.apply(a, p, ap);
-    const real pap = be.dot(p, ap);
-    if (!std::isfinite(pap) || pap <= 0) {
-      result.breakdown = true;
-      break;
-    }
-    const real alpha = rz / pap;
-    be.axpy(alpha, p, x);
-    be.axpy(-alpha, ap, r);
-    rnorm = be.norm2(r);
-    if (opts.track_history) result.history.push_back(rnorm);
-    obs::series_push("pcg.residual", rnorm);
-    result.iterations = it;
-    if (krylov_converged(rnorm, bnorm, opts.rtol)) {
-      result.converged = true;
-      break;
-    }
-    if (m != nullptr) {
-      be.apply(*m, r, z);
-    } else {
-      copy(r, z);
-    }
-    const real rz_new = be.dot(r, z);
-    const real beta = rz_new / rz;
-    rz = rz_new;
-    aypx(beta, z, p);
-  }
-  result.final_relres = rnorm / bnorm;
-  return result;
-}
-
-/// Blocked PCG: k right-hand sides against one operator, sharing every
-/// matrix pass (apply_mv) and ghost exchange while keeping all per-column
-/// scalar recurrences separate. Column j runs exactly pcg_any's operation
-/// sequence on its own data — per-column dots/norms reduced individually,
-/// same update order — so it is bitwise the k = 1 solve of that RHS, at
-/// any kernel-thread count.
 ///
 /// Convergence masking: a column that converges (or breaks down) freezes —
-/// its scalar recurrences stop exactly where pcg_any would have stopped.
+/// its scalar recurrences stop exactly where its k = 1 solve would have.
 /// Frozen columns still ride along in the blocked applies (their results
 /// are discarded), so the collective call counts stay identical on every
 /// rank; all masks derive from reduced values, which a collective backend

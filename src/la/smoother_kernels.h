@@ -1,9 +1,10 @@
-// The single smoother-driver implementations, templated over an execution
-// backend (la/backend.h). The serial Smoother classes (la/smoothers.h) and
-// the distributed per-level smoothers (dla/dist_mg.cpp) both delegate
-// here, so a smoothing step is the same arithmetic — including the fixed
-// parallel_for grains of the intra-rank determinism contract — on every
-// backend; only the operator application communicates.
+// The single smoother-sweep implementations, templated over an execution
+// backend (la/backend.h) and k-column only: a single right-hand side is a
+// one-column block. The level smoother both multigrid hierarchies run
+// (mg/level_solve.h) dispatches here, so a smoothing step is the same
+// arithmetic — including the fixed parallel_for grains of the intra-rank
+// determinism contract — on every backend; only the operator application
+// communicates.
 #pragma once
 
 #include <cmath>
@@ -25,106 +26,10 @@ namespace prom::la {
 constexpr idx kSmootherPointGrain = 8192;  // elementwise updates
 constexpr idx kSmootherBlockGrain = 8;     // block-Jacobi blocks
 
-/// One damped point-Jacobi step: x += omega * D^{-1} (b - A x), on the
-/// local block. `inv_diag` holds the inverted diagonal of the local rows.
-template <class B, class Op>
-  requires BackendFor<B, Op>
-void jacobi_sweep(const B& be, const Op& a, std::span<const real> inv_diag,
-                  real omega, std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.jacobi");
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-  std::vector<real> r(n);
-  be.residual(a, b, x, r);  // r = b - A x
-  common::parallel_for(0, n, kSmootherPointGrain, [&](idx ib, idx ie) {
-    for (idx i = ib; i < ie; ++i) {
-      x[i] += omega * inv_diag[i] * r[i];
-    }
-  });
-  count_flops(4LL * n);
-}
-
-/// One damped block-Jacobi step: x += omega * blkdiag(A)^{-1} (b - A x).
-/// `blocks[k]` lists the local row indices of block k (a partition of the
-/// local rows); `factors[k]` is its dense LDL^T.
-template <class B, class Op>
-  requires BackendFor<B, Op>
-void block_jacobi_sweep(const B& be, const Op& a,
-                        std::span<const std::vector<idx>> blocks,
-                        std::span<const DenseLdlt> factors, real omega,
-                        std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.block_jacobi");
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-  std::vector<real> r(n);
-  be.residual(a, b, x, r);  // r = b - A x
-  // Blocks partition the rows, so block solves write disjoint slices of x
-  // and parallelize without ordering concerns.
-  common::parallel_for(
-      0, static_cast<idx>(blocks.size()), kSmootherBlockGrain,
-      [&](idx kb, idx ke) {
-        std::vector<real> rb, xb;
-        for (idx k = kb; k < ke; ++k) {
-          const auto& block = blocks[k];
-          rb.resize(block.size());
-          xb.resize(block.size());
-          for (std::size_t li = 0; li < block.size(); ++li) {
-            rb[li] = r[block[li]];
-          }
-          factors[k].solve(rb, xb);
-          for (std::size_t li = 0; li < block.size(); ++li) {
-            x[block[li]] += omega * xb[li];
-          }
-        }
-      });
-  count_flops(2LL * n);
-}
-
-/// One Chebyshev smoothing pass of the given degree on the Jacobi-
-/// preconditioned operator D^{-1}A, targeting [lmin, lmax].
-template <class B, class Op>
-  requires BackendFor<B, Op>
-void chebyshev_sweep(const B& be, const Op& a, std::span<const real> inv_diag,
-                     int degree, real lmin, real lmax,
-                     std::span<const real> b, std::span<real> x) {
-  const obs::Span span("smoother.chebyshev");
-  const idx n = be.local_n(a);
-  PROM_CHECK(static_cast<idx>(b.size()) == n &&
-             static_cast<idx>(x.size()) == n);
-  const real theta = (lmax + lmin) / 2;
-  const real delta = (lmax - lmin) / 2;
-  const real sigma = theta / delta;
-  real rho = 1 / sigma;
-
-  std::vector<real> r(n), d(n), ad(n);
-  be.residual(a, b, x, r);
-  common::parallel_for(0, n, kSmootherPointGrain, [&](idx ib, idx ie) {
-    for (idx i = ib; i < ie; ++i) d[i] = inv_diag[i] * r[i] / theta;
-  });
-  for (int k = 0; k < degree; ++k) {
-    axpy(1, d, x);
-    if (k + 1 == degree) break;
-    be.apply(a, d, ad);
-    axpy(-1, ad, r);
-    const real rho_new = 1 / (2 * sigma - rho);
-    common::parallel_for(0, n, kSmootherPointGrain, [&](idx ib, idx ie) {
-      for (idx i = ib; i < ie; ++i) {
-        const real zi = inv_diag[i] * r[i];
-        d[i] = rho_new * rho * d[i] + 2 * rho_new / delta * zi;
-      }
-    });
-    rho = rho_new;
-    count_flops(6LL * n);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Column-blocked sweeps. Each shares the operator pass (residual_mv /
-// apply_mv) across the k columns and then runs the scalar elementwise
-// update per column with the same fixed grains, so column j of a blocked
-// sweep is bitwise identical to the single-vector sweep on that column.
+// Each sweep shares the operator pass (residual_mv / apply_mv) across the
+// k columns and then runs the scalar elementwise update per column with
+// the same fixed grains, so column j of a sweep is bitwise identical to
+// the one-column sweep of that column.
 
 /// The temporaries of the column-blocked sweeps, held by the caller
 /// across calls (dla keeps one per level) so a repeat sweep allocates
@@ -137,7 +42,8 @@ struct SweepScratch {
   std::vector<std::size_t> block_off;
 };
 
-/// Column-blocked jacobi_sweep.
+/// One damped point-Jacobi step: x += omega * D^{-1} (b - A x), on the
+/// local block. `inv_diag` holds the inverted diagonal of the local rows.
 template <class B, class Op>
   requires BackendFor<B, Op>
 void jacobi_sweep_mv(const B& be, const Op& a, std::span<const real> inv_diag,
@@ -162,7 +68,9 @@ void jacobi_sweep_mv(const B& be, const Op& a, std::span<const real> inv_diag,
   count_flops(4LL * n * ncol);
 }
 
-/// Column-blocked block_jacobi_sweep.
+/// One damped block-Jacobi step: x += omega * blkdiag(A)^{-1} (b - A x).
+/// `blocks[k]` lists the local row indices of block k (a partition of the
+/// local rows); `factors[k]` is its dense LDL^T.
 template <class B, class Op>
   requires BackendFor<B, Op>
 void block_jacobi_sweep_mv(const B& be, const Op& a,
@@ -207,9 +115,10 @@ void block_jacobi_sweep_mv(const B& be, const Op& a,
   count_flops(2LL * n * ncol);
 }
 
-/// Column-blocked chebyshev_sweep. The recurrence scalars (theta, rho, …)
-/// depend only on the preset eigenvalue bounds, so sharing them across
-/// columns changes nothing.
+/// One Chebyshev smoothing pass of the given degree on the Jacobi-
+/// preconditioned operator D^{-1}A, targeting [lmin, lmax]. The recurrence
+/// scalars (theta, rho, …) depend only on the preset eigenvalue bounds, so
+/// sharing them across columns changes nothing.
 template <class B, class Op>
   requires BackendFor<B, Op>
 void chebyshev_sweep_mv(const B& be, const Op& a,

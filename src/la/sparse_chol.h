@@ -1,11 +1,9 @@
 // Sparse Cholesky factorization (left-looking, with reverse Cuthill-McKee
-// fill-reducing preordering). Two roles in this project:
-//  - the *direct solver baseline* the paper's introduction argues against
-//    ("direct methods possess sub-optimal time and space complexity, as
-//    the scale of the problems increase") — bench_direct_vs_mg measures
-//    the crossover;
-//  - an alternative coarsest-level solver for the multigrid hierarchy
-//    when the coarse grid is too large for a dense factorization.
+// fill-reducing preordering): the *direct solver baseline* the paper's
+// introduction argues against ("direct methods possess sub-optimal time
+// and space complexity, as the scale of the problems increase") —
+// bench_direct_vs_mg measures the crossover. The multigrid coarsest level
+// is constant-size and factored densely (mg/level_solve.h).
 #pragma once
 
 #include <memory>

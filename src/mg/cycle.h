@@ -1,60 +1,55 @@
-// Serial instantiation of the backend-generic multigrid cycles
-// (mg/cycle_any.h): HierarchyCycleView adapts mg::Hierarchy to the
-// CycleView concept, and vcycle / fmg_cycle keep their original
-// signatures as thin wrappers.
+// Serial instantiation of the k-column multigrid cycles (mg/cycle_any.h):
+// HierarchyCycleView adapts mg::Hierarchy to the MultiCycleView concept,
+// so the serial hierarchy runs the one V-cycle / FMG implementation that
+// dla::DistHierarchy runs, with the same level smoother and coarse factor
+// (mg/level_solve.h), on its CSR operators.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/config.h"
+#include "la/multivec.h"
 #include "mg/cycle_any.h"
 #include "mg/hierarchy.h"
+#include "mg/level_solve.h"
 
 namespace prom::mg {
 
-/// Adapts the serial Hierarchy (with built operators and smoothers) to the
-/// single-vector cycle templates, on its CSR operators. The column-blocked
-/// cycles (MultiCycleView) and the bsr3/mf formats run only through
+/// Adapts the serial Hierarchy (with built operators) to the k-column
+/// cycle templates: level operators apply through Csr::spmm and the fused
+/// residual, restriction through spmm, prolongation through
+/// spmv_transpose per column. The view owns the per-level temporaries, so
+/// a const Hierarchy stays shareable across threads while each solve
+/// builds its own view (MgPreconditioner holds one); one view serves one
+/// cycle at a time. The bsr3 and mf formats run only through
 /// dla::DistHierarchy.
-struct HierarchyCycleView {
-  const Hierarchy* h;
+class HierarchyCycleView {
+ public:
+  explicit HierarchyCycleView(const Hierarchy& h);
 
-  int num_levels() const { return h->num_levels(); }
-  idx local_n(int l) const { return h->level(l).a.nrows; }
-  int pre_smooth() const { return h->options().pre_smooth; }
-  int post_smooth() const { return h->options().post_smooth; }
-  void smooth(int l, std::span<const real> b, std::span<real> x) const {
-    const MgLevel& lv = h->level(l);
-    if (lv.smooth_rows.empty()) {
-      lv.smoother->smooth(b, x);
-      return;
+  int num_levels() const { return h_->num_levels(); }
+  idx local_n(int l) const { return h_->level(l).a.nrows; }
+  int pre_smooth() const { return h_->options().pre_smooth; }
+  int post_smooth() const { return h_->options().post_smooth; }
+  CycleScratch& scratch(int l) const { return cycle_[l]; }
+  void smooth_mv(int l, const la::MultiVec& b, la::MultiVec& x) const;
+  void apply_a_mv(int l, const la::MultiVec& x, la::MultiVec& y) const {
+    h_->level(l).a.spmm(x, y);
+  }
+  void restrict_to_mv(int l, const la::MultiVec& xf, la::MultiVec& xc) const {
+    h_->level(l).r.spmm(xf, xc);
+  }
+  void prolong_mv(int l, const la::MultiVec& xc, la::MultiVec& xf) const {
+    for (int j = 0; j < xc.cols(); ++j) {
+      h_->level(l).r.spmv_transpose(xc.col(j), xf.col(j));
     }
-    // Local smoothing (adaptive refinement levels): run the configured
-    // smoother on a scratch copy and keep only the refined-region rows —
-    // identical update on those rows to the full sweep, identity
-    // elsewhere, for any smoother kind.
-    std::vector<real> tmp(x.begin(), x.end());
-    lv.smoother->smooth(b, tmp);
-    for (idx i : lv.smooth_rows) x[i] = tmp[i];
   }
-  void apply_a(int l, std::span<const real> x, std::span<real> y) const {
-    h->level(l).a.spmv(x, y);
-  }
-  void restrict_to(int l, std::span<const real> xf, std::span<real> xc) const {
-    h->level(l).r.spmv(xf, xc);
-  }
-  void prolong(int l, std::span<const real> xc, std::span<real> xf) const {
-    h->level(l).r.spmv_transpose(xc, xf);
-  }
-  void coarse_solve(std::span<const real> b, std::span<real> x) const;
+  void coarse_solve_mv(const la::MultiVec& b, la::MultiVec& x) const;
+
+ private:
+  const Hierarchy* h_;
+  mutable std::vector<CycleScratch> cycle_;
+  mutable std::vector<SolveScratch> solve_;
 };
-
-/// One V-cycle at `level` for A_level x = b, improving x in place.
-void vcycle(const Hierarchy& h, int level, std::span<const real> b,
-            std::span<real> x);
-
-/// One full multigrid cycle for A_0 x = b starting from zero; returns x.
-std::vector<real> fmg_cycle(const Hierarchy& h, std::span<const real> b);
 
 }  // namespace prom::mg

@@ -1,18 +1,16 @@
-// The V-cycle / full-multigrid implementation, templated over a view — a
-// thin adapter exposing one multigrid hierarchy's levels as local-block
-// operations; only the level operations (smooth, SpMV, restriction,
-// coarse solve) know whether they communicate. Two forms remain: the
-// single-vector CycleView templates, which only the serial mg::Hierarchy
-// runs, and the k-column MultiCycleView templates, which are the only
-// cycles of the distributed dla::DistHierarchy (a single right-hand side
-// is a one-column block there).
+// The V-cycle / full-multigrid implementation, written once over k
+// columns and templated over a view — a thin adapter exposing one
+// multigrid hierarchy's levels as local-block operations; only the level
+// operations (smooth, SpMV, restriction, coarse solve) know whether they
+// communicate. Both hierarchies run it: the serial mg::Hierarchy through
+// mg::HierarchyCycleView (mg/cycle.h), the distributed dla::DistHierarchy
+// through its DistCycleView. A single right-hand side is a one-column
+// block.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/config.h"
 #include "common/error.h"
@@ -24,131 +22,9 @@ namespace prom::mg {
 
 enum class CycleKind : std::uint8_t { kV, kFmg };
 
-/// What the cycle templates require of a hierarchy view. All vectors are
-/// the local blocks of level vectors (the whole vectors on the serial
-/// view); `restrict_to(l, xf, xc)` applies level l's restriction R_l to a
-/// level l-1 vector, `prolong(l, xc, xf)` applies R_l^T (overwrite), and
-/// `coarse_solve` solves on the coarsest level.
-template <class V>
-concept CycleView = requires(const V& h, int l, std::span<const real> c,
-                             std::span<real> m) {
-  { h.num_levels() } -> std::convertible_to<int>;
-  { h.local_n(l) } -> std::convertible_to<idx>;
-  { h.pre_smooth() } -> std::convertible_to<int>;
-  { h.post_smooth() } -> std::convertible_to<int>;
-  h.smooth(l, c, m);
-  h.apply_a(l, c, m);
-  h.restrict_to(l, c, m);
-  h.prolong(l, c, m);
-  h.coarse_solve(c, m);
-};
-
-/// One V-cycle at `level` for A_level x = b, improving x in place
-/// (Figure 1 of the paper: pre-smooth, restrict residual, recurse,
-/// prolongate correction, post-smooth; direct solve on the coarsest grid).
-template <CycleView V>
-void vcycle_any(const V& h, int level, std::span<const real> b,
-                std::span<real> x) {
-  PROM_CHECK(static_cast<idx>(b.size()) == h.local_n(level) &&
-             static_cast<idx>(x.size()) == h.local_n(level));
-
-  // Coarse-level agglomeration (views exposing level_inactive): a rank
-  // outside this level's active set holds no rows and no exchange-plan
-  // roles at or below it, so the whole subtree is skipped. Its share of
-  // the level boundary — the restriction / prolongation exchange — runs
-  // in the caller's frame, where it still holds plan roles.
-  if constexpr (requires {
-                  { h.level_inactive(level) } -> std::convertible_to<bool>;
-                }) {
-    if (h.level_inactive(level)) return;
-  }
-
-  if (level + 1 == h.num_levels()) {
-    const obs::Span span("mg.coarse_solve", level);
-    h.coarse_solve(b, x);
-    return;
-  }
-
-  {
-    const obs::Span span("mg.smooth", level);
-    for (int s = 0; s < h.pre_smooth(); ++s) h.smooth(level, b, x);
-  }
-
-  // Residual and its restriction.
-  std::vector<real> r(b.size());
-  {
-    const obs::Span span("mg.residual", level);
-    h.apply_a(level, x, r);
-    la::waxpby(1, b, -1, r, r);
-  }
-  std::vector<real> rc(static_cast<std::size_t>(h.local_n(level + 1)));
-  {
-    const obs::Span span("mg.restrict", level);
-    h.restrict_to(level + 1, r, rc);
-  }
-
-  // Coarse-grid correction.
-  std::vector<real> xc(rc.size(), 0);
-  vcycle_any(h, level + 1, rc, xc);
-
-  // Prolongate (R^T) and add.
-  {
-    const obs::Span span("mg.prolong", level);
-    std::vector<real> dx(x.size());
-    h.prolong(level + 1, xc, dx);
-    la::axpy(1, dx, x);
-  }
-
-  {
-    const obs::Span span("mg.smooth", level);
-    for (int s = 0; s < h.post_smooth(); ++s) h.smooth(level, b, x);
-  }
-}
-
-/// One full multigrid cycle for A_0 x = b starting from zero; returns x.
-template <CycleView V>
-std::vector<real> fmg_any(const V& h, std::span<const real> b) {
-  const int nl = h.num_levels();
-  // Restrict the right-hand side to every level.
-  std::vector<std::vector<real>> bs(static_cast<std::size_t>(nl));
-  bs[0].assign(b.begin(), b.end());
-  for (int l = 1; l < nl; ++l) {
-    const obs::Span span("mg.restrict", l - 1);
-    bs[l].resize(static_cast<std::size_t>(h.local_n(l)));
-    h.restrict_to(l, bs[l - 1], bs[l]);
-  }
-
-  // Coarsest solve, then work upward: prolongate and V-cycle at each grid.
-  std::vector<real> x(bs[nl - 1].size(), 0);
-  vcycle_any(h, nl - 1, bs[nl - 1], x);
-  for (int l = nl - 2; l >= 0; --l) {
-    std::vector<real> xf(static_cast<std::size_t>(h.local_n(l)));
-    {
-      const obs::Span span("mg.prolong", l);
-      h.prolong(l + 1, x, xf);
-    }
-    x = std::move(xf);
-    vcycle_any(h, l, bs[l], x);
-  }
-  return x;
-}
-
-/// One cycle of the requested kind as a preconditioner application
-/// y = M^{-1} x (the serial MG-PCG preconditioner body).
-template <CycleView V>
-void apply_cycle(const V& h, CycleKind kind, std::span<const real> x,
-                 std::span<real> y) {
-  if (kind == CycleKind::kFmg) {
-    const std::vector<real> z = fmg_any(h, x);
-    std::copy(z.begin(), z.end(), y.begin());
-  } else {
-    std::fill(y.begin(), y.end(), real{0});
-    vcycle_any(h, 0, x, y);
-  }
-}
-
-/// Per-level temporaries of the k-column cycles below, owned by the
-/// hierarchy so repeat cycles allocate nothing: each is reshaped with
+/// Per-level temporaries of the cycles below, owned by the view (the
+/// distributed levels, or the serial view of one solve) so repeat cycles
+/// allocate nothing: each is reshaped with
 /// MultiVec::resize, which zero-fills and never shrinks capacity. Level
 /// l's r and dx have level l's rows, rc and xc level l+1's (the restricted
 /// residual and the coarse correction); the FMG cycle keeps level l's
@@ -158,7 +34,7 @@ struct CycleScratch {
   la::MultiVec b, x;
 };
 
-/// What the k-column cycle templates require of a hierarchy view: the
+/// What the cycle templates require of a hierarchy view: the
 /// level operations over k columns at once, column j bitwise the k = 1
 /// operation on that column. All blocks are the local blocks of level
 /// vectors; `restrict_to_mv(l, xf, xc)` applies level l's restriction R_l
@@ -180,9 +56,11 @@ concept MultiCycleView = requires(const V& h, int l, const la::MultiVec& c,
   h.coarse_solve_mv(c, m);
 };
 
-/// Column-blocked V-cycle at `level` for A_level X = B, improving X in
-/// place, with one exchange per level operation. Column j is bitwise the
-/// k = 1 cycle on that column (the per-column BLAS-1 updates run in the
+/// One V-cycle at `level` for A_level X = B, improving X in place
+/// (Figure 1 of the paper: pre-smooth, restrict residual, recurse,
+/// prolongate correction, post-smooth; direct solve on the coarsest grid),
+/// with one exchange per level operation. Column j is bitwise the k = 1
+/// cycle on that column (the per-column BLAS-1 updates run in the
 /// single-vector order).
 template <MultiCycleView V>
 void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
@@ -191,7 +69,11 @@ void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
   PROM_CHECK(b.rows() == h.local_n(level) && x.rows() == h.local_n(level) &&
              x.cols() == k);
 
-  // Same agglomeration guard as the single-vector vcycle_any.
+  // Coarse-level agglomeration (views exposing level_inactive): a rank
+  // outside this level's active set holds no rows and no exchange-plan
+  // roles at or below it, so the whole subtree is skipped. Its share of
+  // the level boundary — the restriction / prolongation exchange — runs
+  // in the caller's frame, where it still holds plan roles.
   if constexpr (requires {
                   { h.level_inactive(level) } -> std::convertible_to<bool>;
                 }) {
@@ -245,9 +127,10 @@ void vcycle_any_mv(const V& h, int level, const la::MultiVec& b,
   }
 }
 
-/// Column-blocked full multigrid cycle for A_0 X = B from zero, written
-/// into x (level 0's shape); column j is bitwise the k = 1 cycle on that
-/// column.
+/// One full multigrid cycle for A_0 X = B from zero, written into x
+/// (level 0's shape): restrict B to every level, solve the coarsest, then
+/// prolongate and V-cycle upward. Column j is bitwise the k = 1 cycle on
+/// that column.
 template <MultiCycleView V>
 void fmg_any_mv(const V& h, const la::MultiVec& b, la::MultiVec& x) {
   const int nl = h.num_levels();
@@ -284,9 +167,9 @@ void fmg_any_mv(const V& h, const la::MultiVec& b, la::MultiVec& x) {
   }
 }
 
-/// Column-blocked preconditioner application Y = M^{-1} X (the MG-PCG
-/// preconditioner body of the distributed solve); column j is bitwise the
-/// k = 1 application on that column.
+/// One cycle of the requested kind as a preconditioner application
+/// Y = M^{-1} X (the MG-PCG preconditioner body of both hierarchies);
+/// column j is bitwise the k = 1 application on that column.
 template <MultiCycleView V>
 void apply_cycle_mv(const V& h, CycleKind kind, const la::MultiVec& x,
                     la::MultiVec& y) {

@@ -1,40 +1,19 @@
 #include "mg/hierarchy.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
+#include "la/operator.h"
 #include "obs/trace.h"
-#include "partition/greedy.h"
 
 namespace prom::mg {
-namespace {
-
-std::unique_ptr<la::Smoother> make_smoother(const la::Csr& a,
-                                            const MgOptions& opts) {
-  switch (opts.smoother) {
-    case SmootherKind::kJacobi:
-      return std::make_unique<la::JacobiSmoother>(a, opts.omega);
-    case SmootherKind::kSymGaussSeidel:
-      return std::make_unique<la::SymmetricGaussSeidel>(a);
-    case SmootherKind::kBlockJacobi: {
-      auto blocks = partition::block_jacobi_blocks(la::pattern_graph(a),
-                                                   opts.bj_blocks_per_1000);
-      return std::make_unique<la::BlockJacobiSmoother>(a, std::move(blocks),
-                                                       opts.omega);
-    }
-    case SmootherKind::kChebyshev:
-      return std::make_unique<la::ChebyshevSmoother>(a, opts.cheby_degree);
-  }
-  PROM_CHECK(false);
-  return nullptr;
-}
-
-}  // namespace
 
 Hierarchy Hierarchy::build(const mesh::Mesh& mesh, const fem::DofMap& dofmap,
                            la::Csr a_fine, const MgOptions& opts) {
@@ -414,72 +393,20 @@ void Hierarchy::build_operators() {
     obs::gauge_set("mg.rows", static_cast<double>(levels_[l].a.nrows), li);
     obs::counter_add("mg.nnz", static_cast<double>(levels_[l].a.nnz()), li);
   }
+  // The level solve data (mg/level_solve.h), built as the distributed
+  // hierarchy builds it: the serial level's owned-rows block is its whole
+  // operator, starting at global row 0.
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    const bool coarsest = l + 1 == levels_.size();
-    levels_[l].smoother.reset();
-    levels_[l].direct.reset();
-    levels_[l].direct_lu.reset();
-    levels_[l].sparse_direct.reset();
-    if (coarsest && levels_.size() > 1 &&
-        opts_.coarse_solver == CoarseSolverKind::kDenseLu) {
-      // Partial-pivoting LU: the non-symmetric coarse solve. No shift
-      // escalation — pivoting handles anything short of exact
-      // singularity, which PROM_CHECK rejects.
-      const la::Csr& a = levels_[l].a;
-      la::DenseMatrix dense(a.nrows, a.ncols);
-      for (idx i = 0; i < a.nrows; ++i) {
-        for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-          dense(i, a.colidx[k]) = a.vals[k];
-        }
-      }
-      levels_[l].direct_lu = std::make_unique<la::DenseLu>(dense);
-      PROM_CHECK_MSG(levels_[l].direct_lu->ok(),
-                     "coarsest-level LU factorization failed (singular)");
-    } else if (coarsest && levels_.size() > 1 &&
-               opts_.coarse_solver == CoarseSolverKind::kSparseCholesky) {
-      const la::Csr& a = levels_[l].a;
-      levels_[l].sparse_direct = std::make_unique<la::SparseCholesky>(a);
-      if (!levels_[l].sparse_direct->ok()) {
-        real max_diag = 1;
-        for (real v : a.diagonal()) max_diag = std::max(max_diag, std::abs(v));
-        la::SparseCholOptions copts;
-        for (copts.shift = 1e-12 * max_diag;
-             !levels_[l].sparse_direct->ok(); copts.shift *= 10) {
-          *levels_[l].sparse_direct = la::SparseCholesky(a, copts);
-          PROM_CHECK_MSG(copts.shift < 1e30,
-                         "coarse sparse Cholesky shift escalation failed");
-        }
-        PROM_WARN("coarsest-level sparse factor required a diagonal shift");
-      }
-    } else if (coarsest && levels_.size() > 1) {
-      // Redundant dense factorization of the coarsest operator.
-      const la::Csr& a = levels_[l].a;
-      la::DenseMatrix dense(a.nrows, a.ncols);
-      for (idx i = 0; i < a.nrows; ++i) {
-        for (nnz_t k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
-          dense(i, a.colidx[k]) = a.vals[k];
-        }
-      }
-      levels_[l].direct = std::make_unique<la::DenseLdlt>(dense);
-      if (!levels_[l].direct->ok()) {
-        // Newton tangents can be mildly indefinite; shift to factorability
-        // (degrades the coarse solve, never correctness of PCG's answer).
-        real max_diag = 1;
-        for (idx i = 0; i < a.nrows; ++i) {
-          max_diag = std::max(max_diag, std::abs(dense(i, i)));
-        }
-        for (real shift = 1e-12 * max_diag; !levels_[l].direct->ok();
-             shift *= 10) {
-          la::DenseMatrix shifted = dense;
-          for (idx i = 0; i < a.nrows; ++i) shifted(i, i) += shift;
-          *levels_[l].direct = la::DenseLdlt(shifted);
-          PROM_CHECK_MSG(shift < 1e30, "coarse-level shift escalation failed");
-        }
-        PROM_WARN("coarsest-level operator required a diagonal shift");
-      }
-    } else {
-      levels_[l].smoother = make_smoother(levels_[l].a, opts_);
+    MgLevel& lv = levels_[l];
+    static_cast<LevelSolve&>(lv) = LevelSolve{};
+    if (l + 1 == levels_.size() && levels_.size() > 1) {
+      lv.factor_coarse(lv.a, opts_.coarse_solver);
+      continue;
     }
+    lv.build_smoother(la::SerialBackend{}, la::CsrOperator(lv.a), lv.a, 0,
+                      opts_);
+    lv.smooth_masked = !lv.smooth_rows.empty();
+    lv.smooth_rows_local = lv.smooth_rows;
   }
 }
 
@@ -498,9 +425,12 @@ idx agglom_min_rows_from_env() {
   const char* env = std::getenv("PROM_MIN_ROWS_PER_RANK");
   if (env == nullptr || env[0] == '\0') return 0;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(env, &end, 10);
-  PROM_CHECK_MSG(end != env && *end == '\0' && v >= 0,
-                 "PROM_MIN_ROWS_PER_RANK must be a non-negative integer");
+  PROM_CHECK_MSG(end != env && *end == '\0' && errno != ERANGE && v >= 0 &&
+                     v <= std::numeric_limits<idx>::max(),
+                 "PROM_MIN_ROWS_PER_RANK must be an integer in [0, "
+                 "2147483647]");
   return static_cast<idx>(v);
 }
 

@@ -1,8 +1,8 @@
 // The multigrid hierarchy (Prometheus + Epimetheus of Figure 8): applies
 // coarsen::coarsen_level recursively to build grids and restriction
 // operators, forms the Galerkin coarse operators A_{l+1} = R A_l R^T (§3),
-// and equips each level with a smoother and the coarsest with a redundant
-// dense factorization.
+// and equips each level with its LevelSolve (mg/level_solve.h): a smoother,
+// and on the coarsest a redundant dense factorization.
 #pragma once
 
 #include <memory>
@@ -13,20 +13,11 @@
 #include "fem/assembly.h"
 #include "fem/scalar.h"
 #include "la/csr.h"
-#include "la/dense.h"
-#include "la/smoothers.h"
-#include "la/sparse_chol.h"
 #include "mesh/mesh.h"
 #include "mesh/refine.h"
+#include "mg/level_solve.h"
 
 namespace prom::mg {
-
-enum class SmootherKind : std::uint8_t {
-  kJacobi,
-  kSymGaussSeidel,
-  kBlockJacobi,
-  kChebyshev,
-};
 
 /// Storage format the solve phase applies operators in. kBsr3 (the
 /// default) re-blocks every level into dense node blocks of the problem's
@@ -49,14 +40,8 @@ MatrixFormat matrix_format_from_env();
 
 /// Reads PROM_MIN_ROWS_PER_RANK (the coarse-level rank-agglomeration
 /// threshold; unset, empty, or 0 disables agglomeration). Fails fast on
-/// a negative or non-numeric value.
+/// a negative, non-numeric or out-of-range (above idx's maximum) value.
 idx agglom_min_rows_from_env();
-
-/// kDense / kSparseCholesky factor symmetric operators (LDL^T /
-/// Cholesky); kDenseLu is the general-matrix option required by the
-/// non-symmetric scalar classes (SUPG advection–diffusion), where the
-/// Galerkin coarse operators are non-symmetric too.
-enum class CoarseSolverKind : std::uint8_t { kDense, kSparseCholesky, kDenseLu };
 
 struct MgOptions {
   int max_levels = 12;
@@ -76,8 +61,8 @@ struct MgOptions {
   int pre_smooth = 1;             ///< paper: one pre-smoothing step
   int post_smooth = 1;            ///< paper: one post-smoothing step
 
-  /// Coarsest-level factorization; sparse Cholesky (with RCM) keeps the
-  /// redundant coarse solve cheap when coarsest_max_dofs is raised.
+  /// Coarsest-level factorization (dense LDL^T, or LU for non-symmetric
+  /// chains).
   CoarseSolverKind coarse_solver = CoarseSolverKind::kDense;
 
   /// Coarse-level rank agglomeration (distributed solves only): a level
@@ -89,15 +74,14 @@ struct MgOptions {
   idx agglom_min_rows = agglom_min_rows_from_env();
 };
 
-struct MgLevel {
+/// One level: its operator, restriction and grid diagnostics, and (once
+/// the operators are built) its smoother or coarse factor, the LevelSolve
+/// base that dla::DistMgLevel shares.
+struct MgLevel : LevelSolve {
   la::Csr a;  ///< operator on this level's free dofs
   /// Restriction from the next-finer level's free dofs to this level's
   /// (empty on level 0). Prolongation is r^T.
   la::Csr r;
-  std::unique_ptr<la::Smoother> smoother;        // all but coarsest
-  std::unique_ptr<la::DenseLdlt> direct;         // coarsest (dense mode)
-  std::unique_ptr<la::DenseLu> direct_lu;        // coarsest (dense LU mode)
-  std::unique_ptr<la::SparseCholesky> sparse_direct;  // coarsest (sparse)
 
   // Grid diagnostics (Figure 7 / DESIGN.md hierarchy stats).
   idx num_vertices = 0;

@@ -1,5 +1,7 @@
 #include "mg/solver.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace prom::mg {
@@ -17,7 +19,15 @@ void check_csr_format(const MgSolveOptions& opts) {
 
 void MgPreconditioner::apply(std::span<const real> x,
                              std::span<real> y) const {
-  apply_cycle(HierarchyCycleView{h_}, kind_, x, y);
+  la::MultiVec xm(rows(), 1), ym(rows(), 1);
+  std::copy(x.begin(), x.end(), xm.col_data(0));
+  apply_mv(xm, ym);
+  std::copy(ym.col(0).begin(), ym.col(0).end(), y.begin());
+}
+
+void MgPreconditioner::apply_mv(const la::MultiVec& x,
+                                la::MultiVec& y) const {
+  apply_cycle_mv(view_, kind_, x, y);
 }
 
 la::KrylovResult mg_pcg_solve(const Hierarchy& h, std::span<const real> b,

@@ -1,7 +1,10 @@
-// The paper's solver: conjugate gradient preconditioned with one multigrid
-// cycle (§7.2: "preconditioned conjugate gradient (PCG), preconditioned
-// with one 'full' multigrid cycle"). CycleKind lives in mg/cycle_any.h
-// with the backend-generic cycle templates.
+// The paper's solver on the serial hierarchy: conjugate gradient
+// preconditioned with one multigrid cycle (§7.2: "preconditioned conjugate
+// gradient (PCG), preconditioned with one 'full' multigrid cycle"). The
+// cycle is the k-column one (mg/cycle_any.h) over HierarchyCycleView and
+// the PCG the blocked one (la/krylov_any.h) on a one-column block — the
+// implementations dla::DistHierarchy runs — so a serial solve is bitwise
+// the one-rank distributed CSR solve. CycleKind lives in mg/cycle_any.h.
 #pragma once
 
 #include <span>
@@ -13,17 +16,24 @@
 
 namespace prom::mg {
 
-/// Adapts one multigrid cycle to the preconditioner interface.
+/// Adapts one multigrid cycle to the preconditioner interface. It owns the
+/// cycle's temporaries (through its HierarchyCycleView), so each solve
+/// builds its own and the hierarchy stays const.
 class MgPreconditioner final : public la::LinearOperator {
  public:
-  MgPreconditioner(const Hierarchy& h, CycleKind kind) : h_(&h), kind_(kind) {}
+  MgPreconditioner(const Hierarchy& h, CycleKind kind)
+      : view_(h), kind_(kind) {}
 
-  idx rows() const override { return h_->level(0).a.nrows; }
+  idx rows() const override { return view_.local_n(0); }
   idx cols() const override { return rows(); }
+  /// One cycle on a one-column block (the GMRES / BiCGStab entry).
   void apply(std::span<const real> x, std::span<real> y) const override;
+  /// One cycle on k columns (apply_cycle_mv); column j is bitwise the
+  /// k = 1 cycle on that column.
+  void apply_mv(const la::MultiVec& x, la::MultiVec& y) const override;
 
  private:
-  const Hierarchy* h_;
+  HierarchyCycleView view_;
   CycleKind kind_;
 };
 
@@ -48,7 +58,7 @@ struct MgSolveOptions {
 
 /// The single MgSolveOptions -> KrylovOptions mapping, shared by the
 /// serial and distributed MG-PCG drivers so the stopping criterion cannot
-/// drift between backends (both feed la::pcg_any, which applies
+/// drift between backends (both feed la::pcg_multi_any, which applies
 /// la::krylov_converged).
 inline la::KrylovOptions to_krylov_options(const MgSolveOptions& opts) {
   la::KrylovOptions kopts;

@@ -135,4 +135,18 @@ std::vector<std::vector<idx>> block_jacobi_blocks(const graph::Graph& g,
   return blocks;
 }
 
+std::vector<std::vector<idx>> contiguous_blocks(idx n, idx nblocks) {
+  PROM_CHECK(n >= 0 && nblocks >= 1);
+  nblocks = std::min<idx>(nblocks, std::max<idx>(n, 1));
+  std::vector<std::vector<idx>> blocks(static_cast<std::size_t>(nblocks));
+  for (idx i = 0; i < n; ++i) {
+    const idx k = static_cast<idx>(
+        (static_cast<nnz_t>(i) * nblocks) / std::max<idx>(n, 1));
+    blocks[k].push_back(i);
+  }
+  // Remove empty blocks (possible when nblocks > n).
+  std::erase_if(blocks, [](const auto& b) { return b.empty(); });
+  return blocks;
+}
+
 }  // namespace prom::partition

@@ -34,4 +34,9 @@ std::vector<std::vector<idx>> block_jacobi_blocks(const graph::Graph& g,
                                                   idx blocks_per_1000 = 6,
                                                   idx min_blocks = 1);
 
+/// Partitions [0, n) into `nblocks` contiguous index blocks of roughly
+/// equal size (fewer when n < nblocks) — block-Jacobi blocks without a
+/// graph partitioner.
+std::vector<std::vector<idx>> contiguous_blocks(idx n, idx nblocks);
+
 }  // namespace prom::partition

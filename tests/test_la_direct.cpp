@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "la/krylov.h"
-#include "la/smoothers.h"
 #include "graph/order.h"
+#include "la/krylov.h"
+#include "la/operator.h"
 #include "la/sparse_chol.h"
 #include "la/vec.h"
+#include "mg/hierarchy.h"
+#include "mg/level_solve.h"
 
 namespace prom::la {
 namespace {
@@ -202,10 +205,32 @@ TEST(Gmres, RightPreconditioningAccelerates) {
   EXPECT_LT(pre.iterations, plain.iterations);
 }
 
+/// The shared level smoother (mg/level_solve.h) of Chebyshev kind and the
+/// given degree on the whole of `a`.
+mg::LevelSolve chebyshev(const Csr& a, int degree) {
+  mg::MgOptions mo;
+  mo.smoother = mg::SmootherKind::kChebyshev;
+  mo.cheby_degree = degree;
+  mg::LevelSolve s;
+  s.build_smoother(SerialBackend{}, CsrOperator(a), a, 0, mo);
+  return s;
+}
+
+/// One smoothing step of `s` on one vector (a one-column block).
+void smooth(const mg::LevelSolve& s, const Csr& a, std::span<const real> b,
+            std::span<real> x) {
+  MultiVec bm(a.nrows, 1), xm(a.nrows, 1);
+  std::copy(b.begin(), b.end(), bm.col_data(0));
+  std::copy(x.begin(), x.end(), xm.col_data(0));
+  mg::SolveScratch ws;
+  s.smooth_mv(SerialBackend{}, CsrOperator(a), bm, xm, ws);
+  std::copy(xm.col(0).begin(), xm.col(0).end(), x.begin());
+}
+
 TEST(Chebyshev, ReducesResidualAndIsSymmetricEnoughForCg) {
   const Csr a = poisson3d(5);
-  const ChebyshevSmoother smoother(a, 3);
-  EXPECT_GT(smoother.lambda_max(), 0.5);
+  const mg::LevelSolve smoother = chebyshev(a, 3);
+  EXPECT_GT(smoother.cheby_lmax, 0.5);
   std::vector<real> b(a.nrows, 1.0), x(a.nrows, 0.0);
   std::vector<real> r(a.nrows);
   auto resnorm = [&] {
@@ -215,7 +240,7 @@ TEST(Chebyshev, ReducesResidualAndIsSymmetricEnoughForCg) {
   };
   real prev = resnorm();
   for (int step = 0; step < 8; ++step) {
-    smoother.smooth(b, x);
+    smooth(smoother, a, b, x);
     const real now = resnorm();
     EXPECT_LT(now, prev);
     prev = now;
@@ -224,11 +249,11 @@ TEST(Chebyshev, ReducesResidualAndIsSymmetricEnoughForCg) {
 
 TEST(Chebyshev, HigherDegreeSmoothsMorePerStep) {
   const Csr a = poisson3d(5);
-  const ChebyshevSmoother deg1(a, 1), deg4(a, 4);
+  const mg::LevelSolve deg1 = chebyshev(a, 1), deg4 = chebyshev(a, 4);
   std::vector<real> b(a.nrows, 1.0);
   std::vector<real> x1(a.nrows, 0.0), x4(a.nrows, 0.0), r(a.nrows);
-  deg1.smooth(b, x1);
-  deg4.smooth(b, x4);
+  smooth(deg1, a, b, x1);
+  smooth(deg4, a, b, x4);
   auto resnorm = [&](std::span<const real> x) {
     a.spmv(x, r);
     waxpby(1, b, -1, r, r);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
@@ -71,21 +72,27 @@ TEST(Hierarchy, GalerkinIsRART) {
   }
 }
 
+/// ||b - A x|| for column 0 of x.
+real residual_norm(const la::Csr& a, std::span<const real> b,
+                   const la::MultiVec& x) {
+  std::vector<real> r(b.size());
+  a.spmv(x.col(0), r);
+  la::waxpby(1, b, -1, r, r);
+  return la::nrm2(r);
+}
+
 TEST(Vcycle, ReducesErrorEveryCycle) {
   const BuiltProblem bp = build_box(6);
   const la::Csr& a = bp.hierarchy.level(0).a;
   std::vector<real> x_true(a.nrows);
   for (idx i = 0; i < a.nrows; ++i) x_true[i] = std::sin(0.7 * i);
-  std::vector<real> b(a.nrows);
-  a.spmv(x_true, b);
-  std::vector<real> x(a.nrows, 0.0);
-  real prev = la::nrm2(b);
+  la::MultiVec b(a.nrows, 1), x(a.nrows, 1);
+  a.spmv(x_true, b.col(0));
+  const HierarchyCycleView view(bp.hierarchy);
+  real prev = la::nrm2(b.col(0));
   for (int cycle = 0; cycle < 6; ++cycle) {
-    vcycle(bp.hierarchy, 0, b, x);
-    std::vector<real> r(a.nrows);
-    a.spmv(x, r);
-    la::waxpby(1, b, -1, r, r);
-    const real now = la::nrm2(r);
+    vcycle_any_mv(view, 0, b, x);
+    const real now = residual_norm(a, b.col(0), x);
     EXPECT_LT(now, 0.7 * prev) << "cycle " << cycle;
     prev = now;
   }
@@ -94,19 +101,17 @@ TEST(Vcycle, ReducesErrorEveryCycle) {
 TEST(Fmg, SingleCycleBeatsSingleVcycle) {
   const BuiltProblem bp = build_box(6);
   const la::Csr& a = bp.hierarchy.level(0).a;
-  const std::vector<real>& b = bp.sys.rhs;
+  la::MultiVec b(a.nrows, 1);
+  std::copy(bp.sys.rhs.begin(), bp.sys.rhs.end(), b.col_data(0));
+  const HierarchyCycleView view(bp.hierarchy);
   // FMG from zero.
-  const std::vector<real> x_fmg = fmg_cycle(bp.hierarchy, b);
-  std::vector<real> r(a.nrows);
-  a.spmv(x_fmg, r);
-  la::waxpby(1, b, -1, r, r);
-  const real res_fmg = la::nrm2(r);
+  la::MultiVec x_fmg(a.nrows, 1);
+  fmg_any_mv(view, b, x_fmg);
+  const real res_fmg = residual_norm(a, bp.sys.rhs, x_fmg);
   // One V-cycle from zero.
-  std::vector<real> x_v(a.nrows, 0.0);
-  vcycle(bp.hierarchy, 0, b, x_v);
-  a.spmv(x_v, r);
-  la::waxpby(1, b, -1, r, r);
-  const real res_v = la::nrm2(r);
+  la::MultiVec x_v(a.nrows, 1);
+  vcycle_any_mv(view, 0, b, x_v);
+  const real res_v = residual_norm(a, bp.sys.rhs, x_v);
   EXPECT_LE(res_fmg, res_v * 1.1);
 }
 
@@ -217,9 +222,8 @@ TEST(Hierarchy, UpdateFineMatrixRebuildsChain) {
 }
 
 TEST(MgOptions, SmootherKindsAllConverge) {
-  for (SmootherKind kind : {SmootherKind::kJacobi,
-                            SmootherKind::kSymGaussSeidel,
-                            SmootherKind::kBlockJacobi}) {
+  for (SmootherKind kind : {SmootherKind::kJacobi, SmootherKind::kBlockJacobi,
+                            SmootherKind::kChebyshev}) {
     MgOptions opts;
     opts.smoother = kind;
     const BuiltProblem bp = build_box(6, opts);
@@ -233,28 +237,37 @@ TEST(MgOptions, SmootherKindsAllConverge) {
   }
 }
 
-/// Sets PROM_MATRIX (nullopt unsets it) for one scope and restores the
-/// caller's value after.
-class MatrixEnvScope {
+/// Sets one environment variable (nullopt unsets it) for one scope and
+/// restores the caller's value after.
+class EnvScope {
  public:
-  explicit MatrixEnvScope(const std::optional<std::string>& value) {
-    if (const char* old = std::getenv("PROM_MATRIX")) saved_ = old;
+  EnvScope(const char* var, const std::optional<std::string>& value)
+      : var_(var) {
+    if (const char* old = std::getenv(var_)) saved_ = old;
     if (value) {
-      ::setenv("PROM_MATRIX", value->c_str(), 1);
+      ::setenv(var_, value->c_str(), 1);
     } else {
-      ::unsetenv("PROM_MATRIX");
+      ::unsetenv(var_);
     }
   }
-  ~MatrixEnvScope() {
+  ~EnvScope() {
     if (saved_) {
-      ::setenv("PROM_MATRIX", saved_->c_str(), 1);
+      ::setenv(var_, saved_->c_str(), 1);
     } else {
-      ::unsetenv("PROM_MATRIX");
+      ::unsetenv(var_);
     }
   }
 
  private:
+  const char* var_;
   std::optional<std::string> saved_;
+};
+
+/// PROM_MATRIX for one scope.
+class MatrixEnvScope : public EnvScope {
+ public:
+  explicit MatrixEnvScope(const std::optional<std::string>& value)
+      : EnvScope("PROM_MATRIX", value) {}
 };
 
 TEST(MatrixFormatEnv, UnsetOrEmptyMeansNodeBlocks) {
@@ -278,6 +291,27 @@ TEST(MatrixFormatEnv, ParsesEveryFormatAndRejectsOthers) {
   for (const char* bad : {"CSR", "bsr", "bsr1", " csr", "aij"}) {
     const MatrixEnvScope env(bad);
     EXPECT_THROW(matrix_format_from_env(), Error) << bad;
+  }
+}
+
+TEST(AgglomEnv, AcceptsIdxRangeAndRejectsEverythingElse) {
+  const char* var = "PROM_MIN_ROWS_PER_RANK";
+  {
+    const EnvScope env(var, std::nullopt);
+    EXPECT_EQ(agglom_min_rows_from_env(), 0);
+  }
+  const std::pair<const char*, idx> good[] = {
+      {"", 0}, {"0", 0}, {"1000", 1000}, {"2147483647", 2147483647}};
+  for (const auto& [text, want] : good) {
+    const EnvScope env(var, text);
+    EXPECT_EQ(agglom_min_rows_from_env(), want) << text;
+  }
+  // Past idx's maximum a narrowing cast would wrap the value negative and
+  // silently turn agglomeration off; strtol's own overflow (ERANGE) too.
+  for (const char* bad : {"2147483648", "3000000000", "99999999999999999999",
+                          "-1", "12abc", "abc", " "}) {
+    const EnvScope env(var, bad);
+    EXPECT_THROW(agglom_min_rows_from_env(), Error) << bad;
   }
 }
 

@@ -145,20 +145,6 @@ TEST(Sa, HandlesMaterialJumpProblem) {
   EXPECT_TRUE(res.converged);
 }
 
-TEST(Sa, SparseCoarseSolverWorksInHierarchy) {
-  const Built b = build_box(8);
-  MgOptions mo;
-  mo.coarsest_max_dofs = 500;
-  mo.coarse_solver = CoarseSolverKind::kSparseCholesky;
-  const Hierarchy h = Hierarchy::build(b.model.mesh, b.model.dofmap,
-                                       b.sys.stiffness, mo);
-  std::vector<real> x(b.sys.rhs.size(), 0.0);
-  MgSolveOptions so;
-  so.rtol = 1e-8;
-  const la::KrylovResult res = mg_pcg_solve(h, b.sys.rhs, x, so);
-  EXPECT_TRUE(res.converged);
-}
-
 TEST(Sa, ChebyshevSmootherWorksInHierarchy) {
   const Built b = build_box(8);
   MgOptions mo;
@@ -166,6 +152,15 @@ TEST(Sa, ChebyshevSmootherWorksInHierarchy) {
   mo.cheby_degree = 3;
   const Hierarchy h = Hierarchy::build(b.model.mesh, b.model.dofmap,
                                        b.sys.stiffness, mo);
+  // The shared level solve (mg/level_solve.h): Chebyshev bounds on every
+  // level but the coarsest, which holds the dense factor instead.
+  ASSERT_GE(h.num_levels(), 2);
+  for (int l = 0; l + 1 < h.num_levels(); ++l) {
+    EXPECT_EQ(h.level(l).kind, SmootherKind::kChebyshev) << "level " << l;
+    EXPECT_GT(h.level(l).cheby_lmax, h.level(l).cheby_lmin) << "level " << l;
+    EXPECT_FALSE(h.level(l).has_coarse_factor()) << "level " << l;
+  }
+  EXPECT_NE(h.level(h.num_levels() - 1).direct, nullptr);
   std::vector<real> x(b.sys.rhs.size(), 0.0);
   MgSolveOptions so;
   so.rtol = 1e-8;

@@ -1,11 +1,15 @@
 // Serial/distributed equivalence: the parx backend runs the *same*
-// templated solver bodies (la/krylov_any.h, mg/cycle_any.h) as the serial
-// backend, so V-cycle, FMG, and MG-PCG on virtual ranks must reproduce the
-// serial iterate history and final residual to working precision at every
-// rank count, and every rank must report the identical KrylovResult.
+// templated solver bodies (la/krylov_any.h, mg/cycle_any.h,
+// mg/level_solve.h) as the serial backend, so V-cycle, FMG, and MG-PCG on
+// virtual ranks must reproduce the serial iterate history and final
+// residual to working precision at every rank count, every rank must
+// report the identical KrylovResult, and on one rank the distributed solve
+// must be the serial solve bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -136,18 +140,26 @@ void expect_vectors_close(const std::vector<real>& ref,
 
 class EquivRanks : public ::testing::TestWithParam<int> {};
 
+/// One serial cycle of `kind` from zero on the right-hand side.
+std::vector<real> serial_cycle(const Problem& prob, mg::CycleKind kind) {
+  const idx n = static_cast<idx>(prob.rhs.size());
+  la::MultiVec b(n, 1), x(n, 1);
+  std::copy(prob.rhs.begin(), prob.rhs.end(), b.col_data(0));
+  mg::apply_cycle_mv(mg::HierarchyCycleView(prob.hierarchy), kind, b, x);
+  return {x.col(0).begin(), x.col(0).end()};
+}
+
 TEST_P(EquivRanks, VcycleMatchesSerial) {
   const Problem prob = build_problem(mg::SmootherKind::kJacobi);
   ASSERT_GE(prob.hierarchy.num_levels(), 2);
-  std::vector<real> x_ref(prob.rhs.size(), 0);
-  mg::vcycle(prob.hierarchy, 0, prob.rhs, x_ref);
+  const std::vector<real> x_ref = serial_cycle(prob, mg::CycleKind::kV);
   const DistOutcome got = run_distributed(prob, GetParam(), Run::kVcycle);
   expect_vectors_close(x_ref, got.x, 1e-12);
 }
 
 TEST_P(EquivRanks, FmgMatchesSerial) {
   const Problem prob = build_problem(mg::SmootherKind::kJacobi);
-  const std::vector<real> x_ref = mg::fmg_cycle(prob.hierarchy, prob.rhs);
+  const std::vector<real> x_ref = serial_cycle(prob, mg::CycleKind::kFmg);
   const DistOutcome got = run_distributed(prob, GetParam(), Run::kFmg);
   expect_vectors_close(x_ref, got.x, 1e-12);
 }
@@ -329,6 +341,116 @@ TEST_P(EquivRanks, ChebyshevPcgConverges) {
   EXPECT_LE(got.results[0].final_relres, so.rtol);
   EXPECT_LE(std::abs(got.results[0].iterations - ref.iterations), 2);
   expect_vectors_close(x_ref, got.x, 1e-6);
+}
+
+/// A problem with default multigrid options: the box of 16^3 cells, or the
+/// paper's sphere-in-cube at the first size of the scaled series.
+Problem build_default_problem(bool sphere) {
+  const app::ModelProblem p =
+      sphere ? app::make_sphere_problem(app::scaled_series(1)[0].params, 1.2)
+             : app::make_box_problem(16);
+  fem::FeProblem fe(p.mesh, p.materials, p.dofmap);
+  fem::LinearSystem sys = fem::assemble_linear_system(fe);
+  Problem out;
+  out.rhs = std::move(sys.rhs);
+  out.num_vertices = p.mesh.num_vertices();
+  out.hierarchy =
+      mg::Hierarchy::build(p.mesh, p.dofmap, std::move(sys.stiffness), {});
+  return out;
+}
+
+/// The serial solve and the one-rank distributed solve run the same
+/// k-column cycle, the same level smoother and coarse factor and the same
+/// Krylov body, so they must agree bit for bit: iterations, residual
+/// history and solution. bsr3 node blocks accumulate each scalar row in
+/// CSR's order, so the distributed bsr3 solve matches the serial CSR one
+/// too.
+void expect_p1_bitwise(const Problem& prob, const mg::MgSolveOptions& so,
+                       mg::MatrixFormat format) {
+  std::vector<real> x_ref(prob.rhs.size(), 0);
+  const la::KrylovResult ref =
+      mg::mg_krylov_solve(prob.hierarchy, prob.rhs, x_ref, so);
+  ASSERT_TRUE(ref.converged);
+  const DistOutcome got = run_distributed(prob, 1, Run::kKrylov, so, format);
+  const la::KrylovResult& d = got.results[0];
+  EXPECT_EQ(d.iterations, ref.iterations);
+  EXPECT_EQ(d.converged, ref.converged);
+  EXPECT_EQ(d.breakdown, ref.breakdown);
+  EXPECT_EQ(std::memcmp(&d.final_relres, &ref.final_relres, sizeof(real)), 0);
+  ASSERT_EQ(d.history.size(), ref.history.size());
+  EXPECT_EQ(std::memcmp(d.history.data(), ref.history.data(),
+                        ref.history.size() * sizeof(real)),
+            0);
+  ASSERT_EQ(got.x.size(), x_ref.size());
+  EXPECT_EQ(
+      std::memcmp(got.x.data(), x_ref.data(), x_ref.size() * sizeof(real)), 0);
+}
+
+mg::MgSolveOptions pinned_options(mg::CycleKind cycle, la::KrylovKind krylov) {
+  mg::MgSolveOptions so;
+  so.rtol = 1e-8;
+  so.track_history = true;
+  so.cycle = cycle;
+  so.krylov = krylov;
+  return so;
+}
+
+const char* format_name(mg::MatrixFormat f) {
+  return f == mg::MatrixFormat::kCsr ? "csr" : "bsr3";
+}
+
+TEST(SerialIsOneRank, BoxSmootherCycleFormatMatrixIsBitwise) {
+  for (const mg::SmootherKind kind :
+       {mg::SmootherKind::kBlockJacobi, mg::SmootherKind::kJacobi,
+        mg::SmootherKind::kChebyshev}) {
+    const Problem prob = build_problem(kind);
+    ASSERT_GE(prob.hierarchy.num_levels(), 3);
+    for (const mg::CycleKind cycle : {mg::CycleKind::kFmg, mg::CycleKind::kV}) {
+      for (const mg::MatrixFormat format :
+           {mg::MatrixFormat::kCsr, mg::MatrixFormat::kBsr3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "smoother " << static_cast<int>(kind) << ", "
+                     << (cycle == mg::CycleKind::kV ? "V" : "FMG") << ", "
+                     << format_name(format));
+        expect_p1_bitwise(prob, pinned_options(cycle, la::KrylovKind::kPcg),
+                          format);
+      }
+    }
+  }
+}
+
+TEST(SerialIsOneRank, ScalarClassesAreBitwise) {
+  const mg::MgSolveOptions pcg =
+      pinned_options(mg::CycleKind::kFmg, la::KrylovKind::kPcg);
+  expect_p1_bitwise(build_scalar_problem(app::EquationClass::kPoissonHet),
+                    pcg, mg::MatrixFormat::kCsr);
+  const Problem advdiff = build_scalar_problem(app::EquationClass::kAdvDiff);
+  for (const la::KrylovKind krylov :
+       {la::KrylovKind::kGmres, la::KrylovKind::kBicgstab}) {
+    SCOPED_TRACE(la::to_string(krylov));
+    expect_p1_bitwise(advdiff, pinned_options(mg::CycleKind::kFmg, krylov),
+                      mg::MatrixFormat::kCsr);
+  }
+}
+
+/// The default solve (FMG-PCG at the default tolerance) of a problem with
+/// default multigrid options, under csr and bsr3.
+void expect_default_solve_p1_bitwise(const Problem& prob) {
+  mg::MgSolveOptions so;
+  so.track_history = true;
+  for (const mg::MatrixFormat format :
+       {mg::MatrixFormat::kCsr, mg::MatrixFormat::kBsr3}) {
+    SCOPED_TRACE(format_name(format));
+    expect_p1_bitwise(prob, so, format);
+  }
+}
+
+TEST(SerialIsOneRank, Box16AtDefaultsIsBitwise) {
+  expect_default_solve_p1_bitwise(build_default_problem(false));
+}
+
+TEST(SerialIsOneRank, SphereAtDefaultsIsBitwise) {
+  expect_default_solve_p1_bitwise(build_default_problem(true));
 }
 
 // "pN" names let the CI rank matrix select one rank count per job with

@@ -6,6 +6,7 @@
 // scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -15,9 +16,12 @@
 #include "common/rng.h"
 #include "fem/assembly.h"
 #include "la/csr.h"
-#include "la/smoothers.h"
+#include "la/operator.h"
 #include "la/vec.h"
 #include "mesh/generate.h"
+#include "mg/hierarchy.h"
+#include "mg/level_solve.h"
+#include "partition/greedy.h"
 
 namespace prom {
 namespace {
@@ -177,33 +181,36 @@ TEST(ThreadsDeterminism, SmoothersBitIdentical) {
   const std::vector<real> b = random_vector(rng, a.nrows);
   const std::vector<real> x0 = random_vector(rng, a.nrows);
 
+  // Two steps of the shared level smoother on the whole of `a`.
+  const la::CsrOperator op(a);
+  const auto two_steps = [&](const mg::LevelSolve& s) {
+    la::MultiVec bm(a.nrows, 1), xm(a.nrows, 1);
+    std::copy(b.begin(), b.end(), bm.col_data(0));
+    std::copy(x0.begin(), x0.end(), xm.col_data(0));
+    mg::SolveScratch ws;
+    s.smooth_mv(la::SerialBackend{}, op, bm, xm, ws);
+    s.smooth_mv(la::SerialBackend{}, op, bm, xm, ws);
+    return std::vector<real>(xm.col(0).begin(), xm.col(0).end());
+  };
+  const auto built = [&](mg::SmootherKind kind, real omega, int degree) {
+    mg::MgOptions mo;
+    mo.smoother = kind;
+    mo.omega = omega;
+    mo.cheby_degree = degree;
+    mg::LevelSolve s;
+    s.build_smoother(la::SerialBackend{}, op, a, 0, mo);
+    return s;
+  };
   auto run = [&](int t) {
     return with_threads(t, [&] {
       std::vector<std::vector<real>> out;
-      {
-        const la::JacobiSmoother jac(a, 0.7);
-        std::vector<real> x = x0;
-        jac.smooth(b, x);
-        jac.smooth(b, x);
-        out.push_back(x);
-      }
-      {
-        // Constructor included: the power-iteration eigenvalue estimate
-        // must itself be thread-count invariant.
-        const la::ChebyshevSmoother cheb(a, 4);
-        std::vector<real> x = x0;
-        cheb.smooth(b, x);
-        cheb.smooth(b, x);
-        out.push_back(x);
-      }
-      {
-        const la::BlockJacobiSmoother bj(
-            a, la::contiguous_blocks(a.nrows, 37), 0.6);
-        std::vector<real> x = x0;
-        bj.smooth(b, x);
-        bj.smooth(b, x);
-        out.push_back(x);
-      }
+      out.push_back(two_steps(built(mg::SmootherKind::kJacobi, 0.7, 3)));
+      // Setup included: the power-iteration eigenvalue estimate must
+      // itself be thread-count invariant.
+      out.push_back(two_steps(built(mg::SmootherKind::kChebyshev, 0.6, 4)));
+      mg::LevelSolve bj;
+      bj.set_block_jacobi(a, partition::contiguous_blocks(a.nrows, 37), 0.6);
+      out.push_back(two_steps(bj));
       return out;
     });
   };
