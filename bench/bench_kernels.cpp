@@ -433,17 +433,14 @@ double bsr3_bytes_per_dof(const la::Bsr3& ab) {
   return bytes / ab.rows();
 }
 
-/// A Bsr3 as the serial backend's smoother operator: apply plus the fused
-/// residual, the two products dla::DistBsrOperator gives the sweeps.
+/// A Bsr3 as the serial backend's smoother operator: the blocked apply
+/// and fused residual dla::DistBsrOperator gives the sweeps, plus the
+/// single-vector apply the backend concept asks for.
 struct Bsr3SweepOperator {
   const la::Bsr3* a;
   idx rows() const { return a->rows(); }
   void apply(std::span<const real> x, std::span<real> y) const {
     a->spmv(x, y);
-  }
-  void residual(std::span<const real> b, std::span<const real> x,
-                std::span<real> r) const {
-    a->residual(b, x, r);
   }
   void apply_mv(const la::MultiVec& x, la::MultiVec& y) const {
     a->spmm(x, y);

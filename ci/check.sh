@@ -69,8 +69,8 @@ ctest --preset asan-ubsan -j"$(nproc)" "${label_args[@]}"
 
 # The matrix-free equivalence battery gets an explicit direct run under
 # ASan/UBSan on top of the labelled ctest pass: it exercises the SIMD
-# element kernel's raw slot gathers and the overlapped DistMf ghost
-# indexing — exactly where an out-of-bounds lane would hide.
+# element kernel's raw slot gathers and the DistMf ghost indexing —
+# exactly where an out-of-bounds lane would hide.
 ./build-asan-ubsan/tests/test_mf_equiv
 
 ./ci/tsan.sh

@@ -6,9 +6,9 @@
 # under ThreadSanitizer (the equivalence suite drives the whole
 # distributed matrix setup + solve — both assembled formats — across
 # 1..8 rank threads; the matrix-free suite drives the SIMD element
-# kernel across kernel-thread counts and the overlapped DistMf apply on
-# 1..8 ranks; the halo suite drives the overlapped arrival-order ghost
-# drain with staggered peer sends; the service suite drives the blocked
+# kernel across kernel-thread counts and the DistMf apply on 1..8 ranks;
+# the halo suite drives the ghost exchange and its reverse with staggered
+# peer sends; the service suite drives the blocked
 # multi-RHS solve path — one message per peer carrying k columns — across
 # rank and kernel-thread counts in all three matrix formats; the scalar
 # assembly suite drives the chunked block-size-1 assembly across kernel-

@@ -7,7 +7,7 @@
 // MG-PCG (dla::dist_mg_pcg_solve_mv) in chunks of PROM_RHS_BLOCK columns:
 // one ghost exchange per operator application serves the whole chunk, and
 // column j of a k-RHS solve is bitwise identical to a standalone solve of
-// that RHS at any rank count, kernel-thread count, and halo mode.
+// that RHS at any rank count and kernel-thread count.
 #pragma once
 
 #include <list>

@@ -17,15 +17,13 @@ namespace {
 std::atomic<int> g_thread_override{0};
 std::atomic<int> g_active_ranks{1};
 
-/// Hard cap on kernel threads; a backstop against absurd PROM_THREADS
-/// values, far above any machine this targets.
+/// Hard cap on kernel threads, far above any machine this targets.
 constexpr int kMaxKernelThreads = 64;
 
+/// PROM_THREADS, parsed once per process. A rejected value is not cached,
+/// so every later query throws again.
 int env_threads() {
-  static const int v = [] {
-    const char* s = std::getenv("PROM_THREADS");
-    return (s && *s) ? std::atoi(s) : 0;
-  }();
+  static const int v = threads_from_env();
   return v;
 }
 
@@ -192,10 +190,25 @@ void run_inline(idx begin, idx end, idx grain,
 
 }  // namespace
 
+int threads_from_env() {
+  const char* env = std::getenv("PROM_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  PROM_CHECK_MSG(end != env && *end == '\0' && v >= 1 &&
+                     v <= kMaxKernelThreads,
+                 "PROM_THREADS must be an integer in [1, " +
+                     std::to_string(kMaxKernelThreads) + "]");
+  return static_cast<int>(v);
+}
+
 int kernel_threads() {
+  // Read the environment first, so a malformed PROM_THREADS fails even
+  // under an override.
+  const int env = env_threads();
   const int over = g_thread_override.load(std::memory_order_relaxed);
   if (over > 0) return std::min(over, kMaxKernelThreads);
-  if (env_threads() > 0) return std::min(env_threads(), kMaxKernelThreads);
+  if (env > 0) return env;
   const int hw = std::max(1u, std::thread::hardware_concurrency());
   const int ranks = std::max(1, g_active_ranks.load(std::memory_order_relaxed));
   return std::max(1, hw / ranks);

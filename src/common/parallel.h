@@ -19,7 +19,7 @@
 //
 // Thread-count policy (the `prom::common` config knob from ISSUE 1):
 //   1. `set_kernel_threads(n)` — programmatic override, highest priority.
-//   2. `PROM_THREADS` environment variable.
+//   2. `PROM_THREADS` environment variable (see threads_from_env).
 //   3. Default: `hardware_concurrency() / active_ranks`, at least 1, so
 //      parx ranks sharing the machine do not oversubscribe it.
 //
@@ -35,7 +35,15 @@
 
 namespace prom::common {
 
-/// Number of kernel threads a parallel region may use (>= 1).
+/// The PROM_THREADS kernel-thread count: 0 when unset or empty (the
+/// default policy applies); otherwise the whole value must be an integer
+/// in [1, 64], and anything else throws a prom::Error naming the
+/// variable. Reads the environment on every call.
+int threads_from_env();
+
+/// Number of kernel threads a parallel region may use (>= 1). Throws as
+/// threads_from_env() does on a malformed PROM_THREADS, whose value is
+/// read once per process.
 int kernel_threads();
 
 /// Programmatic override of the kernel-thread count; `n <= 0` restores the

@@ -191,19 +191,6 @@ DistBsr DistBsr::build(parx::Comm& comm, const DistCsr& a,
     d.plan_.add_recv(scalar_plan.recv_peers()[s], std::move(slots));
   }
   d.plan_.finalize(kTagNodeGhost);
-
-  // Interior/boundary split at block-row granularity: a block row is
-  // interior when every referenced node column is owned.
-  for (idx br = 0; br < nbrows; ++br) {
-    bool interior = true;
-    for (nnz_t k = m.browptr[br]; k < m.browptr[br + 1]; ++k) {
-      if (brow_of_node[m.bcolidx[k]] == kInvalidIdx) {
-        interior = false;
-        break;
-      }
-    }
-    (interior ? d.interior_brows_ : d.boundary_brows_).push_back(br);
-  }
   return d;
 }
 
@@ -227,16 +214,9 @@ void DistBsr::spmm(parx::Comm& comm, const la::MultiVec& x_local,
     real* ext = x_ext_mv_.col_data(j);
     for (idx i = 0; i < nlocal_; ++i) ext[slot_of_owned_col_[i]] = xj[i];
   }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmm_brows(x_ext_mv_, y_pad_mv_, interior_brows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.spmm_brows(x_ext_mv_, y_pad_mv_, boundary_brows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
+  plan_.finish_mv(comm, x_ext_mv_);
+  {
+    const obs::Span span("halo.local");
     local_.spmm(x_ext_mv_, y_pad_mv_);
   }
   for (int j = 0; j < k; ++j) {
@@ -263,18 +243,9 @@ void DistBsr::residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
     for (idx i = 0; i < nlocal_; ++i) ext[slot_of_owned_col_[i]] = xj[i];
     for (idx i = 0; i < nlocal_; ++i) bp[row_slot_of_free_[i]] = bj[i];
   }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_mv_brows(b_pad_mv_, x_ext_mv_, r_pad_mv_,
-                               interior_brows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.residual_mv_brows(b_pad_mv_, x_ext_mv_, r_pad_mv_,
-                             boundary_brows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
+  plan_.finish_mv(comm, x_ext_mv_);
+  {
+    const obs::Span span("halo.local");
     local_.residual_mv(b_pad_mv_, x_ext_mv_, r_pad_mv_);
   }
   for (int j = 0; j < k; ++j) {

@@ -46,11 +46,6 @@ class DistBsr {
   /// The owned node-block rows over [owned | ghost] node columns.
   const la::Bsr3& local_matrix() const { return local_; }
 
-  /// Block rows referencing only owned node columns — computable before
-  /// the ghost exchange completes; boundary_brows() is the complement.
-  const std::vector<idx>& interior_brows() const { return interior_brows_; }
-  const std::vector<idx>& boundary_brows() const { return boundary_brows_; }
-
   /// The exchange plan (persistent staging; see dla/halo.h).
   const HaloPlan& halo_plan() const { return plan_; }
 
@@ -87,8 +82,6 @@ class DistBsr {
   // slots are rewritten with zeros every exchange; owned padding slots are
   // zeroed once at build and never touched again.
   HaloPlan plan_;
-  std::vector<idx> interior_brows_;  // block rows with owned columns only
-  std::vector<idx> boundary_brows_;  // the rest
   // Persistent padded work blocks (see ensure_mv_buffers).
   mutable la::MultiVec x_ext_mv_;
   mutable la::MultiVec y_pad_mv_;

@@ -74,21 +74,6 @@ void DistCsr::init_from_local(parx::Comm& comm, const la::Csr& local_rows) {
     }
   }
   plan_.finalize(kTagGhost);
-
-  // Interior/boundary split: interior rows reference only owned columns,
-  // so they can be computed while the ghost exchange is in flight.
-  interior_rows_.clear();
-  boundary_rows_.clear();
-  for (idx i = 0; i < local_.nrows; ++i) {
-    bool interior = true;
-    for (nnz_t k = local_.rowptr[i]; k < local_.rowptr[i + 1]; ++k) {
-      if (local_.colidx[k] >= n_local_cols) {
-        interior = false;
-        break;
-      }
-    }
-    (interior ? interior_rows_ : boundary_rows_).push_back(i);
-  }
 }
 
 DistCsr::DistCsr(parx::Comm& comm, const la::Csr& a, RowDist row_dist,
@@ -180,18 +165,9 @@ void DistCsr::spmm(parx::Comm& comm, const la::MultiVec& x_local,
     std::copy(x_local.col_data(j), x_local.col_data(j) + n_own,
               x_ext_mv_.col_data(j));
   }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.spmm_rows(x_ext_mv_, y_local, interior_rows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.spmm_rows(x_ext_mv_, y_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
-    local_.spmm(x_ext_mv_, y_local);
-  }
+  plan_.finish_mv(comm, x_ext_mv_);
+  const obs::Span span("halo.local");
+  local_.spmm(x_ext_mv_, y_local);
 }
 
 void DistCsr::residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
@@ -211,18 +187,9 @@ void DistCsr::residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
     std::copy(x_local.col_data(j), x_local.col_data(j) + n_own,
               x_ext_mv_.col_data(j));
   }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      local_.residual_mv_rows(b_local, x_ext_mv_, r_local, interior_rows_);
-    }
-    plan_.finish_mv(comm, x_ext_mv_);
-    const obs::Span span("halo.boundary");
-    local_.residual_mv_rows(b_local, x_ext_mv_, r_local, boundary_rows_);
-  } else {
-    plan_.finish_rank_order_mv(comm, x_ext_mv_);
-    local_.residual_mv(b_local, x_ext_mv_, r_local);
-  }
+  plan_.finish_mv(comm, x_ext_mv_);
+  const obs::Span span("halo.local");
+  local_.residual_mv(b_local, x_ext_mv_, r_local);
 }
 
 void DistCsr::spmm_transpose(parx::Comm& comm, const la::MultiVec& x_local,
@@ -248,24 +215,6 @@ void DistCsr::spmm_transpose(parx::Comm& comm, const la::MultiVec& x_local,
               y_local.col_data(j));
   }
   plan_.reverse_accumulate_mv(comm, y_local);
-}
-
-la::Csr DistCsr::local_diagonal_block() const {
-  const idx n_own_cols = cols_.local_size(rank_);
-  la::Csr d;
-  d.nrows = local_.nrows;
-  d.ncols = n_own_cols;
-  d.rowptr.assign(static_cast<std::size_t>(local_.nrows) + 1, 0);
-  for (idx i = 0; i < local_.nrows; ++i) {
-    for (nnz_t k = local_.rowptr[i]; k < local_.rowptr[i + 1]; ++k) {
-      if (local_.colidx[k] < n_own_cols) {
-        d.colidx.push_back(local_.colidx[k]);
-        d.vals.push_back(local_.vals[k]);
-      }
-    }
-    d.rowptr[i + 1] = static_cast<nnz_t>(d.colidx.size());
-  }
-  return d;
 }
 
 }  // namespace prom::dla

@@ -57,20 +57,14 @@ class DistCsr {
                              : ghost_cols_[local_col - n_own];
   }
 
-  /// Local row indices whose entries reference only owned columns — safe
-  /// to compute before the ghost exchange completes. Complemented by
-  /// boundary_rows(); together they cover [0, local_rows()).
-  const std::vector<idx>& interior_rows() const { return interior_rows_; }
-  const std::vector<idx>& boundary_rows() const { return boundary_rows_; }
-
   /// The exchange plan (persistent staging; see dla/halo.h).
   const HaloPlan& halo_plan() const { return plan_; }
 
   /// Y_local = A X on the local blocks of k distributed vectors: one ghost
-  /// exchange (one message per peer carrying all k columns) and one matrix
-  /// pass serve every column, overlapped with the interior rows under
-  /// HaloMode::kOverlap. Column j is bitwise the k = 1 call on that
-  /// column; a single vector is a one-column block. Collective.
+  /// exchange (one message per peer carrying all k columns), then one
+  /// matrix pass over every local row serves every column. Column j is
+  /// bitwise the k = 1 call on that column; a single vector is a
+  /// one-column block. Collective.
   void spmm(parx::Comm& comm, const la::MultiVec& x_local,
             la::MultiVec& y_local) const;
 
@@ -87,18 +81,16 @@ class DistCsr {
                       la::MultiVec& y_local) const;
 
   /// The local rows with *local* column indexing: columns [0, n_local) are
-  /// owned, [n_local, n_local + n_ghost) are ghosts.
+  /// owned, [n_local, n_local + n_ghost) are ghosts. On a square operator
+  /// with aligned row and column distributions, owned column i is local
+  /// row i, so the leading n_local columns are the processor-local
+  /// diagonal block the level smoother reads.
   const la::Csr& local_matrix() const { return local_; }
-
-  /// Diagonal block (owned rows x owned cols) as a standalone matrix —
-  /// what the processor-local block-Jacobi smoother factors.
-  la::Csr local_diagonal_block() const;
 
  private:
   /// Shared construction core: remaps the owned rows (global column ids)
-  /// into the [owned | ghost] local indexing, builds the neighbor
-  /// exchange plan with its persistent staging, and splits the rows into
-  /// interior and boundary. Collective.
+  /// into the [owned | ghost] local indexing and builds the neighbor
+  /// exchange plan with its persistent staging. Collective.
   void init_from_local(parx::Comm& comm, const la::Csr& local_rows);
 
   int rank_ = 0;
@@ -107,8 +99,6 @@ class DistCsr {
   la::Csr local_;                 // local rows, remapped columns
   std::vector<idx> ghost_cols_;   // global ids of ghost columns (sorted)
   HaloPlan plan_;                 // ghost exchange (forward + reverse)
-  std::vector<idx> interior_rows_;  // rows referencing no ghost column
-  std::vector<idx> boundary_rows_;  // the rest
   // Persistent [owned | ghost] work blocks, reshaped lazily (no allocation
   // once the widest block has been seen): the owned prefix is rewritten
   // on every call and every ghost slot belongs to exactly one peer's recv

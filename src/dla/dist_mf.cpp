@@ -63,7 +63,6 @@ DistMf DistMf::build(parx::Comm& comm, const MfProblem& prob,
   mf.core_ = fem::MfCore::build(
       mesh, *prob.materials, prob.bbar, elements,
       /*num_slots=*/n_own + a.num_ghosts(), /*num_rows=*/n_own,
-      /*first_ghost_slot=*/n_own,
       [&](idx e, int ai, int c) -> fem::MfCore::Dof {
         const idx f = dofmap.free_index(mesh.cell(e)[ai] * kDofPerVertex + c);
         if (f == kInvalidIdx) return {};  // constrained: reads 0, drops
@@ -91,30 +90,11 @@ void DistMf::spmm(parx::Comm& comm, const la::MultiVec& x_local,
     std::copy(x_local.col(j).begin(), x_local.col(j).end(),
               x_ext_mv_.col(j).begin());
   }
-  // One per-element force buffer means the element passes are per column;
-  // only column 0's Pass A can overlap the (single, blocked) exchange.
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_mv_.col(0), 0, core_.num_interior_batches());
-    }
-    plan.finish_mv(comm, x_ext_mv_);
-    {
-      const obs::Span span("halo.boundary");
-      core_.pass_a(x_ext_mv_.col(0), core_.num_interior_batches(),
-                   core_.num_batches());
-    }
-    core_.pass_b_apply(y_local.col(0));
-    for (int j = 1; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_apply(y_local.col(j));
-    }
-  } else {
-    plan.finish_rank_order_mv(comm, x_ext_mv_);
-    for (int j = 0; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_apply(y_local.col(j));
-    }
+  plan.finish_mv(comm, x_ext_mv_);
+  const obs::Span span("halo.local");
+  for (int j = 0; j < k; ++j) {
+    core_.pass_a(x_ext_mv_.col(j));
+    core_.pass_b_apply(y_local.col(j));
   }
 }
 
@@ -137,28 +117,11 @@ void DistMf::residual_mv(parx::Comm& comm, const la::MultiVec& b_local,
     std::copy(x_local.col(j).begin(), x_local.col(j).end(),
               x_ext_mv_.col(j).begin());
   }
-  if (halo_mode() == HaloMode::kOverlap) {
-    {
-      const obs::Span span("halo.interior");
-      core_.pass_a(x_ext_mv_.col(0), 0, core_.num_interior_batches());
-    }
-    plan.finish_mv(comm, x_ext_mv_);
-    {
-      const obs::Span span("halo.boundary");
-      core_.pass_a(x_ext_mv_.col(0), core_.num_interior_batches(),
-                   core_.num_batches());
-    }
-    core_.pass_b_residual(b_local.col(0), r_local.col(0));
-    for (int j = 1; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_residual(b_local.col(j), r_local.col(j));
-    }
-  } else {
-    plan.finish_rank_order_mv(comm, x_ext_mv_);
-    for (int j = 0; j < k; ++j) {
-      core_.pass_a(x_ext_mv_.col(j), 0, core_.num_batches());
-      core_.pass_b_residual(b_local.col(j), r_local.col(j));
-    }
+  plan.finish_mv(comm, x_ext_mv_);
+  const obs::Span span("halo.local");
+  for (int j = 0; j < k; ++j) {
+    core_.pass_a(x_ext_mv_.col(j));
+    core_.pass_b_residual(b_local.col(j), r_local.col(j));
   }
 }
 

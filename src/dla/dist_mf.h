@@ -8,15 +8,12 @@
 // the non-owned free dofs of the rank's relevant elements, so no second
 // exchange plan is needed.
 //
-// Overlap schedule (PROM_HALO=overlap): Pass A of the first column runs
-// on the interior element batches (no ghost gather slots) while the halo
-// is in flight, then on the boundary batches once it lands; Pass B
-// accumulates each owned row's element contributions in ascending global
-// element order.
-// Per-element forces are pure per-lane functions and the accumulation
-// order is a function of the mesh alone, so the distributed apply matches
-// the serial matrix-free apply bitwise per owned row at any rank count,
-// thread count, and halo mode.
+// An apply exchanges the ghost values, then runs Pass A over all of the
+// rank's element batches; Pass B accumulates each owned row's element
+// contributions in ascending global element order. Per-element forces are
+// pure per-lane functions and the accumulation order is a function of the
+// mesh alone, so the distributed apply matches the serial matrix-free
+// apply bitwise per owned row at any rank count and thread count.
 #pragma once
 
 #include <span>
@@ -54,9 +51,8 @@ class DistMf {
 
   /// Y_local = K_ff X on owned rows: one ghost exchange (one message per
   /// peer carrying all k columns) serves every column; the element passes
-  /// run column by column (one per-element force buffer), with column 0
-  /// overlapped against the exchange. Column j is bitwise the k = 1 call
-  /// on that column. Collective.
+  /// then run column by column (one per-element force buffer). Column j
+  /// is bitwise the k = 1 call on that column. Collective.
   void spmm(parx::Comm& comm, const la::MultiVec& x_local,
             la::MultiVec& y_local) const;
 

@@ -322,8 +322,7 @@ DistHierarchy DistHierarchy::build(parx::Comm& comm,
     }
     const obs::Span span("setup.smoother", l);
     dl.build_smoother(ParxBackend{&comm}, DistCsrOperator(dl.a),
-                      dl.a.local_diagonal_block(),
-                      dl.a.row_dist().begin(rank), mo);
+                      dl.a.local_matrix(), dl.a.row_dist().begin(rank), mo);
     // Local-smoothing mask (adaptive refinement levels): this rank's
     // slice of the serial MgLevel::smooth_rows, in local row numbering.
     // The masked flag is a property of the serial level, so it is

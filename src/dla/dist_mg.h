@@ -169,8 +169,8 @@ class DistMgPreconditioner final : public DistOperator {
 /// Distributed MG-preconditioned CG for k right-hand sides: every ghost
 /// exchange ships one message per peer carrying all k columns, and column
 /// j of the result is bitwise the k = 1 solve of that column alone (at any
-/// rank count, kernel-thread count, and halo mode). `ws` (optional, per
-/// rank) reuses the PCG work vectors across solves. Collective.
+/// rank count and kernel-thread count). `ws` (optional, per rank) reuses
+/// the PCG work vectors across solves. Collective.
 std::vector<la::KrylovResult> dist_mg_pcg_solve_mv(
     parx::Comm& comm, const DistHierarchy& h, const la::MultiVec& b_local,
     la::MultiVec& x_local, const mg::MgSolveOptions& opts = {},

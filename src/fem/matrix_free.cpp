@@ -228,7 +228,7 @@ void pass_a_batch(const RefRule& rule, const real* geo, const real* mean,
 MfCore MfCore::build(const mesh::Mesh& mesh,
                      std::span<const Material> materials, bool bbar,
                      std::span<const idx> elements, idx num_slots,
-                     idx num_rows, idx first_ghost_slot,
+                     idx num_rows,
                      const std::function<Dof(idx e, int a, int c)>& dof_of) {
   const obs::Span span("mf.setup");
   MfCore core;
@@ -241,14 +241,10 @@ MfCore MfCore::build(const mesh::Mesh& mesh,
   core.nslots_ = num_slots;
 
   const idx ne = static_cast<idx>(elements.size());
-  // Per listed element: its dofs and its interior/boundary group.
   std::vector<Dof> dofs(static_cast<std::size_t>(ne) * edof);
-  std::vector<char> boundary(static_cast<std::size_t>(ne), 0);
-  idx n_interior = 0;
   for (idx t = 0; t < ne; ++t) {
     PROM_CHECK_MSG(t == 0 || elements[t] > elements[t - 1],
                    "mf elements must be ascending global cell ids");
-    bool bd = false;
     for (int a = 0; a < nen; ++a) {
       for (int c = 0; c < 3; ++c) {
         const Dof d = dof_of(elements[t], a, c);
@@ -257,21 +253,13 @@ MfCore MfCore::build(const mesh::Mesh& mesh,
         PROM_CHECK(d.scatter_row == kInvalidIdx ||
                    (d.scatter_row >= 0 && d.scatter_row < num_rows));
         dofs[static_cast<std::size_t>(t) * edof + a * 3 + c] = d;
-        bd = bd || (d.gather_slot != kInvalidIdx &&
-                    d.gather_slot >= first_ghost_slot);
       }
     }
-    boundary[t] = bd ? 1 : 0;
-    if (!bd) ++n_interior;
   }
 
-  // Batch placement: interior batches first, then boundary batches, each
-  // group in ascending global-element order with inert padding lanes in
-  // its final batch.
-  const idx nb_int = (n_interior + kSimdLanes - 1) / kSimdLanes;
-  const idx nb_bnd = (ne - n_interior + kSimdLanes - 1) / kSimdLanes;
-  core.nbatch_interior_ = nb_int;
-  core.nbatch_ = nb_int + nb_bnd;
+  // Batch placement: element t of the list is lane t % kSimdLanes of
+  // batch t / kSimdLanes, with inert padding lanes in the final batch.
+  core.nbatch_ = (ne + kSimdLanes - 1) / kSimdLanes;
   const idx nb = core.nbatch_;
 
   const std::size_t geo_stride =
@@ -289,20 +277,9 @@ MfCore MfCore::build(const mesh::Mesh& mesh,
                  "mf fe buffer exceeds 32-bit row-source indexing");
 
   std::vector<Vec3> coords(static_cast<std::size_t>(nen));
-  std::vector<idx> lane_of(static_cast<std::size_t>(ne));
-  std::vector<idx> batch_of(static_cast<std::size_t>(ne));
-  idx next_int = 0, next_bnd = 0;
   for (idx t = 0; t < ne; ++t) {
-    // Boundary lanes start at the first boundary *batch*, past the
-    // interior group's padding — a boundary element must never share a
-    // batch that runs before the halo exchange lands.
-    const idx pos =
-        boundary[t] ? nb_int * kSimdLanes + next_bnd++ : next_int++;
-    const idx b = pos / kSimdLanes;
-    const int l = static_cast<int>(pos % kSimdLanes);
-    batch_of[t] = b;
-    lane_of[t] = l;
-
+    const idx b = t / kSimdLanes;
+    const int l = static_cast<int>(t % kSimdLanes);
     const idx e = elements[t];
     const auto verts = mesh.cell(e);
     for (int a = 0; a < nen; ++a) coords[a] = mesh.coord(verts[a]);
@@ -356,8 +333,8 @@ MfCore MfCore::build(const mesh::Mesh& mesh,
   std::vector<nnz_t> next(core.row_ptr_.begin(), core.row_ptr_.end() - 1);
   for (idx t = 0; t < ne; ++t) {
     const std::size_t fe_base =
-        (static_cast<std::size_t>(batch_of[t]) * edof) * kSimdLanes +
-        lane_of[t];
+        (static_cast<std::size_t>(t / kSimdLanes) * edof) * kSimdLanes +
+        static_cast<std::size_t>(t % kSimdLanes);
     for (int d = 0; d < edof; ++d) {
       const idx row = dofs[static_cast<std::size_t>(t) * edof + d].scatter_row;
       if (row == kInvalidIdx) continue;
@@ -373,13 +350,13 @@ MfCore MfCore::build(const mesh::Mesh& mesh,
   return core;
 }
 
-void MfCore::pass_a(std::span<const real> x, idx bb, idx be) const {
-  PROM_CHECK(static_cast<idx>(x.size()) == nslots_ && bb >= 0 && be <= nbatch_);
+void MfCore::pass_a(std::span<const real> x) const {
+  PROM_CHECK(static_cast<idx>(x.size()) == nslots_);
   const RefRule& rule = ref_rule(nen_);
   const int edof = 3 * nen_;
   const std::size_t geo_stride =
       static_cast<std::size_t>(nqp_) * kGeoPerQp * kSimdLanes;
-  common::parallel_for(bb, be, kBatchGrain, [&](idx b0, idx b1) {
+  common::parallel_for(0, nbatch_, kBatchGrain, [&](idx b0, idx b1) {
     for (idx b = b0; b < b1; ++b) {
       const std::size_t eb = static_cast<std::size_t>(b) * edof * kSimdLanes;
       const std::size_t sb = static_cast<std::size_t>(b) * kSimdLanes;
@@ -388,7 +365,7 @@ void MfCore::pass_a(std::span<const real> x, idx bb, idx be) const {
                    bdil_.data() + sb, slots_.data() + eb, x, fe_.data() + eb);
     }
   });
-  count_flops((be - bb) * flops_per_batch_);
+  count_flops(nbatch_ * flops_per_batch_);
 }
 
 void MfCore::pass_b_apply(std::span<real> y) const {
@@ -479,7 +456,7 @@ MatrixFreeOperator MatrixFreeOperator::build(const mesh::Mesh& mesh,
   const idx nfree = dofmap.num_free();
   MfCore core = MfCore::build(
       mesh, materials, bbar, elements, nfree, nfree,
-      /*first_ghost_slot=*/nfree, [&](idx e, int a, int c) {
+      [&](idx e, int a, int c) {
         const idx v = mesh.cell(e)[a];
         const idx f = dofmap.free_index(DofMap::dof_of(v, c));
         return MfCore::Dof{f, f};
@@ -490,7 +467,7 @@ MatrixFreeOperator MatrixFreeOperator::build(const mesh::Mesh& mesh,
 void MatrixFreeOperator::apply(std::span<const real> x,
                                std::span<real> y) const {
   const obs::Span span("mf.apply");
-  core_.pass_a(x, 0, core_.num_batches());
+  core_.pass_a(x);
   core_.pass_b_apply(y);
 }
 
@@ -498,14 +475,14 @@ void MatrixFreeOperator::residual(std::span<const real> b,
                                   std::span<const real> x,
                                   std::span<real> r) const {
   const obs::Span span("mf.apply");
-  core_.pass_a(x, 0, core_.num_batches());
+  core_.pass_a(x);
   core_.pass_b_residual(b, r);
 }
 
 void MatrixFreeOperator::apply_rows(std::span<const real> x, std::span<real> y,
                                     std::span<const idx> rows) const {
   const obs::Span span("mf.apply");
-  core_.pass_a(x, 0, core_.num_batches());
+  core_.pass_a(x);
   core_.pass_b_apply_rows(y, rows);
 }
 
@@ -514,7 +491,7 @@ void MatrixFreeOperator::residual_rows(std::span<const real> b,
                                        std::span<real> r,
                                        std::span<const idx> rows) const {
   const obs::Span span("mf.apply");
-  core_.pass_a(x, 0, core_.num_batches());
+  core_.pass_a(x);
   core_.pass_b_residual_rows(b, r, rows);
 }
 

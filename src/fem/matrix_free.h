@@ -58,28 +58,20 @@ class MfCore {
   };
 
   /// Builds the batched element data for `elements` (global cell ids,
-  /// ascending). Elements whose every gather slot is < `first_ghost_slot`
-  /// are grouped into the leading "interior" batches; the rest follow as
-  /// "boundary" batches (ascending global id within each group), so a
-  /// distributed caller can run Pass A on the interior while the halo is
-  /// in flight. Serial callers pass first_ghost_slot = num_slots (no
-  /// boundary group). Wrapped in an obs span "mf.setup".
+  /// ascending), batched in list order. Wrapped in an obs span
+  /// "mf.setup".
   static MfCore build(const mesh::Mesh& mesh,
                       std::span<const Material> materials, bool bbar,
                       std::span<const idx> elements, idx num_slots,
-                      idx num_rows, idx first_ghost_slot,
+                      idx num_rows,
                       const std::function<Dof(idx e, int a, int c)>& dof_of);
 
   idx num_rows() const { return nrows_; }
   idx num_slots() const { return nslots_; }
-  idx num_batches() const { return nbatch_; }
-  idx num_interior_batches() const { return nbatch_interior_; }
 
-  /// Pass A on batches [bb, be): element nodal forces into the fe buffer.
-  /// Disjoint per-batch writes; callers may split the range arbitrarily
-  /// (the result is identical), but a single apply must cover every batch
-  /// exactly once before Pass B.
-  void pass_a(std::span<const real> x, idx bb, idx be) const;
+  /// Pass A over every batch: element nodal forces into the fe buffer
+  /// (disjoint per-batch writes). Runs before each Pass B.
+  void pass_a(std::span<const real> x) const;
 
   /// Pass B over all rows: y[r] = sum of incident fe contributions.
   void pass_b_apply(std::span<real> y) const;
@@ -99,13 +91,12 @@ class MfCore {
   idx nrows_ = 0;
   idx nslots_ = 0;
   idx nbatch_ = 0;
-  idx nbatch_interior_ = 0;
   int nen_ = 0;
   int nqp_ = 0;
   std::int64_t flops_per_batch_ = 0;
 
-  // SoA batch data, lane = element (inert padding lanes in each group's
-  // last batch: zero geometry, invalid slots).
+  // SoA batch data, lane = element (inert padding lanes in the last
+  // batch: zero geometry, invalid slots).
   std::vector<real> geo_;     ///< [batch][qp][1 + 9][lane]: w, J^{-1}
   std::vector<real> mean_;    ///< [batch][nen*3][lane]: B-bar mean grads
   std::vector<real> lam_;     ///< [batch][lane]: lambda

@@ -61,10 +61,10 @@ struct SerialBackend {
     op.apply(x, y);
   }
 
-  /// r = b - Op x. Operators exposing a fused residual kernel (the blocked
-  /// formats) get it; the fallback composes apply + waxpby, which produces
-  /// the same bits (one subtraction per entry either way), so backends may
-  /// fuse freely without perturbing residual histories.
+  /// r = b - Op x. Operators exposing a fused residual kernel (the
+  /// matrix-free operator) get it; the fallback composes apply + waxpby,
+  /// which produces the same bits (one subtraction per entry either way),
+  /// so backends may fuse freely without perturbing residual histories.
   template <class Op>
   void residual(const Op& op, std::span<const real> b,
                 std::span<const real> x, std::span<real> r) const {

@@ -26,15 +26,13 @@ constexpr idx kBlockRowGrain = 128;
 /// block structure.
 constexpr int kPassWidth = 4;
 
-/// One pass over block rows brows[tb..te) (block rows tb..te when
-/// `brows` is null) for the K columns j0..j0+K. Each scalar row of each
-/// column adds its terms in ascending block-column, then ascending
-/// scalar-column order from a zero seed — the scalar CSR walk of the same
-/// row, and the order of the K = 1 pass, so column j of any call is
-/// bitwise the single-vector product.
+/// One pass over block rows tb..te for the K columns j0..j0+K. Each
+/// scalar row of each column adds its terms in ascending block-column,
+/// then ascending scalar-column order from a zero seed — the scalar CSR
+/// walk of the same row, and the order of the K = 1 pass, so column j of
+/// any call is bitwise the single-vector product.
 template <int BS, int K, RowOut Out>
-nnz_t brows_pass(const Bsr<BS>& a, const Cols& p, int j0, const idx* brows,
-                 idx tb, idx te) {
+nnz_t brows_pass(const Bsr<BS>& a, const Cols& p, int j0, idx tb, idx te) {
   constexpr int kBlockSize = BS * BS;
   const real* x[K];
   const real* b[K];
@@ -47,9 +45,7 @@ nnz_t brows_pass(const Bsr<BS>& a, const Cols& p, int j0, const idx* brows,
   const nnz_t* browptr = a.browptr.data();
   const idx* bcolidx = a.bcolidx.data();
   const real* vals = a.vals.data();
-  nnz_t visited = 0;
-  for (idx t = tb; t < te; ++t) {
-    const idx i = brows != nullptr ? brows[t] : t;
+  for (idx i = tb; i < te; ++i) {
     real acc[K][BS] = {};
     for (nnz_t k = browptr[i]; k < browptr[i + 1]; ++k) {
       const real* blk = vals + static_cast<std::size_t>(k) * kBlockSize;
@@ -65,9 +61,8 @@ nnz_t brows_pass(const Bsr<BS>& a, const Cols& p, int j0, const idx* brows,
     for (int j = 0; j < K; ++j) {
       for (int r = 0; r < BS; ++r) store<Out>(y[j], b[j], base + r, acc[j][r]);
     }
-    visited += browptr[i + 1] - browptr[i];
   }
-  return visited;
+  return browptr[te] - browptr[tb];
 }
 
 template <int BS, RowOut Out, std::size_t... I>
@@ -76,14 +71,13 @@ constexpr std::array<PassFn<Bsr<BS>>, sizeof...(I)> make_passes(
   return {&brows_pass<BS, static_cast<int>(I) + 1, Out>...};
 }
 
-/// The block-row kernel behind every product: k columns of p over the
-/// listed block rows (all block rows in order when `brows` is null).
+/// The block-row kernel behind every product: k columns of p over every
+/// block row.
 template <int BS, RowOut Out>
-void run_brows(const Bsr<BS>& a, const Cols& p, int k, const idx* brows,
-               idx n) {
+void run_brows(const Bsr<BS>& a, const Cols& p, int k) {
   static constexpr auto kPasses =
       make_passes<BS, Out>(std::make_index_sequence<kPassWidth>{});
-  run_passes(a, kPasses, p, k, brows, n, kBlockRowGrain,
+  run_passes(a, kPasses, p, k, a.nbrows, kBlockRowGrain,
              2 * Bsr<BS>::kBlockSize, Out == RowOut::kResidual ? BS : 0);
 }
 
@@ -105,29 +99,13 @@ void check_mv_shapes(const Bsr<BS>& a, const MultiVec& x, const MultiVec& y) {
 template <int BS>
 void Bsr<BS>::spmv(std::span<const real> x, std::span<real> y) const {
   check_shapes(*this, x, y);
-  run_brows<BS, RowOut::kSet>(*this, one_col(x, y), 1, nullptr, nbrows);
-}
-
-template <int BS>
-void Bsr<BS>::spmv_add(std::span<const real> x, std::span<real> y) const {
-  check_shapes(*this, x, y);
-  run_brows<BS, RowOut::kAdd>(*this, one_col(x, y), 1, nullptr, nbrows);
-}
-
-template <int BS>
-void Bsr<BS>::residual(std::span<const real> b, std::span<const real> x,
-                       std::span<real> r) const {
-  check_shapes(*this, x, r);
-  PROM_CHECK(static_cast<idx>(b.size()) == rows());
-  run_brows<BS, RowOut::kResidual>(*this, one_col(x, r, b), 1, nullptr,
-                                   nbrows);
+  run_brows<BS, RowOut::kSet>(*this, one_col(x, y), 1);
 }
 
 template <int BS>
 void Bsr<BS>::spmm(const MultiVec& x, MultiVec& y) const {
   check_mv_shapes(*this, x, y);
-  run_brows<BS, RowOut::kSet>(*this, mv_cols(x, y), x.cols(), nullptr,
-                              nbrows);
+  run_brows<BS, RowOut::kSet>(*this, mv_cols(x, y), x.cols());
 }
 
 template <int BS>
@@ -135,26 +113,7 @@ void Bsr<BS>::residual_mv(const MultiVec& b, const MultiVec& x,
                           MultiVec& r) const {
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == rows() && b.cols() == x.cols());
-  run_brows<BS, RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(),
-                                   nullptr, nbrows);
-}
-
-template <int BS>
-void Bsr<BS>::spmm_brows(const MultiVec& x, MultiVec& y,
-                         std::span<const idx> brows) const {
-  check_mv_shapes(*this, x, y);
-  run_brows<BS, RowOut::kSet>(*this, mv_cols(x, y), x.cols(), brows.data(),
-                              static_cast<idx>(brows.size()));
-}
-
-template <int BS>
-void Bsr<BS>::residual_mv_brows(const MultiVec& b, const MultiVec& x,
-                                MultiVec& r, std::span<const idx> brows) const {
-  check_mv_shapes(*this, x, r);
-  PROM_CHECK(b.rows() == rows() && b.cols() == x.cols());
-  run_brows<BS, RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(),
-                                   brows.data(),
-                                   static_cast<idx>(brows.size()));
+  run_brows<BS, RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols());
 }
 
 template <int BS>

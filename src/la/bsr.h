@@ -48,30 +48,14 @@ struct Bsr {
   /// y = A x (scalar vectors of length cols() / rows()).
   void spmv(std::span<const real> x, std::span<real> y) const;
 
-  /// y += A x
-  void spmv_add(std::span<const real> x, std::span<real> y) const;
-
-  /// r = b - A x, fused (same bits as spmv followed by r = b - y).
-  void residual(std::span<const real> b, std::span<const real> x,
-                std::span<real> r) const;
-
   /// Y = A X, column-blocked: each pass over the block structure feeds
   /// the accumulators of up to 4 columns, each in spmv's order (column j
   /// bitwise equals spmv on X.col(j)).
   void spmm(const MultiVec& x, MultiVec& y) const;
 
-  /// R = B - A X, fused column-blocked residual.
+  /// R = B - A X, fused column-blocked residual (same bits as spmm
+  /// followed by R = B - Y).
   void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const;
-
-  /// Y = A X restricted to the listed block rows; other entries of Y are
-  /// not touched. Each block row accumulates exactly as in spmm, so
-  /// splitting the block-row space across calls reproduces spmm's bits.
-  void spmm_brows(const MultiVec& x, MultiVec& y,
-                  std::span<const idx> brows) const;
-
-  /// R = B - A X restricted to the listed block rows.
-  void residual_mv_brows(const MultiVec& b, const MultiVec& x, MultiVec& r,
-                         std::span<const idx> brows) const;
 
   /// Scalar value at (i, j); 0 if no covering block is stored.
   real at(idx i, idx j) const;

@@ -38,13 +38,12 @@ idx transpose_grain(idx nrows) {
 /// outgrow the registers.
 constexpr int kPassWidth = 8;
 
-/// One pass over rows rows[tb..te) (rows tb..te when `rows` is null) for
-/// the K columns j0..j0+K. Each column adds its row's terms in ascending
-/// column order from a zero seed, exactly the order of the K = 1 pass, so
-/// column j of any call is bitwise the single-vector product.
+/// One pass over rows tb..te for the K columns j0..j0+K. Each column adds
+/// its row's terms in ascending column order from a zero seed, exactly
+/// the order of the K = 1 pass, so column j of any call is bitwise the
+/// single-vector product.
 template <int K, RowOut Out>
-nnz_t rows_pass(const Csr& a, const Cols& p, int j0, const idx* rows, idx tb,
-                idx te) {
+nnz_t rows_pass(const Csr& a, const Cols& p, int j0, idx tb, idx te) {
   const real* x[K];
   const real* b[K];
   real* y[K];
@@ -56,9 +55,7 @@ nnz_t rows_pass(const Csr& a, const Cols& p, int j0, const idx* rows, idx tb,
   const nnz_t* rowptr = a.rowptr.data();
   const idx* colidx = a.colidx.data();
   const real* vals = a.vals.data();
-  nnz_t visited = 0;
-  for (idx t = tb; t < te; ++t) {
-    const idx i = rows != nullptr ? rows[t] : t;
+  for (idx i = tb; i < te; ++i) {
     real acc[K] = {};
     for (nnz_t kk = rowptr[i]; kk < rowptr[i + 1]; ++kk) {
       const real v = vals[kk];
@@ -66,9 +63,8 @@ nnz_t rows_pass(const Csr& a, const Cols& p, int j0, const idx* rows, idx tb,
       for (int j = 0; j < K; ++j) acc[j] += v * x[j][c];
     }
     for (int j = 0; j < K; ++j) store<Out>(y[j], b[j], i, acc[j]);
-    visited += rowptr[i + 1] - rowptr[i];
   }
-  return visited;
+  return rowptr[te] - rowptr[tb];
 }
 
 template <RowOut Out, std::size_t... I>
@@ -77,13 +73,12 @@ constexpr std::array<PassFn<Csr>, sizeof...(I)> make_passes(
   return {&rows_pass<static_cast<int>(I) + 1, Out>...};
 }
 
-/// The row kernel behind every product: k columns of p over the listed
-/// rows (all rows in order when `rows` is null).
+/// The row kernel behind every product: k columns of p over every row.
 template <RowOut Out>
-void run_rows(const Csr& a, const Cols& p, int k, const idx* rows, idx n) {
+void run_rows(const Csr& a, const Cols& p, int k) {
   static constexpr auto kPasses =
       make_passes<Out>(std::make_index_sequence<kPassWidth>{});
-  run_passes(a, kPasses, p, k, rows, n, kRowGrain, 2,
+  run_passes(a, kPasses, p, k, a.nrows, kRowGrain, 2,
              Out == RowOut::kResidual ? 1 : 0);
 }
 
@@ -102,12 +97,7 @@ void check_mv_shapes(const Csr& a, const MultiVec& x, const MultiVec& y) {
 
 void Csr::spmv(std::span<const real> x, std::span<real> y) const {
   check_shapes(*this, x, y);
-  run_rows<RowOut::kSet>(*this, one_col(x, y), 1, nullptr, nrows);
-}
-
-void Csr::spmv_add(std::span<const real> x, std::span<real> y) const {
-  check_shapes(*this, x, y);
-  run_rows<RowOut::kAdd>(*this, one_col(x, y), 1, nullptr, nrows);
+  run_rows<RowOut::kSet>(*this, one_col(x, y), 1);
 }
 
 void Csr::spmv_transpose(std::span<const real> x, std::span<real> y) const {
@@ -153,39 +143,16 @@ void Csr::spmv_transpose(std::span<const real> x, std::span<real> y) const {
   count_flops(2 * nnz());
 }
 
-void Csr::residual(std::span<const real> b, std::span<const real> x,
-                   std::span<real> r) const {
-  check_shapes(*this, x, r);
-  PROM_CHECK(static_cast<idx>(b.size()) == nrows);
-  run_rows<RowOut::kResidual>(*this, one_col(x, r, b), 1, nullptr, nrows);
-}
-
 void Csr::spmm(const MultiVec& x, MultiVec& y) const {
   check_mv_shapes(*this, x, y);
-  run_rows<RowOut::kSet>(*this, mv_cols(x, y), x.cols(), nullptr, nrows);
+  run_rows<RowOut::kSet>(*this, mv_cols(x, y), x.cols());
 }
 
 void Csr::residual_mv(const MultiVec& b, const MultiVec& x,
                       MultiVec& r) const {
   check_mv_shapes(*this, x, r);
   PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
-  run_rows<RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(), nullptr,
-                              nrows);
-}
-
-void Csr::spmm_rows(const MultiVec& x, MultiVec& y,
-                    std::span<const idx> rows) const {
-  check_mv_shapes(*this, x, y);
-  run_rows<RowOut::kSet>(*this, mv_cols(x, y), x.cols(), rows.data(),
-                         static_cast<idx>(rows.size()));
-}
-
-void Csr::residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
-                           std::span<const idx> rows) const {
-  check_mv_shapes(*this, x, r);
-  PROM_CHECK(b.rows() == nrows && b.cols() == x.cols());
-  run_rows<RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols(), rows.data(),
-                              static_cast<idx>(rows.size()));
+  run_rows<RowOut::kResidual>(*this, mv_cols(x, r, &b), x.cols());
 }
 
 std::vector<real> Csr::apply(std::span<const real> x) const {
@@ -225,7 +192,11 @@ Csr Csr::transposed() const {
 
 std::vector<real> Csr::diagonal() const {
   std::vector<real> d(static_cast<std::size_t>(nrows), real{0});
-  for (idx i = 0; i < nrows && i < ncols; ++i) d[i] = at(i, i);
+  for (idx i = 0; i < nrows; ++i) {
+    for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
+      if (colidx[k] == i) d[i] = vals[k];
+    }
+  }
   return d;
 }
 

@@ -39,35 +39,18 @@ struct Csr {
   /// y = A x
   void spmv(std::span<const real> x, std::span<real> y) const;
 
-  /// y += A x
-  void spmv_add(std::span<const real> x, std::span<real> y) const;
-
   /// y = A^T x (no explicit transpose formed)
   void spmv_transpose(std::span<const real> x, std::span<real> y) const;
-
-  /// r = b - A x, fused. Exactly the bits of spmv followed by
-  /// r[i] = b[i] - y[i] (see la/backend.h on why the fusion is lossless).
-  void residual(std::span<const real> b, std::span<const real> x,
-                std::span<real> r) const;
 
   /// Y = A X, column-blocked. Each pass over the matrix serves up to 8
   /// columns; each column accumulates in exactly spmv's order, so column
   /// j of the result is bitwise identical to spmv on X.col(j).
   void spmm(const MultiVec& x, MultiVec& y) const;
 
-  /// R = B - A X, fused column-blocked residual (bitwise = per-column
-  /// `residual`).
+  /// R = B - A X, fused column-blocked residual: exactly the bits of spmm
+  /// followed by R = B - Y (see la/backend.h on why the fusion is
+  /// lossless).
   void residual_mv(const MultiVec& b, const MultiVec& x, MultiVec& r) const;
-
-  /// Y[i] = (A X)[i] for the listed rows only; other entries of Y are not
-  /// touched. Each row accumulates exactly as in spmm, so splitting the
-  /// row space across calls reproduces spmm's bits.
-  void spmm_rows(const MultiVec& x, MultiVec& y,
-                 std::span<const idx> rows) const;
-
-  /// R[i] = B[i] - (A X)[i] for the listed rows only.
-  void residual_mv_rows(const MultiVec& b, const MultiVec& x, MultiVec& r,
-                        std::span<const idx> rows) const;
 
   /// Convenience: returns A x as a new vector.
   std::vector<real> apply(std::span<const real> x) const;
@@ -78,7 +61,9 @@ struct Csr {
   /// Explicit transpose.
   Csr transposed() const;
 
-  /// Main diagonal (missing entries give 0).
+  /// Main diagonal (missing entries give 0). Scans each row whole, so it
+  /// also reads a dla::DistCsr local block, whose rows keep global column
+  /// order and so are not sorted in its local column numbering.
   std::vector<real> diagonal() const;
 
   /// max_ij |A_ij - A_ji| — symmetry check for tests and assertions.

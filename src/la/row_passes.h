@@ -22,7 +22,6 @@ namespace prom::la::detail {
 /// What a pass stores for output entry i of a column, given its sum s.
 enum class RowOut {
   kSet,       // y = s
-  kAdd,       // y += s
   kResidual,  // y = b - s
 };
 
@@ -30,8 +29,6 @@ template <RowOut Out>
 inline void store(real* y, const real* b, std::size_t i, real s) {
   if constexpr (Out == RowOut::kSet) {
     y[i] = s;
-  } else if constexpr (Out == RowOut::kAdd) {
-    y[i] += s;
   } else {
     y[i] = b[i] - s;
   }
@@ -44,12 +41,10 @@ struct Cols {
   real* y[kMaxRhsBlock] = {};
 };
 
-/// One column: x into y (and b for residuals).
-inline Cols one_col(std::span<const real> x, std::span<real> y,
-                    std::span<const real> b = {}) {
+/// One column: x into y.
+inline Cols one_col(std::span<const real> x, std::span<real> y) {
   Cols p;
   p.x[0] = x.data();
-  p.b[0] = b.data();
   p.y[0] = y.data();
   return p;
 }
@@ -66,11 +61,10 @@ inline Cols mv_cols(const MultiVec& x, MultiVec& y,
   return p;
 }
 
-/// A pass over rows[tb..te) of `a` (rows tb..te when `rows` is null) for
-/// the columns j0.. of p; returns the stored entries it visited.
+/// A pass over rows tb..te of `a` for the columns j0.. of p; returns the
+/// stored entries it visited.
 template <class M>
-using PassFn = nnz_t (*)(const M& a, const Cols& p, int j0, const idx* rows,
-                         idx tb, idx te);
+using PassFn = nnz_t (*)(const M& a, const Cols& p, int j0, idx tb, idx te);
 
 /// Runs k columns of p over n rows: passes[W - 1] for each full group of
 /// W columns, then passes[k % W - 1] for the rest. Both are picked once,
@@ -78,7 +72,7 @@ using PassFn = nnz_t (*)(const M& a, const Cols& p, int j0, const idx* rows,
 /// visited entry plus `flops_per_row` per row.
 template <class M, std::size_t W>
 void run_passes(const M& a, const std::array<PassFn<M>, W>& passes,
-                const Cols& p, int k, const idx* rows, idx n, idx grain,
+                const Cols& p, int k, idx n, idx grain,
                 std::int64_t flops_per_entry, std::int64_t flops_per_row) {
   constexpr int kWidth = static_cast<int>(W);
   const int full = k / kWidth;
@@ -86,10 +80,8 @@ void run_passes(const M& a, const std::array<PassFn<M>, W>& passes,
   const PassFn<M> last = k % kWidth > 0 ? passes[k % kWidth - 1] : nullptr;
   common::parallel_for(0, n, grain, [&](idx tb, idx te) {
     nnz_t visited = 0;
-    for (int q = 0; q < full; ++q) {
-      visited = wide(a, p, q * kWidth, rows, tb, te);
-    }
-    if (last != nullptr) visited = last(a, p, full * kWidth, rows, tb, te);
+    for (int q = 0; q < full; ++q) visited = wide(a, p, q * kWidth, tb, te);
+    if (last != nullptr) visited = last(a, p, full * kWidth, tb, te);
     count_flops((flops_per_entry * visited + flops_per_row * (te - tb)) * k);
   });
 }

@@ -76,8 +76,9 @@ struct LevelSolve {
   std::unique_ptr<la::DenseLu> direct_lu;
 
   /// Sets up the smoother of kind `mo.smoother` from `diag`, the level's
-  /// owned-rows x owned-columns block (ghost columns are ignored): the
-  /// inverted diagonal, or the graph-partitioned blocks and their factors.
+  /// owned rows with owned column i at local row i (a distributed level's
+  /// ghost columns, numbered from nrows up, are ignored): the inverted
+  /// diagonal, or the graph-partitioned blocks and their factors.
   /// Chebyshev targets [lmax / 30, 1.1 lmax] of D^{-1}A, lmax estimated by
   /// power iteration on the level operator `op` through backend `be`;
   /// `row_offset` is the global index of the first local row.

@@ -364,6 +364,9 @@ std::vector<std::int64_t> Comm::allreduce(std::vector<std::int64_t> v,
 std::vector<TrafficStats> Runtime::run(
     int nranks, const std::function<void(Comm&)>& fn) {
   PROM_CHECK_MSG(nranks >= 1, "Runtime::run needs at least one rank");
+  // A malformed PROM_THREADS fails here, on the calling thread, not once
+  // inside every rank.
+  common::kernel_threads();
   // Tell the kernel-thread layer how many ranks share the machine so the
   // default intra-rank thread count divides hardware_concurrency instead
   // of oversubscribing it (the CLUMP model: ranks x kernel threads).

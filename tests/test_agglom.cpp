@@ -4,8 +4,8 @@
 // agglomeration changes *where* coarse levels live without changing what
 // the solver computes: iterate histories match the non-agglomerated run
 // to allreduce rounding (1e-12 of the initial residual) with identical
-// PCG iteration counts, in every matrix format, both halo modes, and the
-// column-blocked multi-RHS path; and at the traffic level, that the
+// PCG iteration counts, in every matrix format and the column-blocked
+// multi-RHS path; and at the traffic level, that the
 // coarse grids actually stop talking (message counts shrink, idle ranks
 // hold no rows and no exchange-plan roles).
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "app/service.h"
 #include "dla/dist_mg.h"
 #include "dla/dist_setup.h"
-#include "dla/halo.h"
 #include "fem/assembly.h"
 #include "la/multivec.h"
 #include "mg/hierarchy.h"
@@ -74,14 +73,6 @@ TEST(AgglomPolicy, HugeMinRowsCollapsesEveryCoarseLevelToRankZero) {
 // ---------------------------------------------------------------------
 // Distributed fixtures (same harness as test_serial_dist_equiv).
 // ---------------------------------------------------------------------
-
-struct ScopedHaloMode {
-  dla::HaloMode saved;
-  explicit ScopedHaloMode(dla::HaloMode m) : saved(dla::halo_mode()) {
-    dla::set_halo_mode(m);
-  }
-  ~ScopedHaloMode() { dla::set_halo_mode(saved); }
-};
 
 struct Problem {
   app::ModelProblem model;
@@ -174,8 +165,8 @@ TEST_P(AgglomRanks, HistoryMatchesUnagglomeratedAtEveryPolicy) {
   }
 }
 
-// Same invariance across the matrix formats and both halo modes at one
-// aggressive policy (collapse everything coarse onto rank 0).
+// Same invariance across the matrix formats at one aggressive policy
+// (collapse everything coarse onto rank 0).
 TEST_P(AgglomRanks, FormatsAndHaloModesMatchUnagglomerated) {
   const int p = GetParam();
   const Problem agglom = build_problem(5000);
@@ -185,15 +176,10 @@ TEST_P(AgglomRanks, FormatsAndHaloModesMatchUnagglomerated) {
         mg::MatrixFormat::kMf}) {
     const la::KrylovResult ref = run_pcg(natural, p, format);
     ASSERT_TRUE(ref.converged);
-    for (const dla::HaloMode mode :
-         {dla::HaloMode::kSync, dla::HaloMode::kOverlap}) {
-      const ScopedHaloMode scoped(mode);
-      const la::KrylovResult got = run_pcg(agglom, p, format);
-      const std::string what =
-          "format=" + std::to_string(static_cast<int>(format)) +
-          " halo=" + std::to_string(static_cast<int>(mode));
-      expect_same_history(ref, got, what.c_str());
-    }
+    const la::KrylovResult got = run_pcg(agglom, p, format);
+    const std::string what =
+        "format=" + std::to_string(static_cast<int>(format));
+    expect_same_history(ref, got, what.c_str());
   }
 }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/error.h"
 #include "common/flops.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
 
@@ -96,6 +100,34 @@ TEST(PhaseTimers, AccumulatesNamedPhases) {
   EXPECT_GE(timers.total("scoped"), 0.0);
   timers.clear();
   EXPECT_DOUBLE_EQ(timers.total("solve"), 0.0);
+}
+
+TEST(KernelThreads, EnvIsParsedStrictly) {
+  // Parses the variable only; no pool starts at any of these widths.
+  std::optional<std::string> saved;
+  if (const char* old = std::getenv("PROM_THREADS")) saved = old;
+  ::unsetenv("PROM_THREADS");
+  EXPECT_EQ(common::threads_from_env(), 0);
+  ::setenv("PROM_THREADS", "", 1);
+  EXPECT_EQ(common::threads_from_env(), 0);
+  ::setenv("PROM_THREADS", "4", 1);
+  EXPECT_EQ(common::threads_from_env(), 4);
+  for (const char* bad : {"8abc", "abc", "-3", "0", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("PROM_THREADS", bad, 1);
+    try {
+      common::threads_from_env();
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("PROM_THREADS"),
+                std::string::npos);
+    }
+  }
+  if (saved) {
+    ::setenv("PROM_THREADS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("PROM_THREADS");
+  }
 }
 
 }  // namespace

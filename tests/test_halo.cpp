@@ -1,15 +1,15 @@
-// Gates for the latency-hiding halo exchange: the interior/boundary split
-// is a true partition with interior rows touching no ghost column, and
-// the overlapped schedule (post sends, compute interior, drain peers in
-// arrival order, finish boundary) is BIT-identical to the synchronous
-// rank-ordered path for spmm/residual/transpose, in both the CSR and
-// node-block BSR formats, at 1/2/8 kernel threads and for one-column and
-// wider blocks — even when peers stagger their sends adversarially.
-// Column j of a k-column call is bitwise the k = 1 call on that column.
-// The node-block operators of a constrained problem (padded constrained
-// components) must also reproduce their level's CSR operator bit for bit.
+// Gates for the halo exchange (post sends, drain peers in rank order, run
+// the whole local kernel): the distributed CSR spmm/residual reproduce the
+// rows of the serial product of the global matrix bit for bit, and the
+// transpose (reverse exchange) is bitwise the same at any kernel-thread
+// count, at 1/2/4/8 ranks and for one-column and wider blocks — also when
+// peers stagger their sends. Column j of a k-column call is bitwise the
+// k = 1 call on that column. The node-block operators of a constrained
+// problem (padded constrained components) must reproduce their level's
+// CSR operator bit for bit.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -22,7 +22,6 @@
 #include "dla/dist_csr.h"
 #include "dla/dist_mg.h"
 #include "dla/dist_vec.h"
-#include "dla/halo.h"
 #include "fem/assembly.h"
 #include "mg/hierarchy.h"
 #include "partition/rcb.h"
@@ -76,6 +75,15 @@ la::MultiVec random_block(idx nglobal, idx lo, idx n, int k,
   return m;
 }
 
+/// Rows [lo, lo + n) of every column of `m`.
+la::MultiVec rows_of(const la::MultiVec& m, idx lo, idx n) {
+  la::MultiVec r(n, m.cols());
+  for (int j = 0; j < m.cols(); ++j) {
+    std::copy(m.col_data(j) + lo, m.col_data(j) + lo + n, r.col_data(j));
+  }
+  return r;
+}
+
 /// Column j of `m` as a one-column block.
 la::MultiVec column(const la::MultiVec& m, int j) {
   la::MultiVec c(m.rows(), 1);
@@ -97,125 +105,104 @@ la::MultiVec local_random_block(const std::vector<idx>& perm,
   return m;
 }
 
-/// Restores the halo mode (and kernel threads) when a test exits.
-struct HaloModeGuard {
-  ~HaloModeGuard() {
-    set_halo_mode(HaloMode::kOverlap);
-    common::set_kernel_threads(0);
-  }
+/// Restores the kernel threads when a test exits.
+struct ThreadsGuard {
+  ~ThreadsGuard() { common::set_kernel_threads(0); }
 };
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
 class HaloRanks : public ::testing::TestWithParam<int> {};
 
-TEST_P(HaloRanks, InteriorBoundarySplitIsAPartition) {
-  const int p = GetParam();
-  const idx n = 211;
-  const la::Csr a = random_coupled(n, 6, 11);
-  const RowDist dist = RowDist::block(n, p);
-  parx::Runtime::run(p, [&](parx::Comm& comm) {
-    const DistCsr da(comm, a, dist, dist);
-    const idx n_own = dist.local_size(comm.rank());
-    const la::Csr& lm = da.local_matrix();
-    std::vector<int> seen(static_cast<std::size_t>(lm.nrows), 0);
-    for (idx i : da.interior_rows()) {
-      ASSERT_GE(i, 0);
-      ASSERT_LT(i, lm.nrows);
-      seen[i] += 1;
-      // Interior rows reference owned columns only.
-      for (nnz_t k = lm.rowptr[i]; k < lm.rowptr[i + 1]; ++k) {
-        EXPECT_LT(lm.colidx[k], n_own);
-      }
-    }
-    for (idx i : da.boundary_rows()) {
-      ASSERT_GE(i, 0);
-      ASSERT_LT(i, lm.nrows);
-      seen[i] += 1;
-      // Boundary rows reference at least one ghost column.
-      bool has_ghost = false;
-      for (nnz_t k = lm.rowptr[i]; k < lm.rowptr[i + 1]; ++k) {
-        has_ghost = has_ghost || lm.colidx[k] >= n_own;
-      }
-      EXPECT_TRUE(has_ghost);
-    }
-    // interior ∪ boundary covers every row exactly once.
-    for (idx i = 0; i < lm.nrows; ++i) EXPECT_EQ(seen[i], 1);
-    // Single rank has no ghosts at all.
-    if (comm.size() == 1) {
-      EXPECT_EQ(da.num_ghosts(), 0);
-      EXPECT_EQ(static_cast<idx>(da.interior_rows().size()), lm.nrows);
-    }
-  });
-}
-
+// Each local row keeps its global column order, so the distributed
+// products are the serial products' rows bit for bit.
 TEST_P(HaloRanks, CsrOverlapMatchesSyncBitwise) {
   const int p = GetParam();
-  const HaloModeGuard guard;
+  const ThreadsGuard guard;
   const idx n = 193;
   const la::Csr a = random_coupled(n, 5, 23);
   const RowDist dist = RowDist::block(n, p);
-  for (const int threads : kThreadCounts) {
-    common::set_kernel_threads(threads);
-    parx::Runtime::run(p, [&](parx::Comm& comm) {
-      const DistCsr da(comm, a, dist, dist);
-      const idx lo = dist.begin(comm.rank());
-      const idx ln = dist.local_size(comm.rank());
-      for (const int k : {1, 3}) {
-        const la::MultiVec xl = random_block(n, lo, ln, k, 3);
-        const la::MultiVec bl = random_block(n, lo, ln, k, 4);
-        la::MultiVec y_sync(ln, k), y_over(ln, k), r_sync(ln, k),
-            r_over(ln, k);
-        set_halo_mode(HaloMode::kSync);
-        da.spmm(comm, xl, y_sync);
-        da.residual_mv(comm, bl, xl, r_sync);
-        set_halo_mode(HaloMode::kOverlap);
-        da.spmm(comm, xl, y_over);
-        da.residual_mv(comm, bl, xl, r_over);
-        expect_bitwise_equal(y_over, y_sync, "csr spmm");
-        expect_bitwise_equal(r_over, r_sync, "csr residual_mv");
-      }
-    });
+  for (const int k : {1, 3}) {
+    const la::MultiVec x = random_block(n, 0, n, k, 3);
+    const la::MultiVec b = random_block(n, 0, n, k, 4);
+    la::MultiVec y_ref(n, k), r_ref(n, k);
+    a.spmm(x, y_ref);
+    a.residual_mv(b, x, r_ref);
+    for (const int threads : kThreadCounts) {
+      common::set_kernel_threads(threads);
+      parx::Runtime::run(p, [&](parx::Comm& comm) {
+        const DistCsr da(comm, a, dist, dist);
+        const idx lo = dist.begin(comm.rank());
+        const idx ln = dist.local_size(comm.rank());
+        la::MultiVec y(ln, k), r(ln, k);
+        da.spmm(comm, rows_of(x, lo, ln), y);
+        da.residual_mv(comm, rows_of(b, lo, ln), rows_of(x, lo, ln), r);
+        expect_bitwise_equal(y, rows_of(y_ref, lo, ln), "csr spmm");
+        expect_bitwise_equal(r, rows_of(r_ref, lo, ln), "csr residual_mv");
+      });
+    }
   }
 }
 
-TEST_P(HaloRanks, CsrTransposeOverlapMatchesSyncBitwise) {
-  const int p = GetParam();
-  const HaloModeGuard guard;
-  const idx nrows = 150, ncols = 90;
-  Rng rng(31);
+/// The distributed transpose (one reverse exchange, contributions summed
+/// in fixed peer order) at `threads` kernel threads: every rank's owned
+/// block of R^T X for k = 1 and k = 3, indexed [rank][k == 3].
+std::vector<std::array<la::MultiVec, 2>> distributed_transpose(
+    const la::Csr& r, const RowDist& rows, const RowDist& cols, int threads,
+    int stagger_ms = 0, int round = 0) {
+  const int p = rows.nranks();
+  std::vector<std::array<la::MultiVec, 2>> out(static_cast<std::size_t>(p));
+  common::set_kernel_threads(threads);
+  parx::Runtime::run(p, [&](parx::Comm& comm) {
+    const DistCsr dr(comm, r, rows, cols);
+    const int rank = comm.rank();
+    for (const int k : {1, 3}) {
+      const la::MultiVec xl = random_block(r.nrows, rows.begin(rank),
+                                           rows.local_size(rank), k, 5);
+      la::MultiVec& y = out[rank][k == 3 ? 1 : 0];
+      y.resize(cols.local_size(rank), k);
+      // Rotate which ranks lag: delayed ranks post their sends late.
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(stagger_ms * ((rank + round) % p)));
+      dr.spmm_transpose(comm, xl, y);
+    }
+  });
+  return out;
+}
+
+la::Csr random_rectangular(idx nrows, idx ncols, std::uint64_t seed) {
+  Rng rng(seed);
   std::vector<la::Triplet> t;
   for (int k = 0; k < 700; ++k) {
     t.push_back({static_cast<idx>(rng.next_below(nrows)),
                  static_cast<idx>(rng.next_below(ncols)),
                  rng.next_real() - 0.5});
   }
-  const la::Csr r = la::Csr::from_triplets(nrows, ncols, t);
-  const RowDist rows = RowDist::block(nrows, p);
-  const RowDist cols = RowDist::block(ncols, p);
-  for (const int threads : kThreadCounts) {
-    common::set_kernel_threads(threads);
-    parx::Runtime::run(p, [&](parx::Comm& comm) {
-      const DistCsr dr(comm, r, rows, cols);
-      const idx cn = cols.local_size(comm.rank());
-      for (const int k : {1, 3}) {
-        const la::MultiVec xl =
-            random_block(nrows, rows.begin(comm.rank()),
-                         rows.local_size(comm.rank()), k, 5);
-        la::MultiVec y_sync(cn, k), y_over(cn, k);
-        set_halo_mode(HaloMode::kSync);
-        dr.spmm_transpose(comm, xl, y_sync);
-        set_halo_mode(HaloMode::kOverlap);
-        dr.spmm_transpose(comm, xl, y_over);
-        expect_bitwise_equal(y_over, y_sync, "csr transpose");
+  return la::Csr::from_triplets(nrows, ncols, t);
+}
+
+// The reverse exchange sums colliding contributions in fixed peer order,
+// so the result does not depend on the kernel-thread count.
+TEST_P(HaloRanks, CsrTransposeOverlapMatchesSyncBitwise) {
+  const int p = GetParam();
+  const ThreadsGuard guard;
+  const la::Csr r = random_rectangular(150, 90, 31);
+  const RowDist rows = RowDist::block(r.nrows, p);
+  const RowDist cols = RowDist::block(r.ncols, p);
+  const auto ref = distributed_transpose(r, rows, cols, 1);
+  for (const int threads : {2, 8}) {
+    const auto got = distributed_transpose(r, rows, cols, threads);
+    for (int rank = 0; rank < p; ++rank) {
+      for (int w = 0; w < 2; ++w) {
+        expect_bitwise_equal(got[rank][w], ref[rank][w], "csr transpose");
       }
-    });
+    }
   }
 }
 
 TEST_P(HaloRanks, Bsr3OverlapMatchesSyncBitwise) {
   const int p = GetParam();
-  const HaloModeGuard guard;
+  const ThreadsGuard guard;
   // Real node-block operators: every level of the elasticity hierarchy of
   // a small constrained box problem, distributed with an RCB vertex
   // partition.
@@ -246,22 +233,10 @@ TEST_P(HaloRanks, Bsr3OverlapMatchesSyncBitwise) {
             dh.permutation(l), rows, comm.rank(), k, 7 + 10 * l);
         const la::MultiVec bm = local_random_block(
             dh.permutation(l), rows, comm.rank(), k, 107 + 10 * l);
-        // Block rows partition into interior + boundary.
-        EXPECT_EQ(static_cast<idx>(da.interior_brows().size() +
-                                   da.boundary_brows().size()),
-                  da.local_matrix().nbrows);
         const idx ln = xm.rows();
-        la::MultiVec y_sync(ln, k), y_over(ln, k), r_sync(ln, k),
-            r_over(ln, k);
-        set_halo_mode(HaloMode::kSync);
-        da.spmm(comm, xm, y_sync);
-        da.residual_mv(comm, bm, xm, r_sync);
-        set_halo_mode(HaloMode::kOverlap);
-        da.spmm(comm, xm, y_over);
-        da.residual_mv(comm, bm, xm, r_over);
-        expect_bitwise_equal(y_over, y_sync, "bsr3 spmm overlap vs sync");
-        expect_bitwise_equal(r_over, r_sync,
-                             "bsr3 residual_mv overlap vs sync");
+        la::MultiVec y(ln, k), r(ln, k);
+        da.spmm(comm, xm, y);
+        da.residual_mv(comm, bm, xm, r);
 
         // Column j of the k-column calls is the k = 1 call on column j.
         for (int j = 0; j < k; ++j) {
@@ -269,17 +244,16 @@ TEST_P(HaloRanks, Bsr3OverlapMatchesSyncBitwise) {
           la::MultiVec yj(ln, 1), rj(ln, 1);
           da.spmm(comm, xj, yj);
           da.residual_mv(comm, column(bm, j), xj, rj);
-          expect_bitwise_equal(yj, column(y_over, j), "bsr3 spmm k = 1");
-          expect_bitwise_equal(rj, column(r_over, j),
-                               "bsr3 residual_mv k = 1");
+          expect_bitwise_equal(yj, column(y, j), "bsr3 spmm k = 1");
+          expect_bitwise_equal(rj, column(r, j), "bsr3 residual_mv k = 1");
         }
 
         // The padded node blocks against the level's CSR operator.
         la::MultiVec y_csr(ln, k), r_csr(ln, k);
         ac.spmm(comm, xm, y_csr);
         ac.residual_mv(comm, bm, xm, r_csr);
-        expect_bitwise_equal(y_over, y_csr, "bsr3 vs csr spmm");
-        expect_bitwise_equal(r_over, r_csr, "bsr3 vs csr residual_mv");
+        expect_bitwise_equal(y, y_csr, "bsr3 vs csr spmm");
+        expect_bitwise_equal(r, r_csr, "bsr3 vs csr residual_mv");
       }
     });
   }
@@ -294,55 +268,41 @@ INSTANTIATE_TEST_SUITE_P(Ranks, HaloRanks, ::testing::Values(1, 2, 4, 8),
 
 TEST(Halo, StaggeredPeerSendsDrainInArrivalOrder) {
   // Adversarial timing: low ranks enter the exchange long after high
-  // ranks, so a rank-ordered drain would idle on already-delivered
-  // messages and (worse) an arrival-order drain must still produce the
-  // synchronous bits. Repeat with rotating stagger patterns.
-  const HaloModeGuard guard;
+  // ranks, in rotating patterns. The forward product must still be the
+  // rows of the serial product, and the transpose the unstaggered one.
+  const ThreadsGuard guard;
   const int p = 5;
   const idx n = 150;
   const la::Csr a = random_coupled(n, 8, 47);
   const RowDist dist = RowDist::block(n, p);
+  const la::MultiVec x = random_block(n, 0, n, 1, 9);
+  la::MultiVec y_ref(n, 1);
+  a.spmm(x, y_ref);
 
-  // Synchronous reference, no stagger.
-  std::vector<real> ref(static_cast<std::size_t>(n));
-  set_halo_mode(HaloMode::kSync);
-  parx::Runtime::run(p, [&](parx::Comm& comm) {
-    const DistCsr da(comm, a, dist, dist);
-    const idx lo = dist.begin(comm.rank());
-    const idx ln = dist.local_size(comm.rank());
-    la::MultiVec yl(ln, 1);
-    da.spmm(comm, random_block(n, lo, ln, 1, 9), yl);
-    std::copy(yl.col(0).begin(), yl.col(0).end(), ref.begin() + lo);
-  });
+  const la::Csr r = random_rectangular(150, 90, 31);
+  const RowDist rows = RowDist::block(r.nrows, p);
+  const RowDist cols = RowDist::block(r.ncols, p);
+  const auto t_ref = distributed_transpose(r, rows, cols, 1);
 
-  set_halo_mode(HaloMode::kOverlap);
   for (int round = 0; round < 4; ++round) {
-    std::vector<real> got(static_cast<std::size_t>(n));
     parx::Runtime::run(p, [&](parx::Comm& comm) {
       const DistCsr da(comm, a, dist, dist);
       const idx lo = dist.begin(comm.rank());
       const idx ln = dist.local_size(comm.rank());
-      const la::MultiVec xl = random_block(n, lo, ln, 1, 9);
       la::MultiVec yl(ln, 1);
-      // Rotate which ranks lag: delayed ranks post their sends late.
       const int lag = (comm.rank() + round) % p;
       std::this_thread::sleep_for(std::chrono::milliseconds(3 * lag));
-      da.spmm(comm, xl, yl);
-      std::copy(yl.col(0).begin(), yl.col(0).end(), got.begin() + lo);
+      da.spmm(comm, rows_of(x, lo, ln), yl);
+      expect_bitwise_equal(yl, rows_of(y_ref, lo, ln), "staggered spmm");
     });
-    ASSERT_EQ(got.size(), ref.size());
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(real)),
-              0)
-        << "staggered overlap round " << round << " differs from sync";
+    const auto got = distributed_transpose(r, rows, cols, 1, 3, round);
+    for (int rank = 0; rank < p; ++rank) {
+      for (int w = 0; w < 2; ++w) {
+        expect_bitwise_equal(got[rank][w], t_ref[rank][w],
+                             "staggered transpose");
+      }
+    }
   }
-}
-
-TEST(Halo, ModeSwitchRoundTrips) {
-  const HaloModeGuard guard;
-  set_halo_mode(HaloMode::kSync);
-  EXPECT_EQ(halo_mode(), HaloMode::kSync);
-  set_halo_mode(HaloMode::kOverlap);
-  EXPECT_EQ(halo_mode(), HaloMode::kOverlap);
 }
 
 TEST(Halo, PlanCountsMatchGhosts) {

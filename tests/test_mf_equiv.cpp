@@ -4,9 +4,8 @@
 // randomized meshes and vectors, must be bitwise reproducible across
 // kernel thread counts (the bit-determinism contract of
 // common/parallel.h), and the distributed apply must match the serial one
-// bitwise per owned row at every rank count and in both halo modes —
-// which is what lets PROM_MATRIX=mf reproduce the assembled solver's
-// iterate history.
+// bitwise per owned row at every rank count — which is what lets
+// PROM_MATRIX=mf reproduce the assembled solver's iterate history.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "common/rng.h"
 #include "dla/dist_bsr.h"
 #include "dla/dist_mg.h"
-#include "dla/halo.h"
 #include "fem/assembly.h"
 #include "fem/matrix_free.h"
 #include "mesh/generate.h"
@@ -31,22 +29,14 @@
 namespace prom {
 namespace {
 
-/// Restores the kernel thread count (and halo mode) on scope exit so a
-/// failing assertion cannot leak a setting into later tests.
+/// Restores the kernel thread count on scope exit so a failing assertion
+/// cannot leak a setting into later tests.
 struct ScopedKernelThreads {
   int saved;
   explicit ScopedKernelThreads(int n) : saved(common::kernel_threads()) {
     common::set_kernel_threads(n);
   }
   ~ScopedKernelThreads() { common::set_kernel_threads(saved); }
-};
-
-struct ScopedHaloMode {
-  dla::HaloMode saved;
-  explicit ScopedHaloMode(dla::HaloMode m) : saved(dla::halo_mode()) {
-    dla::set_halo_mode(m);
-  }
-  ~ScopedHaloMode() { dla::set_halo_mode(saved); }
 };
 
 std::vector<real> random_vector(std::size_t n, Rng& rng) {
@@ -269,32 +259,26 @@ TEST_P(MfEquivRanks, DistributedSpmvMatchesSerialBitwise) {
                            &prob.model.dofmap, true};
   const std::vector<idx> owner =
       block_owner(prob.model.mesh.num_vertices(), GetParam());
-  for (const dla::HaloMode mode :
-       {dla::HaloMode::kOverlap, dla::HaloMode::kSync}) {
-    const ScopedHaloMode scoped(mode);
-    std::vector<real> y(x.size(), 0);
-    parx::Runtime::run(GetParam(), [&](parx::Comm& comm) {
-      const dla::DistHierarchy dist = dla::DistHierarchy::build(
-          comm, prob.hierarchy, owner, mg::MatrixFormat::kMf, &mfp);
-      ASSERT_NE(dist.level(0).a_mf, nullptr);
-      const auto& perm = dist.permutation(0);
-      const dla::RowDist& rows = dist.level(0).a.row_dist();
-      const idx b0 = rows.begin(comm.rank());
-      const idx nloc = rows.local_size(comm.rank());
-      la::MultiVec x_local(nloc, 1);
-      for (idx i = 0; i < nloc; ++i) x_local.col(0)[i] = x[perm[b0 + i]];
-      la::MultiVec y_local(nloc, 1);
-      dist.level(0).a_mf->spmm(comm, x_local, y_local);
-      for (idx i = 0; i < nloc; ++i) y[perm[b0 + i]] = y_local.col(0)[i];
-    });
-    // Pass B accumulates each owned row's element contributions in
-    // ascending global element order on every rank — identical to the
-    // serial order, so the match is bitwise, not just close.
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      EXPECT_EQ(y[i], y_ref[i])
-          << "entry " << i << ", "
-          << (mode == dla::HaloMode::kSync ? "sync" : "overlap");
-    }
+  std::vector<real> y(x.size(), 0);
+  parx::Runtime::run(GetParam(), [&](parx::Comm& comm) {
+    const dla::DistHierarchy dist = dla::DistHierarchy::build(
+        comm, prob.hierarchy, owner, mg::MatrixFormat::kMf, &mfp);
+    ASSERT_NE(dist.level(0).a_mf, nullptr);
+    const auto& perm = dist.permutation(0);
+    const dla::RowDist& rows = dist.level(0).a.row_dist();
+    const idx b0 = rows.begin(comm.rank());
+    const idx nloc = rows.local_size(comm.rank());
+    la::MultiVec x_local(nloc, 1);
+    for (idx i = 0; i < nloc; ++i) x_local.col(0)[i] = x[perm[b0 + i]];
+    la::MultiVec y_local(nloc, 1);
+    dist.level(0).a_mf->spmm(comm, x_local, y_local);
+    for (idx i = 0; i < nloc; ++i) y[perm[b0 + i]] = y_local.col(0)[i];
+  });
+  // Pass B accumulates each owned row's element contributions in
+  // ascending global element order on every rank — identical to the
+  // serial order, so the match is bitwise, not just close.
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(y[i], y_ref[i]) << "entry " << i;
   }
 }
 

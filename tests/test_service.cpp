@@ -17,15 +17,14 @@
 #include "app/service.h"
 #include "common/error.h"
 #include "common/parallel.h"
-#include "dla/halo.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
 namespace prom::app {
 namespace {
 
-/// Restores the process-wide knobs a test changes: kernel threads, halo
-/// mode and, when one was named, an environment variable.
+/// Restores the process-wide knobs a test changes: kernel threads and,
+/// when one was named, an environment variable.
 class EnvGuard {
  public:
   EnvGuard() = default;
@@ -34,7 +33,6 @@ class EnvGuard {
   }
   ~EnvGuard() {
     common::set_kernel_threads(0);
-    dla::set_halo_mode(dla::HaloMode::kOverlap);
     if (var_ == nullptr) return;
     if (saved_) {
       ::setenv(var_, saved_->c_str(), 1);
@@ -268,15 +266,6 @@ TEST(ServiceSolve, BlockedMatchesSingleAcrossRanks) {
       check_blocked_matches_single(service, make_rhs_block(n, 3));
     }
   }
-}
-
-TEST(ServiceSolve, BlockedMatchesSingleUnderSyncHalo) {
-  const EnvGuard guard;
-  dla::set_halo_mode(dla::HaloMode::kSync);
-  SolveService service(small_config(2, mg::MatrixFormat::kCsr));
-  service.register_problem("box", make_box_problem(4));
-  const idx n = service.acquire("box")->unknowns;
-  check_blocked_matches_single(service, make_rhs_block(n, 3));
 }
 
 TEST(ServiceRefine, FingerprintSeparatesRefineRounds) {
