@@ -462,8 +462,9 @@ int run_format_comparison() {
   fem::FeProblem prob(mesh, materials, dofmap);
   const la::Csr a = fem::assemble_linear_system(prob).stiffness;
   const la::Bsr3 ab = la::Bsr3::from_csr(a);
-  const fem::MatrixFreeOperator mf =
+  fem::MatrixFreeOperator mf =
       fem::MatrixFreeOperator::build(mesh, materials, dofmap);
+  const fem::MfCore::Kernel mf_kernel = mf.core().kernel();
 
   std::vector<real> x(static_cast<std::size_t>(a.ncols));
   Rng rng(5);
@@ -483,10 +484,37 @@ int run_format_comparison() {
     ab.spmv(x, yb);
     benchmark::DoNotOptimize(yb.data());
   });
-  const double mf_apply = best_mean_ns(reps, iters, [&] {
-    mf.apply(x, ym);
-    benchmark::DoNotOptimize(ym.data());
-  });
+  // The mf apply on the kernel MfCore::build picked (AVX2 where the CPU
+  // has it) and on the baseline copy, timed in turn within each
+  // repetition like the spmm series, so their ratio holds through a slow
+  // phase of a shared host. The two must give the same bits.
+  double mf_apply = 0;
+  double mf_apply_baseline = 0;
+  std::vector<real> ym_baseline(y.size());
+  const auto best_mf = [&](double& best_ns, fem::MfCore::Kernel k,
+                           std::vector<real>& out) {
+    mf.set_kernel(k);
+    const double ns = best_mean_ns(1, iters, [&] {
+      mf.apply(x, out);
+      benchmark::DoNotOptimize(out.data());
+    });
+    if (best_ns == 0 || ns < best_ns) best_ns = ns;
+  };
+  for (int r = 0; r < reps; ++r) {
+    best_mf(mf_apply_baseline, fem::MfCore::Kernel::kBaseline, ym_baseline);
+    best_mf(mf_apply, mf_kernel, ym);
+  }
+  const char* mf_isa =
+      mf_kernel == fem::MfCore::Kernel::kAvx2 ? "avx2" : "baseline";
+  const double mf_isa_speedup = mf_apply_baseline / mf_apply;
+  if (std::memcmp(ym.data(), ym_baseline.data(), y.size() * sizeof(real)) !=
+      0) {
+    std::fprintf(stderr,
+                 "FATAL: the %s mf kernel is not bit-identical to the "
+                 "baseline copy\n",
+                 mf_isa);
+    return 1;
+  }
   if (std::memcmp(y.data(), yb.data(), y.size() * sizeof(real)) != 0) {
     std::fprintf(stderr,
                  "FATAL: blocked SpMV is not bit-identical to scalar CSR\n");
@@ -716,7 +744,8 @@ int run_format_comparison() {
       "  spmv      csr %8.0f ns  bsr3 %8.0f ns  speedup %.2fx\n"
       "  spmm k=1  csr %8.0f ns  bsr3 %8.0f ns  (%.2fx, %.2fx vs spmv)\n"
       "  spmm k=8  csr %8.0f ns  bsr3 %8.0f ns  (%.2fx, %.2fx per column)\n"
-      "  mf apply  %8.0f ns  (%.2fx vs csr spmv)\n"
+      "  mf apply  %8.0f ns  (%.2fx vs csr spmv; %s kernel, %.2fx the "
+      "baseline copy)\n"
       "  jacobi    csr %8.0f ns  bsr3 %8.0f ns  speedup %.2fx\n"
       "  ns/dof    csr %8.2f     bsr3 %8.2f     mf %8.2f\n"
       "  bytes/dof csr %8.1f     bsr3 %8.1f     mf %8.1f\n"
@@ -729,7 +758,8 @@ int run_format_comparison() {
       a.nrows, static_cast<long long>(a.nnz()), csr_spmv, bsr_spmv,
       spmv_speedup, csr_mm.k1_ns, bsr_mm.k1_ns, csr_k1_speedup,
       bsr_k1_speedup, csr_mm.k8_ns, bsr_mm.k8_ns, csr_k8_col_speedup,
-      bsr_k8_col_speedup, mf_apply, csr_spmv / mf_apply, csr_sweep, bsr_sweep,
+      bsr_k8_col_speedup, mf_apply, csr_spmv / mf_apply, mf_isa,
+      mf_isa_speedup, csr_sweep, bsr_sweep,
       sweep_speedup, csr_spmv / a.nrows, bsr_spmv / a.nrows,
       mf_apply / a.nrows, csr_bytes, bsr_bytes, mf_bytes, nb, ldlt_k1,
       ldlt_k8, ldlt_col_speedup, kSweepFactors, ldlt_sweep,
@@ -755,7 +785,8 @@ int run_format_comparison() {
                "  \"jacobi_sweep\": {\"csr_ns\": %.1f, \"bsr3_ns\": %.1f, "
                "\"speedup\": %.3f},\n"
                "  \"mf_apply\": {\"ns\": %.1f, \"ns_per_dof\": %.3f, "
-               "\"vs_csr_spmv\": %.3f},\n"
+               "\"vs_csr_spmv\": %.3f, \"isa\": \"%s\", "
+               "\"isa_speedup\": %.3f},\n"
                "  \"bytes_per_dof\": {\"csr\": %.1f, \"bsr3\": %.1f, "
                "\"mf\": %.1f},\n"
                "  \"ldlt_solve\": {\"n\": %d, \"k1_ns\": %.1f, "
@@ -772,7 +803,8 @@ int run_format_comparison() {
                bsr_mm.k8_ns, csr_k1_speedup, bsr_k1_speedup,
                csr_k8_col_speedup, bsr_k8_col_speedup, csr_sweep, bsr_sweep,
                sweep_speedup, mf_apply,
-               mf_apply / a.nrows, csr_spmv / mf_apply, csr_bytes, bsr_bytes,
+               mf_apply / a.nrows, csr_spmv / mf_apply, mf_isa,
+               mf_isa_speedup, csr_bytes, bsr_bytes,
                mf_bytes, nb, ldlt_k1, ldlt_k8, ldlt_col_speedup, ldlt_sweep,
                galerkin_serial, galerkin_dist, galerkin_speedup, a_s.nrows,
                csr_spmv_s / a_s.nrows, mf_apply_s / a_s.nrows, csr_bytes_s,

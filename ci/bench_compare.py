@@ -18,9 +18,14 @@ baseline says. For BENCH_kernels.json the bsr3 SpMV and Jacobi sweep
 must not be slower than CSR, the one-rank distributed Galerkin product
 must reach half the speed of the serial one, a one-column spmm must
 reach 0.8 of spmv in each format, and an eight-column spmm must cost
-less per column than spmv. For BENCH_service.json four right-hand sides
-solved as one blocked request must beat four sequential requests by at
-least 1.25x. A baseline refresh therefore cannot lock in a regression of
+less per column than spmv; where the bench ran the AVX2 copy of the
+matrix-free element kernel (`mf_apply.isa` is "avx2"), the mf apply must
+run at least 1.5x as fast as on the baseline copy, timed in the same
+process. A rule may name such a condition: a fresh leaf that must hold a
+given value for the rule to apply, else the rule is skipped (a host
+without AVX2 runs only the baseline copy). For BENCH_service.json four
+right-hand sides solved as one blocked request must beat four sequential
+requests by at least 1.25x. A baseline refresh therefore cannot lock in a regression of
 one format or stack against another.
 
 Some files also carry count rules (COUNT_RULES): deterministic counts
@@ -67,7 +72,9 @@ KEY_FIELDS = ("ranks", "threads", "k", "level", "min_rows_per_rank")
 DEFAULT_FLOOR_NS = 10_000.0  # 10 us
 DEFAULT_FLOOR_S = 1e-3  # 1 ms
 
-# Per-file ratio invariants: (series, minimum) checked on the fresh output.
+# Per-file ratio invariants: (series, minimum) checked on the fresh output,
+# or (series, minimum, (leaf, value)) checked only where the fresh leaf
+# holds that value.
 RATIO_RULES = {
     # speedup = csr_ns / bsr3_ns: the node-block format must not lose to CSR.
     # galerkin_p1.speedup = serial_ns / dist_ns: the distributed Galerkin
@@ -76,13 +83,18 @@ RATIO_RULES = {
     # product runs the single-vector kernel, so it may not fall far behind
     # spmv; spmm.*_k8_col_speedup = spmv_ns / (k8_ns / 8): eight columns in
     # one call must cost less per column than eight spmv calls.
+    # mf_apply.isa_speedup = baseline-copy ns / AVX2-copy ns of the mf
+    # apply; a build whose own flags already target AVX2 (the avx2 preset)
+    # compiles both copies for AVX2, so run this gate on the release build.
     "BENCH_kernels.json": (("spmv.speedup", 1.0),
                            ("jacobi_sweep.speedup", 1.0),
                            ("galerkin_p1.speedup", 0.5),
                            ("spmm.csr_k1_speedup", 0.8),
                            ("spmm.bsr3_k1_speedup", 0.8),
                            ("spmm.csr_k8_col_speedup", 1.0),
-                           ("spmm.bsr3_k8_col_speedup", 1.0)),
+                           ("spmm.bsr3_k8_col_speedup", 1.0),
+                           ("mf_apply.isa_speedup", 1.5,
+                            ("mf_apply.isa", "avx2"))),
     # sweep[k=4].speedup = sequential_s / blocked_s: a blocked solve
     # shares one halo message per peer and one matrix pass among its
     # columns, which is what blocking buys.
@@ -115,8 +127,8 @@ DEFAULT_FILES = ("BENCH_kernels.json", "BENCH_halo.json", "BENCH_service.json",
 
 
 def flatten(prefix: str, node, out: dict[str, float]) -> None:
-    """Collects every numeric and boolean leaf under dotted names; sweep
-    rows are keyed by their identifying fields so row order never
+    """Collects every numeric, boolean and string leaf under dotted names;
+    sweep rows are keyed by their identifying fields so row order never
     matters."""
     if isinstance(node, dict):
         for key, value in node.items():
@@ -133,7 +145,7 @@ def flatten(prefix: str, node, out: dict[str, float]) -> None:
                 if key in KEY_FIELDS:
                     continue
                 flatten(f"{label}.{key}", value, out)
-    elif isinstance(node, bool):
+    elif isinstance(node, (bool, str)):
         out[prefix] = node
     elif isinstance(node, (int, float)):
         out[prefix] = float(node)
@@ -211,7 +223,12 @@ def compare_file(
 
 def check_ratios(name: str, fresh: dict[str, float]) -> list[str]:
     failures: list[str] = []
-    for series, minimum in RATIO_RULES.get(name, ()):
+    for series, minimum, *when in RATIO_RULES.get(name, ()):
+        if when and fresh.get(when[0][0]) != when[0][1]:
+            leaf, value = when[0]
+            print(f"  skip  {name}:{series} (only where {leaf} is "
+                  f"{value!r}; fresh {fresh.get(leaf)!r})")
+            continue
         if series not in fresh:
             failures.append(f"{name}: ratio series '{series}' missing from "
                             "fresh output")

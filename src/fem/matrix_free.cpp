@@ -7,17 +7,17 @@
 #include "common/error.h"
 #include "common/flops.h"
 #include "common/parallel.h"
+#include "fem/mf_kernel.h"
 #include "fem/quadrature.h"
 #include "fem/shape.h"
 #include "geom/mat3.h"
-#include "la/simd.h"
 #include "obs/trace.h"
 
 namespace prom::fem {
 namespace {
 
-using la::kSimdLanes;
-using la::RealPack;
+using detail::kGeoPerQp;
+using detail::kSimdLanes;
 
 /// Batches per Pass A chunk and rows per Pass B chunk. Fixed constants:
 /// the chunk decomposition is part of the bit-determinism contract
@@ -27,26 +27,20 @@ using la::RealPack;
 constexpr idx kBatchGrain = 4;
 constexpr idx kRowGrain = 1024;
 
-/// y(0..2) += m * x for a row-major 3x3 operand held per entry in a pack:
-/// each lane is an independent 3x3 op on one element.
-void block3_madd(const RealPack* m, const RealPack* x, RealPack* y) {
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) y[r] += m[r * 3 + c] * x[c];
-  }
-}
-
-/// Reals per quadrature point in the geo_ stream: w = gauss_w * detJ plus
-/// the row-major J^{-1}.
-constexpr int kGeoPerQp = 10;
-
 /// The quadrature rule and reference-space shape gradients for one cell
 /// kind, evaluated once (they are mesh-independent compile-time data).
 struct RefRule {
   int nen = 0;
   int nqp = 0;
-  std::array<real, 8> w{};                    ///< gauss weights
-  std::array<std::array<Vec3, 8>, 8> grad{};  ///< [qp][node] dN/dxi
+  std::array<real, 8> w{};  ///< gauss weights
+  real grad[8][8][3]{};     ///< [qp][node] dN/dxi, the kernel's ref_grad
 };
+
+/// dN_a/dxi at quadrature point q.
+Vec3 grad_xi(const RefRule& rule, int q, int a) {
+  const real* g = rule.grad[q][a];
+  return {g[0], g[1], g[2]};
+}
 
 const RefRule& ref_rule(int nen) {
   static const RefRule hex = [] {
@@ -57,7 +51,9 @@ const RefRule& ref_rule(int nen) {
     for (int q = 0; q < r.nqp; ++q) {
       r.w[q] = rule[q].w;
       const ShapeEval s = hex8_shape(rule[q].xi);
-      for (int a = 0; a < 8; ++a) r.grad[q][a] = s.grad_xi[a];
+      for (int a = 0; a < 8; ++a) {
+        for (int j = 0; j < 3; ++j) r.grad[q][a][j] = s.grad_xi[a][j];
+      }
     }
     return r;
   }();
@@ -69,7 +65,9 @@ const RefRule& ref_rule(int nen) {
     for (int q = 0; q < r.nqp; ++q) {
       r.w[q] = rule[q].w;
       const ShapeEval s = tet4_shape(rule[q].xi);
-      for (int a = 0; a < 4; ++a) r.grad[q][a] = s.grad_xi[a];
+      for (int a = 0; a < 4; ++a) {
+        for (int j = 0; j < 3; ++j) r.grad[q][a][j] = s.grad_xi[a][j];
+      }
     }
     return r;
   }();
@@ -94,7 +92,7 @@ ElementGeo element_geometry(const RefRule& rule, std::span<const Vec3> coords,
   for (int q = 0; q < rule.nqp; ++q) {
     Mat3 jac = Mat3::zero();
     for (int a = 0; a < rule.nen; ++a) {
-      const Vec3& gx = rule.grad[q][a];
+      const Vec3 gx = grad_xi(rule, q, a);
       for (int i = 0; i < 3; ++i) {
         jac(i, 0) += coords[a][i] * gx.x;
         jac(i, 1) += coords[a][i] * gx.y;
@@ -114,7 +112,7 @@ ElementGeo element_geometry(const RefRule& rule, std::span<const Vec3> coords,
       vol += w;
       const Mat3 jinv_t = transpose(jinv);
       for (int a = 0; a < rule.nen; ++a) {
-        out.mean_grad[a] += matvec(jinv_t, rule.grad[q][a]) * w;
+        out.mean_grad[a] += matvec(jinv_t, grad_xi(rule, q, a)) * w;
       }
     }
   }
@@ -123,104 +121,6 @@ ElementGeo element_geometry(const RefRule& rule, std::span<const Vec3> coords,
     for (int a = 0; a < rule.nen; ++a) out.mean_grad[a] *= inv_vol;
   }
   return out;
-}
-
-/// One Pass A batch: gathers u, integrates the elastic-at-zero stress,
-/// scatters nodal forces to the batch's fe slice. Every lane is a pure
-/// per-element function; inert padding lanes (zero geometry, invalid
-/// slots) produce exact zeros.
-void pass_a_batch(const RefRule& rule, const real* geo, const real* mean,
-                  const real* lam, const real* two_mu, const real* bdil,
-                  const idx* slots, std::span<const real> x, real* fe) {
-  const int nen = rule.nen;
-  const int edof = 3 * nen;
-
-  RealPack u[24];
-  for (int d = 0; d < edof; ++d) {
-    RealPack v = la::pack_zero();
-    for (int l = 0; l < kSimdLanes; ++l) {
-      const idx s = slots[d * kSimdLanes + l];
-      if (s != kInvalidIdx) la::pack_set_lane(v, l, x[s]);
-    }
-    u[d] = v;
-  }
-  const RealPack plam = la::pack_load(lam);
-  const RealPack p2mu = la::pack_load(two_mu);
-  const RealPack pdil = la::pack_load(bdil);
-  const RealPack half = la::pack_broadcast(real{0.5});
-
-  RealPack acc[24];
-  for (int d = 0; d < edof; ++d) acc[d] = la::pack_zero();
-
-  for (int q = 0; q < rule.nqp; ++q) {
-    const real* gq = geo + static_cast<std::size_t>(q) * kGeoPerQp * kSimdLanes;
-    const RealPack w = la::pack_load(gq);
-    RealPack ji[9];
-    for (int m = 0; m < 9; ++m) {
-      ji[m] = la::pack_load(gq + (1 + m) * kSimdLanes);
-    }
-
-    // Physical gradients g_a = J^{-T} dN_a/dxi (per lane; dN/dxi are
-    // compile-time scalars broadcast across the lanes).
-    RealPack g[8][3];
-    for (int a = 0; a < nen; ++a) {
-      const Vec3& gx = rule.grad[q][a];
-      for (int j = 0; j < 3; ++j) {
-        g[a][j] = ji[0 * 3 + j] * la::pack_broadcast(gx.x) +
-                  ji[1 * 3 + j] * la::pack_broadcast(gx.y) +
-                  ji[2 * 3 + j] * la::pack_broadcast(gx.z);
-      }
-    }
-
-    // Displacement gradient H_il = sum_a u_{a,i} g_a[l], the B-bar
-    // per-qp deviation gm_a = (mean_grad_a - g_a) / 3 (zero for non-B-bar
-    // lanes via the 0-or-1/3 factor), and the dilatation correction
-    // dil = sum_{a,k} gm_{a,k} u_{a,k}.
-    RealPack h[9];
-    for (int m = 0; m < 9; ++m) h[m] = la::pack_zero();
-    RealPack gm[8][3];
-    RealPack dil = la::pack_zero();
-    for (int a = 0; a < nen; ++a) {
-      for (int i = 0; i < 3; ++i) {
-        const RealPack ua = u[a * 3 + i];
-        for (int l = 0; l < 3; ++l) h[i * 3 + l] += ua * g[a][l];
-        const RealPack m =
-            la::pack_load(mean + (a * 3 + i) * kSimdLanes);
-        gm[a][i] = (m - g[a][i]) * pdil;
-        dil += gm[a][i] * ua;
-      }
-    }
-
-    // sigma = lambda tr(eps_bar) I + 2 mu eps_bar with
-    // eps_bar = sym(H) + dil I.
-    const RealPack tr_eps =
-        h[0] + h[4] + h[8] + (dil + dil + dil);
-    const RealPack press = plam * tr_eps;
-    RealPack sigma[9];
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        RealPack e = half * (h[i * 3 + j] + h[j * 3 + i]);
-        if (i == j) e += dil;
-        RealPack s = p2mu * e;
-        if (i == j) s += press;
-        sigma[i * 3 + j] = s;
-      }
-    }
-    const RealPack tr_sig = sigma[0] + sigma[4] + sigma[8];
-
-    // Nodal forces: y_{a,k} += w ((sigma g_a)_k + gm_{a,k} tr sigma).
-    for (int a = 0; a < nen; ++a) {
-      RealPack sv[3] = {la::pack_zero(), la::pack_zero(), la::pack_zero()};
-      block3_madd(sigma, g[a], sv);
-      for (int k = 0; k < 3; ++k) {
-        acc[a * 3 + k] += w * (sv[k] + gm[a][k] * tr_sig);
-      }
-    }
-  }
-
-  for (int d = 0; d < edof; ++d) {
-    la::pack_store(fe + static_cast<std::size_t>(d) * kSimdLanes, acc[d]);
-  }
 }
 
 }  // namespace
@@ -239,6 +139,8 @@ MfCore MfCore::build(const mesh::Mesh& mesh,
   core.nqp_ = rule.nqp;
   core.nrows_ = num_rows;
   core.nslots_ = num_slots;
+  if (avx2_kernel_available()) core.kernel_ = Kernel::kAvx2;
+  obs::gauge_set("mf.kernel_avx2", core.kernel_ == Kernel::kAvx2 ? 1 : 0);
 
   const idx ne = static_cast<idx>(elements.size());
   std::vector<Dof> dofs(static_cast<std::size_t>(ne) * edof);
@@ -350,20 +252,40 @@ MfCore MfCore::build(const mesh::Mesh& mesh,
   return core;
 }
 
+bool MfCore::avx2_kernel_available() {
+#ifdef PROM_HAVE_MF_AVX2
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+void MfCore::set_kernel(Kernel k) {
+  PROM_CHECK_MSG(k == Kernel::kBaseline || avx2_kernel_available(),
+                 "the AVX2 mf kernel is not built or the CPU lacks AVX2");
+  kernel_ = k;
+}
+
 void MfCore::pass_a(std::span<const real> x) const {
   PROM_CHECK(static_cast<idx>(x.size()) == nslots_);
-  const RefRule& rule = ref_rule(nen_);
-  const int edof = 3 * nen_;
-  const std::size_t geo_stride =
-      static_cast<std::size_t>(nqp_) * kGeoPerQp * kSimdLanes;
+  const detail::MfBatches batches{
+      .nen = nen_,
+      .nqp = nqp_,
+      .ref_grad = ref_rule(nen_).grad,
+      .geo = geo_.data(),
+      .mean = mean_.data(),
+      .lam = lam_.data(),
+      .two_mu = two_mu_.data(),
+      .bdil = bdil_.data(),
+      .slots = slots_.data(),
+      .fe = fe_.data(),
+  };
+  auto* kernel = &detail::mf_pass_a_baseline;
+#ifdef PROM_HAVE_MF_AVX2
+  if (kernel_ == Kernel::kAvx2) kernel = &detail::mf_pass_a_avx2;
+#endif
   common::parallel_for(0, nbatch_, kBatchGrain, [&](idx b0, idx b1) {
-    for (idx b = b0; b < b1; ++b) {
-      const std::size_t eb = static_cast<std::size_t>(b) * edof * kSimdLanes;
-      const std::size_t sb = static_cast<std::size_t>(b) * kSimdLanes;
-      pass_a_batch(rule, geo_.data() + static_cast<std::size_t>(b) * geo_stride,
-                   mean_.data() + eb, lam_.data() + sb, two_mu_.data() + sb,
-                   bdil_.data() + sb, slots_.data() + eb, x, fe_.data() + eb);
-    }
+    kernel(batches, x.data(), b0, b1);
   });
   count_flops(nbatch_ * flops_per_batch_);
 }
@@ -382,22 +304,6 @@ void MfCore::pass_b_apply(std::span<real> y) const {
   count_flops(static_cast<std::int64_t>(row_src_.size()));
 }
 
-void MfCore::pass_b_apply_rows(std::span<real> y,
-                               std::span<const idx> rows) const {
-  PROM_CHECK(static_cast<idx>(y.size()) == nrows_);
-  const idx n = static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    for (idx t = tb; t < te; ++t) {
-      const idx r = rows[t];
-      real acc = 0;
-      for (nnz_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        acc += fe_[row_src_[k]];
-      }
-      y[r] = acc;
-    }
-  });
-}
-
 void MfCore::pass_b_residual(std::span<const real> b,
                              std::span<real> r) const {
   PROM_CHECK(static_cast<idx>(b.size()) == nrows_ &&
@@ -412,23 +318,6 @@ void MfCore::pass_b_residual(std::span<const real> b,
     }
   });
   count_flops(static_cast<std::int64_t>(row_src_.size()) + nrows_);
-}
-
-void MfCore::pass_b_residual_rows(std::span<const real> b, std::span<real> r,
-                                  std::span<const idx> rows) const {
-  PROM_CHECK(static_cast<idx>(b.size()) == nrows_ &&
-             static_cast<idx>(r.size()) == nrows_);
-  const idx n = static_cast<idx>(rows.size());
-  common::parallel_for(0, n, kRowGrain, [&](idx tb, idx te) {
-    for (idx t = tb; t < te; ++t) {
-      const idx row = rows[t];
-      real acc = 0;
-      for (nnz_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-        acc += fe_[row_src_[k]];
-      }
-      r[row] = b[row] - acc;
-    }
-  });
 }
 
 double MfCore::apply_bytes_per_row() const {
@@ -477,22 +366,6 @@ void MatrixFreeOperator::residual(std::span<const real> b,
   const obs::Span span("mf.apply");
   core_.pass_a(x);
   core_.pass_b_residual(b, r);
-}
-
-void MatrixFreeOperator::apply_rows(std::span<const real> x, std::span<real> y,
-                                    std::span<const idx> rows) const {
-  const obs::Span span("mf.apply");
-  core_.pass_a(x);
-  core_.pass_b_apply_rows(y, rows);
-}
-
-void MatrixFreeOperator::residual_rows(std::span<const real> b,
-                                       std::span<const real> x,
-                                       std::span<real> r,
-                                       std::span<const idx> rows) const {
-  const obs::Span span("mf.apply");
-  core_.pass_a(x);
-  core_.pass_b_residual_rows(b, r, rows);
 }
 
 std::vector<real> mf_element_apply(const Material& mat,

@@ -15,14 +15,17 @@
 //
 // Apply runs in two deterministic passes (the bit-determinism contract of
 // common/parallel.h):
-//   Pass A (elements): SIMD batches of la::kSimdLanes elements in SoA
+//   Pass A (elements): SIMD batches of detail::kSimdLanes elements in SoA
 //     layout, one lane = one element. Gathers u through per-element-dof
 //     slot indices (constrained dofs read 0), recomputes physical
-//     gradients from the stored J^{-1} and the compile-time reference
-//     gradients, forms strain -> stress -> nodal forces fe per lane, and
-//     writes fe to a disjoint per-batch buffer. A lane is a pure function
-//     of one element's data, so fe never depends on batching, lane
-//     position, or thread count.
+//     gradients from the stored J^{-1} and the reference gradients, forms
+//     strain -> stress -> nodal forces fe per lane, and writes fe to a
+//     disjoint per-batch buffer. A lane is a pure function of one
+//     element's data, so fe never depends on batching, lane position, or
+//     thread count. The kernel is compiled for the baseline target and,
+//     on x86-64 with GCC or Clang, for AVX2 as well (fem/mf_kernel.h);
+//     build() picks the AVX2 copy when the CPU has AVX2, and both copies
+//     write the same bits.
 //   Pass B (rows): each output row sums its incident elements' fe entries
 //     in ascending *global element id* order through a precomputed
 //     adjacency — the same order serially and on any rank layout, which
@@ -57,9 +60,13 @@ class MfCore {
     idx scatter_row = kInvalidIdx;
   };
 
+  /// The compiled copies of the Pass A element kernel (fem/mf_kernel.h).
+  enum class Kernel { kBaseline, kAvx2 };
+
   /// Builds the batched element data for `elements` (global cell ids,
-  /// ascending), batched in list order. Wrapped in an obs span
-  /// "mf.setup".
+  /// ascending), batched in list order, and picks the AVX2 kernel when
+  /// avx2_kernel_available(). Wrapped in an obs span "mf.setup", which
+  /// records the choice as the gauge "mf.kernel_avx2" (1 = AVX2).
   static MfCore build(const mesh::Mesh& mesh,
                       std::span<const Material> materials, bool bbar,
                       std::span<const idx> elements, idx num_slots,
@@ -69,18 +76,25 @@ class MfCore {
   idx num_rows() const { return nrows_; }
   idx num_slots() const { return nslots_; }
 
+  /// True when the build holds the AVX2 kernel and the CPU runs AVX2.
+  static bool avx2_kernel_available();
+  Kernel kernel() const { return kernel_; }
+  /// Runs `k` from now on, so one process can time or compare the two
+  /// copies; kAvx2 requires avx2_kernel_available().
+  void set_kernel(Kernel k);
+
   /// Pass A over every batch: element nodal forces into the fe buffer
   /// (disjoint per-batch writes). Runs before each Pass B.
   void pass_a(std::span<const real> x) const;
 
+  /// Pass A's output: the nodal forces [batch][nen*3][lane] of the last
+  /// pass_a call.
+  std::span<const real> fe() const { return fe_; }
+
   /// Pass B over all rows: y[r] = sum of incident fe contributions.
   void pass_b_apply(std::span<real> y) const;
-  /// Pass B over a row subset (the `*_rows` hooks of the halo split).
-  void pass_b_apply_rows(std::span<real> y, std::span<const idx> rows) const;
   /// Pass B fused residual: r[row] = b[row] - sum(fe).
   void pass_b_residual(std::span<const real> b, std::span<real> r) const;
-  void pass_b_residual_rows(std::span<const real> b, std::span<real> r,
-                            std::span<const idx> rows) const;
 
   /// Model of the apply-time memory traffic in bytes per output row (the
   /// bench's bytes/dof column): streamed element data + slot indices + the
@@ -94,6 +108,7 @@ class MfCore {
   int nen_ = 0;
   int nqp_ = 0;
   std::int64_t flops_per_batch_ = 0;
+  Kernel kernel_ = Kernel::kBaseline;
 
   // SoA batch data, lane = element (inert padding lanes in the last
   // batch: zero geometry, invalid slots).
@@ -112,9 +127,8 @@ class MfCore {
 
 /// The serial matrix-free operator: K_ff of the unloaded-state tangent
 /// over the free dofs, a drop-in for la::Csr in the solve-phase Backend
-/// concept (rows/apply + fused residual + subset-row hooks) and the
-/// serial reference of dla::DistMf. Apply runs under an obs span
-/// "mf.apply".
+/// concept (rows/apply + fused residual) and the serial reference of
+/// dla::DistMf. Apply runs under an obs span "mf.apply".
 class MatrixFreeOperator final : public la::LinearOperator {
  public:
   static MatrixFreeOperator build(const mesh::Mesh& mesh,
@@ -130,14 +144,10 @@ class MatrixFreeOperator final : public la::LinearOperator {
   /// compose-then-waxpby fallback).
   void residual(std::span<const real> b, std::span<const real> x,
                 std::span<real> r) const;
-  /// Subset-row variants: full element sweep, scatter restricted to
-  /// `rows` (entries of y / r outside the subset are left untouched).
-  void apply_rows(std::span<const real> x, std::span<real> y,
-                  std::span<const idx> rows) const;
-  void residual_rows(std::span<const real> b, std::span<const real> x,
-                     std::span<real> r, std::span<const idx> rows) const;
 
   const MfCore& core() const { return core_; }
+  /// See MfCore::set_kernel.
+  void set_kernel(MfCore::Kernel k) { core_.set_kernel(k); }
 
  private:
   explicit MatrixFreeOperator(MfCore core) : core_(std::move(core)) {}

@@ -163,11 +163,10 @@ std::vector<real> Csr::apply(std::span<const real> x) const {
 
 real Csr::at(idx i, idx j) const {
   PROM_CHECK(i >= 0 && i < nrows && j >= 0 && j < ncols);
-  const auto begin = colidx.begin() + rowptr[i];
-  const auto end = colidx.begin() + rowptr[i + 1];
-  const auto it = std::lower_bound(begin, end, j);
-  if (it == end || *it != j) return 0;
-  return vals[it - colidx.begin()];
+  for (nnz_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
+    if (colidx[k] == j) return vals[k];
+  }
+  return 0;
 }
 
 Csr Csr::transposed() const {

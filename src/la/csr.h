@@ -19,7 +19,12 @@ struct Triplet {
   real value;
 };
 
-/// CSR sparse matrix. Column indices are sorted and unique within each row.
+/// CSR sparse matrix. Column indices are unique within each row and
+/// ascending in the numbering the matrix was built in. That need not be
+/// its own column numbering: a dla::DistCsr local block keeps each row in
+/// global column order, so in its [owned | ghost] numbering a ghost column
+/// below the owned range comes before the owned ones. Readers that look an
+/// entry up (at, diagonal) therefore scan the row.
 ///
 /// Every product below runs one row kernel, in passes of at most 8
 /// columns (a k-column call makes ceil(k / 8) passes over each chunk of
@@ -55,15 +60,13 @@ struct Csr {
   /// Convenience: returns A x as a new vector.
   std::vector<real> apply(std::span<const real> x) const;
 
-  /// Value at (i, j); 0 if the entry is not stored. O(log row length).
+  /// Value at (i, j); 0 if the entry is not stored. Scans row i.
   real at(idx i, idx j) const;
 
   /// Explicit transpose.
   Csr transposed() const;
 
-  /// Main diagonal (missing entries give 0). Scans each row whole, so it
-  /// also reads a dla::DistCsr local block, whose rows keep global column
-  /// order and so are not sorted in its local column numbering.
+  /// Main diagonal (missing entries give 0). Scans each row whole.
   std::vector<real> diagonal() const;
 
   /// max_ij |A_ij - A_ji| — symmetry check for tests and assertions.

@@ -116,6 +116,38 @@ TEST_P(DlaRanks, DistSpmvMatchesSerial) {
   });
 }
 
+// A local block keeps each row in global column order, so in its
+// [owned | ghost] numbering a ghost column below the owned range precedes
+// the owned ones; `at` must still find every stored entry.
+TEST_P(DlaRanks, LocalBlockAtReadsEveryStoredEntry) {
+  const int p = GetParam();
+  const idx n = 60;
+  Rng rng(11);
+  std::vector<la::Triplet> t;
+  for (idx i = 0; i < n; ++i) {
+    t.push_back({i, i, 4.0 + rng.next_real()});
+    for (int k = 0; k < 6; ++k) {
+      t.push_back({i, static_cast<idx>(rng.next_below(n)),
+                   rng.next_real() - 0.5});
+    }
+  }
+  const la::Csr a = la::Csr::from_triplets(n, n, t);
+  const RowDist dist = RowDist::block(n, p);
+  parx::Runtime::run(p, [&](parx::Comm& comm) {
+    const DistCsr da(comm, a, dist, dist);
+    const la::Csr& local = da.local_matrix();
+    const idx lo = dist.begin(comm.rank());
+    for (idx i = 0; i < local.nrows; ++i) {
+      for (nnz_t k = local.rowptr[i]; k < local.rowptr[i + 1]; ++k) {
+        const idx j = local.colidx[k];
+        EXPECT_EQ(local.at(i, j), a.at(lo + i, da.global_col(j)))
+            << "rank " << comm.rank() << ", local entry (" << i << ", " << j
+            << ")";
+      }
+    }
+  });
+}
+
 TEST_P(DlaRanks, DistSpmvTransposeMatchesSerial) {
   const int p = GetParam();
   const idx n = 40, m = 25;

@@ -158,35 +158,6 @@ TEST(MfEquivalence, ApplyMatchesCsrAndBsr3OnRandomizedProblems) {
   }
 }
 
-TEST(MfEquivalence, SubsetRowHooksMatchFullApply) {
-  Rng rng(0xB0B);
-  const TestProblem p = make_problem(
-      mesh::box_hex(4, 4, 4, {0, 0, 0}, {1, 1, 1}), {fem::Material{}}, rng);
-  const idx n = p.k.nrows;
-  const fem::MatrixFreeOperator mf =
-      fem::MatrixFreeOperator::build(p.mesh, p.materials, p.dofmap);
-  const std::vector<real> x = random_vector(static_cast<std::size_t>(n), rng);
-  const std::vector<real> b = random_vector(static_cast<std::size_t>(n), rng);
-  std::vector<real> y_full(x.size());
-  mf.apply(x, y_full);
-
-  // An arbitrary split into two subsets must tile the full result and
-  // leave out-of-subset entries untouched.
-  std::vector<idx> evens, odds;
-  for (idx i = 0; i < n; ++i) (i % 2 == 0 ? evens : odds).push_back(i);
-  std::vector<real> y(x.size(), -7.0);
-  mf.apply_rows(x, y, evens);
-  for (idx i : odds) EXPECT_EQ(y[i], -7.0);
-  mf.apply_rows(x, y, odds);
-  for (idx i = 0; i < n; ++i) EXPECT_EQ(y[i], y_full[i]) << "row " << i;
-
-  std::vector<real> r_full(x.size()), r(x.size(), -7.0);
-  mf.residual(b, x, r_full);
-  mf.residual_rows(b, x, r, evens);
-  mf.residual_rows(b, x, r, odds);
-  for (idx i = 0; i < n; ++i) EXPECT_EQ(r[i], r_full[i]) << "row " << i;
-}
-
 // --- kernel-thread bit determinism -----------------------------------------
 
 TEST(MfEquivalence, ApplyIsBitwiseIdenticalAcrossKernelThreadCounts) {
