@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "app/driver.h"
-#include "fem/scalar.h"
 #include "la/krylov.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
@@ -39,12 +38,11 @@ struct Row {
 /// Assembles, builds the block-size-1 hierarchy, and solves one scalar
 /// problem with the equation class's default Krylov driver.
 Row run(const app::ModelProblem& p, double knob) {
-  fem::ScalarSystem sys =
-      fem::assemble_scalar_system(p.mesh, p.scalar_dofmap, p.coeffs);
+  fem::LinearSystem sys = app::assemble_system(p, p.mesh, p.dofmap);
   const mg::MgOptions mo = app::default_mg_options(p.equation);
   std::vector<real> rhs = std::move(sys.rhs);
-  const mg::Hierarchy h = mg::Hierarchy::build_scalar(
-      p.mesh, p.scalar_dofmap, std::move(sys.stiffness), mo);
+  const mg::Hierarchy h =
+      mg::Hierarchy::build(p.mesh, p.dofmap, std::move(sys.stiffness), mo);
 
   mg::MgSolveOptions so;
   so.rtol = 1e-8;

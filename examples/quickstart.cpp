@@ -30,7 +30,10 @@
 // (PROM_MATRIX=mf is rejected: no elasticity element kernels).
 // PROM_REFINE=r runs r adaptive solve-estimate-mark-refine rounds first
 // (app/refine.h) and solves on the locally refined tet mesh, with the
-// refinement levels stacked above the MIS chain.
+// refinement levels stacked above the MIS chain. Either switch takes one
+// path through the app factory's model problem, whose fem::DofMap carries
+// the equation class's dofs per vertex; main's four steps are the plain
+// elasticity case.
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -42,7 +45,6 @@
 #include "common/error.h"
 #include "dla/dist_mg.h"
 #include "fem/assembly.h"
-#include "fem/scalar.h"
 #include "mesh/generate.h"
 #include "mg/hierarchy.h"
 #include "mg/solver.h"
@@ -100,86 +102,75 @@ int solve_on_one_rank(const mg::Hierarchy& grids, idx num_vertices,
   return result.converged ? 0 : 1;
 }
 
-/// The scalar-equation quickstart: same automatic coarsening, block size
-/// 1, and the equation class's default smoother + Krylov driver.
-int run_scalar(app::EquationClass eq, idx n, int refine_rounds,
-               const mg::MgSolveOptions& opts) {
+/// The model-problem path, taken for a scalar equation class or when
+/// PROM_REFINE > 0: the app factory's problem on the same cube, solved
+/// with the equation class's default smoother + Krylov driver. With
+/// refinement rounds the adaptive loop refines the (tet-split) cube where
+/// the error indicator is largest, and the solve runs on the refined
+/// hierarchy — refinement levels with local smoothing above the
+/// automatic MIS/Delaunay chain.
+int run_model_problem(app::EquationClass eq, idx n, int refine_rounds,
+                      const mg::MgSolveOptions& opts) {
   // Fail fast instead of silently solving in CSR: the scalar classes
   // have no elasticity element kernels for mf. Their bsr3 node blocks
   // are 1x1, the CSR rows.
-  PROM_CHECK_MSG(opts.format != mg::MatrixFormat::kMf,
+  PROM_CHECK_MSG(eq == app::EquationClass::kElasticity ||
+                     opts.format != mg::MatrixFormat::kMf,
                  "quickstart: scalar equation classes (poisson_het, advdiff) "
                  "support only PROM_MATRIX=csr or bsr3; mf is "
                  "elasticity-only");
   app::ModelProblem p;
   {
     const obs::Span span("phase.mesh");
-    p = eq == app::EquationClass::kPoissonHet
-            ? app::make_poisson_het_problem(n, 1e3)
-            : app::make_advdiff_problem(n, 10.0);
+    switch (eq) {
+      case app::EquationClass::kElasticity:
+        p = app::make_box_problem(n);
+        break;
+      case app::EquationClass::kPoissonHet:
+        p = app::make_poisson_het_problem(n, 1e3);
+        break;
+      case app::EquationClass::kAdvDiff:
+        p = app::make_advdiff_problem(n, 10.0);
+        break;
+    }
   }
   const mg::MgOptions mo = app::default_mg_options(eq);
 
-  std::vector<real> rhs;
+  app::AdaptiveLoop loop;
+  const mesh::Mesh* fine_mesh = &p.mesh;
+  const fem::DofMap* fine_dofmap = &p.dofmap;
+  fem::LinearSystem sys;
   mg::Hierarchy grids;
-  idx num_vertices = p.mesh.num_vertices();
   if (refine_rounds > 0) {
     app::AdaptiveOptions ao;
     ao.rounds = refine_rounds;
     ao.mg = mo;
-    app::AdaptiveLoop loop = app::run_adaptive_refinement(p, ao);
+    loop = app::run_adaptive_refinement(p, ao);
     print_refined(loop);
-    rhs = std::move(loop.sys.rhs);
-    num_vertices = loop.final_mesh().num_vertices();
-    const obs::Span span("phase.mesh_setup");
-    grids = mg::Hierarchy::build_grids_refined_scalar(
-        loop.mesh_ptrs(), loop.scalar_dofmap_ptrs(), loop.rounds,
-        std::move(loop.sys.stiffness), mo);
-  } else {
-    fem::ScalarSystem sys;
-    {
-      const obs::Span span("phase.fine_grid");
-      sys = fem::assemble_scalar_system(p.mesh, p.scalar_dofmap, p.coeffs);
-    }
-    std::printf("assembled %d scalar unknowns (%lld nonzeros, %s)\n",
-                sys.stiffness.nrows,
-                static_cast<long long>(sys.stiffness.nnz()),
-                app::to_string(eq));
-    rhs = std::move(sys.rhs);
-    const obs::Span span("phase.mesh_setup");
-    grids = mg::Hierarchy::build_grids_scalar(p.mesh, p.scalar_dofmap,
-                                              std::move(sys.stiffness), mo);
-  }
-  return solve_on_one_rank(grids, num_vertices, rhs, opts, {});
-}
-
-/// Elasticity with PROM_REFINE > 0: the adaptive loop refines the
-/// (tet-split) cube where the error indicator is largest, then the solve
-/// runs on the refined hierarchy — refinement levels with local
-/// smoothing above the automatic MIS/Delaunay chain.
-int run_refined_elasticity(idx n, int refine_rounds,
-                           const mg::MgSolveOptions& opts) {
-  app::ModelProblem p;
-  {
-    const obs::Span span("phase.mesh");
-    p = app::make_box_problem(n);
-  }
-  app::AdaptiveOptions ao;
-  ao.rounds = refine_rounds;
-  app::AdaptiveLoop loop = app::run_adaptive_refinement(p, ao);
-  print_refined(loop);
-
-  mg::Hierarchy grids;
-  {
+    fine_mesh = &loop.final_mesh();
+    fine_dofmap = &loop.final_dofmap();
+    sys = std::move(loop.sys);
     const obs::Span span("phase.mesh_setup");
     grids = mg::Hierarchy::build_grids_refined(
         loop.mesh_ptrs(), loop.dofmap_ptrs(), loop.rounds,
-        std::move(loop.sys.stiffness), {});
+        std::move(sys.stiffness), mo);
+  } else {
+    {
+      const obs::Span span("phase.fine_grid");
+      sys = app::assemble_system(p, p.mesh, p.dofmap);
+    }
+    std::printf("assembled %d unknowns (%lld nonzeros, %s)\n",
+                sys.stiffness.nrows,
+                static_cast<long long>(sys.stiffness.nnz()),
+                app::to_string(eq));
+    const obs::Span span("phase.mesh_setup");
+    grids = mg::Hierarchy::build_grids(p.mesh, p.dofmap,
+                                       std::move(sys.stiffness), mo);
   }
-  const dla::MfProblem mf{&loop.final_mesh(), &p.materials,
-                          &loop.final_dofmap(), /*bbar=*/true};
-  return solve_on_one_rank(grids, loop.final_mesh().num_vertices(),
-                           loop.sys.rhs, opts, mf);
+  const dla::MfProblem mf{fine_mesh, &p.materials, fine_dofmap,
+                          /*bbar=*/true};
+  return solve_on_one_rank(grids, fine_mesh->num_vertices(), sys.rhs, opts,
+                           mf);
 }
 
 }  // namespace
@@ -193,10 +184,9 @@ int main(int argc, char** argv) {
   const app::EquationClass eq = app::equation_from_env();
   opts.krylov = app::default_krylov(eq);
   const int refine_rounds = app::refine_rounds_from_env();
-  if (eq != app::EquationClass::kElasticity) {
-    return run_scalar(eq, n, refine_rounds, opts);
+  if (eq != app::EquationClass::kElasticity || refine_rounds > 0) {
+    return run_model_problem(eq, n, refine_rounds, opts);
   }
-  if (refine_rounds > 0) return run_refined_elasticity(n, refine_rounds, opts);
 
   // 1. The fine grid: a unit cube of n^3 hexahedra, one elastic material.
   mesh::Mesh mesh;

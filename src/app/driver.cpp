@@ -48,6 +48,27 @@ la::KrylovKind default_krylov(EquationClass eq) {
                                        : la::KrylovKind::kPcg;
 }
 
+fem::DofMap ModelProblem::make_dofmap(const mesh::Mesh& m) const {
+  PROM_CHECK_MSG(static_cast<bool>(fix_bcs),
+                 "ModelProblem::make_dofmap: the problem has no fix_bcs, "
+                 "so it cannot be refined (every app factory sets it)");
+  fem::DofMap dm(m.num_vertices(),
+                 equation == EquationClass::kElasticity ? kDofPerVertex : 1);
+  fix_bcs(m, dm);
+  dm.finalize();
+  return dm;
+}
+
+fem::LinearSystem assemble_system(const ModelProblem& problem,
+                                  const mesh::Mesh& m,
+                                  const fem::DofMap& dofmap) {
+  if (problem.equation == EquationClass::kElasticity) {
+    fem::FeProblem fe(m, problem.materials, dofmap);
+    return fem::assemble_linear_system(fe);
+  }
+  return fem::assemble_scalar_system(m, dofmap, problem.coeffs);
+}
+
 ModelProblem make_sphere_problem(const mesh::SphereInCubeParams& params,
                                  real crush) {
   ModelProblem p;
@@ -70,9 +91,7 @@ ModelProblem make_sphere_problem(const mesh::SphereInCubeParams& params,
       dm.fix(v, 2, -crush);
     }
   };
-  p.dofmap = fem::DofMap(p.mesh.num_vertices());
-  p.fix_bcs(p.mesh, p.dofmap);
-  p.dofmap.finalize();
+  p.dofmap = p.make_dofmap(p.mesh);
   return p;
 }
 
@@ -88,9 +107,7 @@ ModelProblem make_box_problem(idx n, real crush, fem::Material material) {
       dm.fix(v, 2, -crush);
     }
   };
-  p.dofmap = fem::DofMap(p.mesh.num_vertices());
-  p.fix_bcs(p.mesh, p.dofmap);
-  p.dofmap.finalize();
+  p.dofmap = p.make_dofmap(p.mesh);
   return p;
 }
 
@@ -99,18 +116,12 @@ ModelProblem make_poisson_het_problem(idx n, real contrast) {
   p.equation = EquationClass::kPoissonHet;
   p.mesh = mesh::box_hex(n, n, n, {0, 0, 0}, {1, 1, 1});
   const real eps = 1e-9;
-  p.fix_scalar_bcs = [eps](const mesh::Mesh& m, fem::ScalarDofMap& dm) {
-    for (idx v : m.vertices_where([&](const Vec3& x) { return x.z < eps; })) {
-      dm.fix(v, 0);
-    }
-    for (idx v :
-         m.vertices_where([&](const Vec3& x) { return x.z > 1 - eps; })) {
-      dm.fix(v, 1);
-    }
+  p.fix_bcs = [eps](const mesh::Mesh& m, fem::DofMap& dm) {
+    dm.fix_all(m.vertices_where([&](const Vec3& x) { return x.z < eps; }), 0);
+    dm.fix_all(
+        m.vertices_where([&](const Vec3& x) { return x.z > 1 - eps; }), 1);
   };
-  p.scalar_dofmap = fem::ScalarDofMap(p.mesh.num_vertices());
-  p.fix_scalar_bcs(p.mesh, p.scalar_dofmap);
-  p.scalar_dofmap.finalize();
+  p.dofmap = p.make_dofmap(p.mesh);
   p.coeffs.diffusion = [contrast](idx, const Vec3& x) {
     const bool inside = x.x > 0.25 && x.x < 0.75 && x.y > 0.25 &&
                         x.y < 0.75 && x.z > 0.25 && x.z < 0.75;
@@ -126,17 +137,14 @@ ModelProblem make_reaction_problem(idx n, real reaction) {
   p.equation = EquationClass::kPoissonHet;
   p.mesh = mesh::box_hex(n, n, n, {0, 0, 0}, {1, 1, 1});
   const real eps = 1e-9;
-  p.fix_scalar_bcs = [eps](const mesh::Mesh& m, fem::ScalarDofMap& dm) {
-    for (idx v : m.vertices_where([&](const Vec3& x) {
-           return x.x < eps || x.x > 1 - eps || x.y < eps || x.y > 1 - eps ||
-                  x.z < eps || x.z > 1 - eps;
-         })) {
-      dm.fix(v, 0);
-    }
+  p.fix_bcs = [eps](const mesh::Mesh& m, fem::DofMap& dm) {
+    dm.fix_all(m.vertices_where([&](const Vec3& x) {
+                 return x.x < eps || x.x > 1 - eps || x.y < eps ||
+                        x.y > 1 - eps || x.z < eps || x.z > 1 - eps;
+               }),
+               0);
   };
-  p.scalar_dofmap = fem::ScalarDofMap(p.mesh.num_vertices());
-  p.fix_scalar_bcs(p.mesh, p.scalar_dofmap);
-  p.scalar_dofmap.finalize();
+  p.dofmap = p.make_dofmap(p.mesh);
   p.coeffs.diffusion = [](idx, const Vec3&) { return Mat3::identity(); };
   p.coeffs.reaction = [reaction](idx, const Vec3&) { return reaction; };
   const real pi = real(3.14159265358979323846);
@@ -153,18 +161,12 @@ ModelProblem make_advdiff_problem(idx n, real peclet) {
   p.equation = EquationClass::kAdvDiff;
   p.mesh = mesh::box_hex(n, n, n, {0, 0, 0}, {1, 1, 1});
   const real eps = 1e-9;
-  p.fix_scalar_bcs = [eps](const mesh::Mesh& m, fem::ScalarDofMap& dm) {
-    for (idx v : m.vertices_where([&](const Vec3& x) { return x.x < eps; })) {
-      dm.fix(v, 1);
-    }
-    for (idx v :
-         m.vertices_where([&](const Vec3& x) { return x.x > 1 - eps; })) {
-      dm.fix(v, 0);
-    }
+  p.fix_bcs = [eps](const mesh::Mesh& m, fem::DofMap& dm) {
+    dm.fix_all(m.vertices_where([&](const Vec3& x) { return x.x < eps; }), 1);
+    dm.fix_all(
+        m.vertices_where([&](const Vec3& x) { return x.x > 1 - eps; }), 0);
   };
-  p.scalar_dofmap = fem::ScalarDofMap(p.mesh.num_vertices());
-  p.fix_scalar_bcs(p.mesh, p.scalar_dofmap);
-  p.scalar_dofmap.finalize();
+  p.dofmap = p.make_dofmap(p.mesh);
   const Vec3 dir{1, 0.5, 0.25};
   const real speed = norm(dir);
   const real kappa = speed / peclet;

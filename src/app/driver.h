@@ -46,26 +46,36 @@ mg::MgOptions default_mg_options(EquationClass eq);
 la::KrylovKind default_krylov(EquationClass eq);
 
 /// A ready-to-solve model problem (mesh + constraints + coefficients).
-/// Elasticity uses `dofmap` + `materials`; the scalar classes use
-/// `scalar_dofmap` + `coeffs` instead.
+/// `dofmap` carries the equation class's dofs per vertex; elasticity
+/// reads `materials`, the scalar classes `coeffs`.
 struct ModelProblem {
   EquationClass equation = EquationClass::kElasticity;
   mesh::Mesh mesh;
   fem::DofMap dofmap{0};
   std::vector<fem::Material> materials;
-  fem::ScalarDofMap scalar_dofmap{0};
   fem::ScalarCoefficients coeffs;
 
-  /// Re-applies the problem's Dirichlet constraints to a dof map over a
-  /// different mesh of the same domain (adaptive refinement creates new
-  /// boundary vertices; bisection midpoints of a boundary face stay on
-  /// its plane, so the factories' coordinate predicates still apply).
-  /// The callback fixes dofs only; the caller finalizes. Set by every
-  /// factory for its own equation family; null for hand-built problems,
-  /// which then cannot be refined.
+  /// Applies the problem's Dirichlet constraints to a dof map over any
+  /// mesh of its domain (adaptive refinement creates new boundary
+  /// vertices; bisection midpoints of a boundary face stay on its plane,
+  /// so the factories' coordinate predicates still apply). The callback
+  /// fixes dofs only; make_dofmap finalizes. Set by every factory; null
+  /// for hand-built problems, which then cannot be refined.
   std::function<void(const mesh::Mesh&, fem::DofMap&)> fix_bcs;
-  std::function<void(const mesh::Mesh&, fem::ScalarDofMap&)> fix_scalar_bcs;
+
+  /// The finalized dof map of this problem on `m` (a mesh of its
+  /// domain): 3 dofs per vertex for elasticity, 1 for the scalar classes,
+  /// fix_bcs applied. Requires fix_bcs.
+  fem::DofMap make_dofmap(const mesh::Mesh& m) const;
 };
+
+/// The problem's linear system K_ff u_f = rhs on mesh `m` of its domain
+/// under the constraints `dofmap`: the elasticity tangent at the
+/// unloaded state with the displacement-driven load, or the scalar
+/// operator with its source load less the Dirichlet coupling.
+fem::LinearSystem assemble_system(const ModelProblem& problem,
+                                  const mesh::Mesh& m,
+                                  const fem::DofMap& dofmap);
 
 /// The paper's §7 concentric-spheres problem: symmetric BCs on the three
 /// cut faces, uniform crushing displacement on the top face.

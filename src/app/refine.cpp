@@ -17,7 +17,7 @@ int refine_rounds_from_env() {
   char* end = nullptr;
   const long v = std::strtol(env, &end, 10);
   PROM_CHECK_MSG(end != env && *end == '\0' && v >= 0 && v <= 64,
-                 "PROM_REFINE must be a non-negative integer");
+                 "PROM_REFINE must be an integer in [0, 64]");
   return static_cast<int>(v);
 }
 
@@ -33,82 +33,27 @@ std::vector<const fem::DofMap*> AdaptiveLoop::dofmap_ptrs() const {
   return ptrs;
 }
 
-std::vector<const fem::ScalarDofMap*> AdaptiveLoop::scalar_dofmap_ptrs()
-    const {
-  std::vector<const fem::ScalarDofMap*> ptrs;
-  for (const fem::ScalarDofMap& dm : scalar_dofmaps) ptrs.push_back(&dm);
-  return ptrs;
-}
-
 namespace {
-
-fem::DofMap refit_dofmap(const ModelProblem& p, const mesh::Mesh& m) {
-  fem::DofMap dm(m.num_vertices());
-  p.fix_bcs(m, dm);
-  dm.finalize();
-  return dm;
-}
-
-fem::ScalarDofMap refit_scalar_dofmap(const ModelProblem& p,
-                                      const mesh::Mesh& m) {
-  fem::ScalarDofMap dm(m.num_vertices());
-  p.fix_scalar_bcs(m, dm);
-  dm.finalize();
-  return dm;
-}
-
-/// Assembles the problem's system on the loop's current (finest) mesh.
-fem::LinearSystem assemble_current(const ModelProblem& p,
-                                   const AdaptiveLoop& loop) {
-  const mesh::Mesh& m = loop.final_mesh();
-  if (p.equation == EquationClass::kElasticity) {
-    fem::FeProblem fe(m, p.materials, loop.dofmaps.back());
-    return fem::assemble_linear_system(fe);
-  }
-  fem::ScalarSystem sys =
-      fem::assemble_scalar_system(m, loop.scalar_dofmaps.back(), p.coeffs);
-  return {std::move(sys.stiffness), std::move(sys.rhs)};
-}
 
 /// Serial estimate hierarchy on the current mesh family: the refined
 /// build once rounds exist, the plain MIS build before the first one.
-mg::Hierarchy estimate_hierarchy(const ModelProblem& p,
-                                 const AdaptiveLoop& loop, la::Csr a,
+mg::Hierarchy estimate_hierarchy(const AdaptiveLoop& loop, la::Csr a,
                                  const mg::MgOptions& mg) {
-  const bool scalar = p.equation != EquationClass::kElasticity;
   if (loop.rounds.empty()) {
-    return scalar ? mg::Hierarchy::build_scalar(
-                        loop.base, loop.scalar_dofmaps.back(), std::move(a),
-                        mg)
-                  : mg::Hierarchy::build(loop.base, loop.dofmaps.back(),
-                                         std::move(a), mg);
+    return mg::Hierarchy::build(loop.base, loop.final_dofmap(), std::move(a),
+                                mg);
   }
-  return scalar ? mg::Hierarchy::build_refined_scalar(
-                      loop.mesh_ptrs(), loop.scalar_dofmap_ptrs(),
-                      loop.rounds, std::move(a), mg)
-                : mg::Hierarchy::build_refined(loop.mesh_ptrs(),
-                                               loop.dofmap_ptrs(),
-                                               loop.rounds, std::move(a), mg);
+  return mg::Hierarchy::build_refined(loop.mesh_ptrs(), loop.dofmap_ptrs(),
+                                      loop.rounds, std::move(a), mg);
 }
 
 }  // namespace
 
 AdaptiveLoop run_adaptive_refinement(const ModelProblem& problem,
                                      const AdaptiveOptions& opts) {
-  const bool scalar = problem.equation != EquationClass::kElasticity;
-  PROM_CHECK_MSG(
-      scalar ? bool(problem.fix_scalar_bcs) : bool(problem.fix_bcs),
-      "run_adaptive_refinement: the problem must provide the constraint "
-      "re-fixer for its equation kind (ModelProblem::fix_bcs / "
-      "fix_scalar_bcs; every app factory sets it)");
-
   AdaptiveLoop loop;
   loop.base = mesh::hex_to_tet(problem.mesh);
-  if (scalar) {
-    loop.scalar_dofmaps.push_back(refit_scalar_dofmap(problem, loop.base));
-  } else {
-    loop.dofmaps.push_back(refit_dofmap(problem, loop.base));
-  }
+  loop.dofmaps.push_back(problem.make_dofmap(loop.base));
 
   mg::MgSolveOptions so;
   so.rtol = opts.estimate_rtol;
@@ -121,36 +66,30 @@ AdaptiveLoop run_adaptive_refinement(const ModelProblem& problem,
     const mesh::Mesh& m = loop.final_mesh();
 
     // Estimate solve on the current mesh.
-    fem::LinearSystem sys = assemble_current(problem, loop);
+    fem::LinearSystem sys = assemble_system(problem, m, loop.final_dofmap());
     loop.round_unknowns.push_back(sys.stiffness.nrows);
     const mg::Hierarchy h =
-        estimate_hierarchy(problem, loop, std::move(sys.stiffness), opts.mg);
+        estimate_hierarchy(loop, std::move(sys.stiffness), opts.mg);
     std::vector<real> x(sys.rhs.size(), 0);
     mg::mg_krylov_solve(h, sys.rhs, x, so);
 
     // Indicate, mark, bisect.
-    const std::vector<real> u_full =
-        scalar ? loop.scalar_dofmaps.back().full_from_free(x)
-               : loop.dofmaps.back().full_from_free(x);
+    const std::vector<real> u_full = loop.final_dofmap().full_from_free(x);
     const std::vector<real> eta =
-        scalar ? fem::scalar_error_indicator(m, u_full, problem.coeffs)
-               : fem::elasticity_error_indicator(m, u_full,
-                                                 problem.materials);
+        problem.equation == EquationClass::kElasticity
+            ? fem::elasticity_error_indicator(m, u_full, problem.materials)
+            : fem::scalar_error_indicator(m, u_full, problem.coeffs);
     const std::vector<idx> marked =
         mesh::mark_fraction(eta, opts.mark_fraction);
     obs::counter_add("refine.marked", static_cast<double>(marked.size()));
     loop.rounds.push_back(mesh::refine_local(m, marked));
 
     const mesh::Mesh& fm = loop.rounds.back().mesh;
-    if (scalar) {
-      loop.scalar_dofmaps.push_back(refit_scalar_dofmap(problem, fm));
-    } else {
-      loop.dofmaps.push_back(refit_dofmap(problem, fm));
-    }
+    loop.dofmaps.push_back(problem.make_dofmap(fm));
     obs::gauge_set("refine.cells", static_cast<double>(fm.num_cells()));
   }
 
-  loop.sys = assemble_current(problem, loop);
+  loop.sys = assemble_system(problem, loop.final_mesh(), loop.final_dofmap());
   loop.round_unknowns.push_back(loop.sys.stiffness.nrows);
   obs::gauge_set("refine.unknowns",
                  static_cast<double>(loop.sys.stiffness.nrows));

@@ -4,11 +4,12 @@
 // on the current mesh, computes the residual-based error indicator
 // (fem/indicator.h), marks a fixed fraction of cells, bisects them
 // (mesh::refine_local), and re-applies the problem's Dirichlet
-// constraints through ModelProblem::fix_bcs / fix_scalar_bcs. The loop
-// runs serially — like every other mesh-setup stage — so the refined
-// mesh family is deterministic; the distributed layers consume its
-// output (mg::Hierarchy::build_grids_refined + a fresh RCB partition of
-// the refined coordinates).
+// constraints through ModelProblem::make_dofmap. The loop is the same for
+// every equation class: only the assembly (app::assemble_system) and the
+// error indicator follow the physics. It runs serially — like every other
+// mesh-setup stage — so the refined mesh family is deterministic; the
+// distributed layers consume its output (mg::Hierarchy::build_grids_refined
+// + a fresh RCB partition of the refined coordinates).
 #pragma once
 
 #include <span>
@@ -20,7 +21,8 @@
 namespace prom::app {
 
 /// Reads PROM_REFINE (adaptive refinement rounds; unset or empty means
-/// 0 = no refinement). Fails fast on a negative or non-numeric value.
+/// 0 = no refinement). The whole value must be an integer in [0, 64];
+/// anything else throws prom::Error.
 int refine_rounds_from_env();
 
 struct AdaptiveOptions {
@@ -38,13 +40,12 @@ struct AdaptiveOptions {
 /// The refined mesh family one adaptive loop produced, in exactly the
 /// shape mg::Hierarchy::build_grids_refined consumes. meshes()[0] is the
 /// base tet mesh, meshes()[r+1] (= rounds[r].mesh) the mesh after round
-/// r+1; dofmaps / scalar_dofmaps hold each mesh's finalized constraints
-/// (one family per equation kind, the other stays empty).
+/// r+1; dofmaps[i] holds meshes()[i]'s finalized constraints, at the
+/// equation class's dofs per vertex.
 struct AdaptiveLoop {
   mesh::Mesh base;                         ///< tet conversion of the input mesh
   std::vector<mesh::RefineResult> rounds;  ///< rounds[r]: meshes r -> r+1
   std::vector<fem::DofMap> dofmaps;
-  std::vector<fem::ScalarDofMap> scalar_dofmaps;
 
   /// Assembled system on the final mesh's free dofs (what the caller
   /// solves for real).
@@ -58,21 +59,16 @@ struct AdaptiveLoop {
     return rounds.empty() ? base : rounds.back().mesh;
   }
   const fem::DofMap& final_dofmap() const { return dofmaps.back(); }
-  const fem::ScalarDofMap& final_scalar_dofmap() const {
-    return scalar_dofmaps.back();
-  }
 
   /// Pointer views for mg::Hierarchy::build_grids_refined (coarsest
   /// first: base, then each round's mesh).
   std::vector<const mesh::Mesh*> mesh_ptrs() const;
   std::vector<const fem::DofMap*> dofmap_ptrs() const;
-  std::vector<const fem::ScalarDofMap*> scalar_dofmap_ptrs() const;
 };
 
 /// Runs `opts.rounds` adaptive rounds on `problem` and returns the mesh
 /// family plus the final assembled system. Requires the problem to carry
-/// the constraint re-fixer for its equation kind (fix_bcs for
-/// elasticity, fix_scalar_bcs for the scalar classes) — the factories in
+/// its constraint re-fixer (ModelProblem::fix_bcs) — the factories in
 /// app/driver.h all do. With rounds == 0 this just converts the mesh to
 /// tets, rebuilds the constraints, and assembles. Emits one
 /// "refine.round" span per round plus refine.cells / refine.unknowns

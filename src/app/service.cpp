@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -52,7 +54,10 @@ std::string SolveService::fingerprint(const std::string& mesh_id,
   if (pit != problems_.end()) eq = pit->second->equation;
   const mg::MgOptions& mo = config_.mg;
   const coarsen::CoarsenOptions& co = mo.coarsen;
+  const coarsen::RestrictionOptions& ro = co.restriction;
   std::ostringstream os;
+  // Reals at round-trip precision: options a hair apart key apart.
+  os << std::setprecision(std::numeric_limits<real>::max_digits10);
   os << mesh_id << "|eq=" << static_cast<int>(eq) << "|p=" << config_.nranks
      << "|fmt=" << static_cast<int>(config_.format)
      << "|cyc=" << static_cast<int>(config_.cycle)
@@ -66,6 +71,8 @@ std::string SolveService::fingerprint(const std::string& mesh_id,
      << "|mod=" << co.modify_graph << "|rcl=" << co.reclassify_from_level
      << "|ext=" << static_cast<int>(co.exterior_order)
      << "|int=" << static_cast<int>(co.interior_order) << "|seed=" << co.seed
+     << "|ftol=" << co.face.tol << "|ieps=" << ro.inside_eps
+     << "|hops=" << ro.near_hops << "|lef=" << ro.long_edge_factor
      << "|ref=" << refine_rounds << "|rfrac=" << config_.refine_fraction;
   return os.str();
 }
@@ -109,7 +116,6 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
   entry->key = std::move(key);
   entry->problem = pit->second;
   const ModelProblem& problem = *entry->problem;
-  const bool scalar = problem.equation != EquationClass::kElasticity;
 
   // The matrix-free format is elasticity-only: it is built around the
   // elasticity element kernels, which the scalar classes do not have.
@@ -117,7 +123,8 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
   // scalar path silently fall back to CSR or trip an assert deep in the
   // distributed setup. bsr3 needs no check: a scalar class's 1x1 node
   // blocks are its CSR rows.
-  PROM_CHECK_MSG(!scalar || config_.format != mg::MatrixFormat::kMf,
+  PROM_CHECK_MSG(problem.equation == EquationClass::kElasticity ||
+                     config_.format != mg::MatrixFormat::kMf,
                  "SolveService: scalar equation classes (poisson_het, "
                  "advdiff) support only PROM_MATRIX=csr or bsr3; "
                  "PROM_MATRIX=mf is elasticity-only");
@@ -133,13 +140,17 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
         run_adaptive_refinement(problem, aopts));
   }
   const AdaptiveLoop* refined = entry->refined.get();
+  // The fine mesh and its constraints: the refined family's finest, or
+  // the problem's own.
+  const mesh::Mesh& fine_mesh =
+      refined != nullptr ? refined->final_mesh() : problem.mesh;
+  const fem::DofMap& fine_dofmap =
+      refined != nullptr ? refined->final_dofmap() : problem.dofmap;
 
   {
     const obs::Span span("phase.partition");
-    const mesh::Mesh& pmesh =
-        refined != nullptr ? refined->final_mesh() : problem.mesh;
     entry->vertex_owner =
-        partition::rcb_partition(pmesh.coords(), config_.nranks);
+        partition::rcb_partition(fine_mesh.coords(), config_.nranks);
     if (refined != nullptr) {
       // How lopsided the refined mesh would be under the *unrefined*
       // partition (midpoints inheriting a parent's rank) vs the fresh
@@ -157,17 +168,9 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
   }
   {
     const obs::Span span("phase.fine_grid");
-    if (refined != nullptr) {
-      entry->sys = std::move(entry->refined->sys);
-    } else if (scalar) {
-      fem::ScalarSystem sys = fem::assemble_scalar_system(
-          problem.mesh, problem.scalar_dofmap, problem.coeffs);
-      entry->sys.stiffness = std::move(sys.stiffness);
-      entry->sys.rhs = std::move(sys.rhs);
-    } else {
-      fem::FeProblem fe(problem.mesh, problem.materials, problem.dofmap);
-      entry->sys = fem::assemble_linear_system(fe);
-    }
+    entry->sys = refined != nullptr
+                     ? std::move(entry->refined->sys)
+                     : assemble_system(problem, fine_mesh, fine_dofmap);
   }
   entry->unknowns = entry->sys.stiffness.nrows;
   {
@@ -175,24 +178,13 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
     // hand it back after it (below): the entry holds it once.
     const obs::Span span("phase.mesh_setup");
     la::Csr a_fine = std::move(entry->sys.stiffness);
-    if (refined != nullptr) {
-      entry->grids =
-          scalar ? mg::Hierarchy::build_grids_refined_scalar(
-                       refined->mesh_ptrs(), refined->scalar_dofmap_ptrs(),
-                       refined->rounds, std::move(a_fine), config_.mg)
-                 : mg::Hierarchy::build_grids_refined(
-                       refined->mesh_ptrs(), refined->dofmap_ptrs(),
-                       refined->rounds, std::move(a_fine), config_.mg);
-    } else {
-      entry->grids =
-          scalar
-              ? mg::Hierarchy::build_grids_scalar(problem.mesh,
-                                                  problem.scalar_dofmap,
-                                                  std::move(a_fine),
-                                                  config_.mg)
-              : mg::Hierarchy::build_grids(problem.mesh, problem.dofmap,
-                                           std::move(a_fine), config_.mg);
-    }
+    entry->grids =
+        refined != nullptr
+            ? mg::Hierarchy::build_grids_refined(
+                  refined->mesh_ptrs(), refined->dofmap_ptrs(),
+                  refined->rounds, std::move(a_fine), config_.mg)
+            : mg::Hierarchy::build_grids(fine_mesh, fine_dofmap,
+                                         std::move(a_fine), config_.mg);
   }
 
   entry->per_rank.resize(static_cast<std::size_t>(config_.nranks));
@@ -200,14 +192,8 @@ EntryHandle SolveService::build_entry(const std::string& mesh_id,
   parx::Runtime::run(config_.nranks, [&](parx::Comm& comm) {
     comm.barrier();
     const obs::Span span("phase.matrix_setup");
-    // The matrix-free view is elasticity-only (enforced above), so the
-    // scalar paths keep the unrefined pointers — the struct is unused.
-    const bool mf_refined = !scalar && refined != nullptr;
-    const dla::MfProblem mf{
-        mf_refined ? &refined->final_mesh() : &problem.mesh,
-        &problem.materials,
-        mf_refined ? &refined->final_dofmap() : &problem.dofmap,
-        /*bbar=*/true};
+    const dla::MfProblem mf{&fine_mesh, &problem.materials, &fine_dofmap,
+                            /*bbar=*/true};
     entry->per_rank[comm.rank()] = dla::DistHierarchy::build(
         comm, entry->grids, entry->vertex_owner, config_.format,
         config_.format == mg::MatrixFormat::kMf ? &mf : nullptr);

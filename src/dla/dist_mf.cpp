@@ -38,6 +38,7 @@ DistMf DistMf::build(parx::Comm& comm, const MfProblem& prob,
 
   const mesh::Mesh& mesh = *prob.mesh;
   const fem::DofMap& dofmap = *prob.dofmap;
+  dofmap.require_dofs_per_vertex(kDofPerVertex, "DistMf::build (elasticity)");
   const int nen = mesh::nodes_per_cell(mesh.kind());
 
   // This rank's relevant elements: every element with at least one owned

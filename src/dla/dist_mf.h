@@ -43,6 +43,8 @@ class DistMf {
   /// distributed matrix `a` (whose row/column layout, ghost columns, and
   /// exchange plan are reused; `a` must outlive the DistMf). `perm` is
   /// the level's global permutation (perm[global] = serial free index).
+  /// The element kernels are elasticity's: `prob.dofmap` must carry 3
+  /// dofs per vertex (prom::Error otherwise).
   static DistMf build(parx::Comm& comm, const MfProblem& prob,
                       const DistCsr& a, std::span<const idx> perm);
 

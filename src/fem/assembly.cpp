@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -15,25 +16,44 @@ namespace {
 /// count (see common/parallel.h).
 constexpr idx kCellGrain = 64;
 
+/// Dof of (vertex, component) in an elasticity map: the compile-time
+/// stride of the element loops, which FeProblem's constructor checks.
+constexpr idx elastic_dof(idx vertex, int comp) {
+  return kDofPerVertex * vertex + comp;
+}
+
 }  // namespace
 
-DofMap::DofMap(idx num_vertices)
-    : nv_(num_vertices),
-      constrained_(static_cast<std::size_t>(3) * num_vertices, 0),
-      bc_value_(static_cast<std::size_t>(3) * num_vertices, 0),
-      free_index_(static_cast<std::size_t>(3) * num_vertices, kInvalidIdx) {
+DofMap::DofMap(idx num_vertices, int dofs_per_vertex)
+    : nv_(num_vertices), dpv_(dofs_per_vertex) {
+  PROM_CHECK_MSG(dofs_per_vertex >= 1,
+                 "DofMap: dofs per vertex must be at least 1");
+  const std::size_t n = static_cast<std::size_t>(num_dofs());
+  constrained_.assign(n, 0);
+  bc_value_.assign(n, 0);
+  free_index_.assign(n, kInvalidIdx);
   finalize();
 }
 
+void DofMap::require_dofs_per_vertex(int want, const char* consumer) const {
+  if (dpv_ == want) return;
+  throw Error(std::string(consumer) + " needs a DofMap with " +
+              std::to_string(want) + " dof(s) per vertex; this map has " +
+              std::to_string(dpv_));
+}
+
 void DofMap::fix(idx vertex, int comp, real value) {
-  PROM_CHECK(vertex >= 0 && vertex < nv_ && comp >= 0 && comp < 3);
+  PROM_CHECK(vertex >= 0 && vertex < nv_);
+  PROM_CHECK_MSG(comp >= 0 && comp < dpv_,
+                 "DofMap::fix: component out of range for the map's dofs "
+                 "per vertex");
   constrained_[dof_of(vertex, comp)] = 1;
   bc_value_[dof_of(vertex, comp)] = value;
 }
 
 void DofMap::fix_all(std::span<const idx> vertices, real value) {
   for (idx v : vertices) {
-    for (int c = 0; c < 3; ++c) fix(v, c, value);
+    for (int c = 0; c < dpv_; ++c) fix(v, c, value);
   }
 }
 
@@ -84,6 +104,7 @@ FeProblem::FeProblem(const mesh::Mesh& mesh, std::vector<Material> materials,
       gp_per_cell_(
           gauss_points_per_cell(mesh::nodes_per_cell(mesh.kind()))) {
   PROM_CHECK(dofmap_.num_vertices() == mesh.num_vertices());
+  dofmap_.require_dofs_per_vertex(kDofPerVertex, "FeProblem (elasticity)");
   for (idx e = 0; e < mesh.num_cells(); ++e) {
     PROM_CHECK_MSG(mesh.material(e) >= 0 &&
                        mesh.material(e) <
@@ -148,7 +169,7 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
       for (int a = 0; a < npc; ++a) {
         coords[a] = mesh.coord(verts[a]);
         for (int c = 0; c < 3; ++c) {
-          ue[a * 3 + c] = u_full[DofMap::dof_of(verts[a], c)];
+          ue[a * 3 + c] = u_full[elastic_dof(verts[a], c)];
         }
       }
 
@@ -175,13 +196,13 @@ AssemblyResult FeProblem::assemble(std::span<const real> u_full,
       // Scatter to free dofs (recorded, merged below in cell order).
       for (int a = 0; a < npc; ++a) {
         for (int ca = 0; ca < 3; ++ca) {
-          const idx row = dofmap_.free_index(DofMap::dof_of(verts[a], ca));
+          const idx row = dofmap_.free_index(elastic_dof(verts[a], ca));
           if (row == kInvalidIdx) continue;
           co.f_contrib.emplace_back(row, fe[a * 3 + ca]);
           if (trip == nullptr) continue;
           for (int b = 0; b < npc; ++b) {
             for (int cb = 0; cb < 3; ++cb) {
-              const idx coldof = DofMap::dof_of(verts[b], cb);
+              const idx coldof = elastic_dof(verts[b], cb);
               const idx col = dofmap_.free_index(coldof);
               if (col == kInvalidIdx) {
                 co.bc_contrib.emplace_back(

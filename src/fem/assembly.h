@@ -18,21 +18,31 @@
 
 namespace prom::fem {
 
-/// Maps (vertex, component) to a global dof (3*vertex + component) and
-/// tracks Dirichlet constraints with prescribed values.
+/// Maps (vertex, component) to a global dof (dofs_per_vertex * vertex +
+/// component) and tracks Dirichlet constraints with prescribed values.
+/// One map serves every equation class: 3 dofs per vertex for elasticity
+/// (the default), 1 for the scalar classes, where the dof is the vertex.
+/// The free dofs are numbered in ascending dof order.
 class DofMap {
  public:
-  explicit DofMap(idx num_vertices);
+  explicit DofMap(idx num_vertices, int dofs_per_vertex = kDofPerVertex);
 
   idx num_vertices() const { return nv_; }
-  idx num_dofs() const { return 3 * nv_; }
+  int dofs_per_vertex() const { return dpv_; }
+  idx num_dofs() const { return dpv_ * nv_; }
 
-  static idx dof_of(idx vertex, int comp) { return 3 * vertex + comp; }
+  idx dof_of(idx vertex, int comp) const { return dpv_ * vertex + comp; }
 
-  /// Prescribes component `comp` of `vertex` to `value`.
+  /// Throws prom::Error naming `consumer` unless this map carries `want`
+  /// dofs per vertex: the one check of each consumer that assumes a
+  /// component count.
+  void require_dofs_per_vertex(int want, const char* consumer) const;
+
+  /// Prescribes component `comp` (< dofs_per_vertex) of `vertex` to
+  /// `value`.
   void fix(idx vertex, int comp, real value);
 
-  /// Prescribes all three components of every vertex in `vertices`.
+  /// Prescribes every component of every vertex in `vertices`.
   void fix_all(std::span<const idx> vertices, real value = 0);
 
   bool is_constrained(idx dof) const { return constrained_[dof] != 0; }
@@ -60,6 +70,7 @@ class DofMap {
 
  private:
   idx nv_;
+  int dpv_;
   std::vector<char> constrained_;
   std::vector<real> bc_value_;
   std::vector<idx> free_index_;
@@ -80,7 +91,8 @@ struct AssemblyResult {
 
 /// A finite element problem: mesh + per-material-id constitutive models +
 /// constraints + Gauss-point history. Drives element kernels and owns the
-/// committed/trial plastic states.
+/// committed/trial plastic states. Elasticity only: the constructor
+/// rejects a map without 3 dofs per vertex.
 class FeProblem {
  public:
   FeProblem(const mesh::Mesh& mesh, std::vector<Material> materials,
@@ -121,14 +133,17 @@ class FeProblem {
   std::vector<J2State> trial_;
 };
 
-/// Convenience for the linear studies: assembles the tangent at the
-/// *unloaded* state (u = 0 everywhere, so every material is at its elastic
-/// reference and the tangent is SPD) and forms the displacement-driven
-/// load f = -K_fc * u_c on the free dofs.
+/// A linear system K_ff u_f = rhs on the free dofs of a DofMap, for any
+/// equation class (fem/scalar.h assembles the scalar ones).
 struct LinearSystem {
   la::Csr stiffness;
   std::vector<real> rhs;
 };
+
+/// Convenience for the linear studies: assembles the tangent at the
+/// *unloaded* state (u = 0 everywhere, so every material is at its elastic
+/// reference and the tangent is SPD) and forms the displacement-driven
+/// load f = -K_fc * u_c on the free dofs.
 LinearSystem assemble_linear_system(FeProblem& problem);
 
 }  // namespace prom::fem

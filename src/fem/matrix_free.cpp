@@ -340,6 +340,8 @@ MatrixFreeOperator MatrixFreeOperator::build(const mesh::Mesh& mesh,
                                              const DofMap& dofmap,
                                              bool bbar) {
   PROM_CHECK(dofmap.num_vertices() == mesh.num_vertices());
+  dofmap.require_dofs_per_vertex(kDofPerVertex,
+                                 "MatrixFreeOperator::build (elasticity)");
   std::vector<idx> elements(static_cast<std::size_t>(mesh.num_cells()));
   for (idx e = 0; e < mesh.num_cells(); ++e) elements[e] = e;
   const idx nfree = dofmap.num_free();
@@ -347,7 +349,7 @@ MatrixFreeOperator MatrixFreeOperator::build(const mesh::Mesh& mesh,
       mesh, materials, bbar, elements, nfree, nfree,
       [&](idx e, int a, int c) {
         const idx v = mesh.cell(e)[a];
-        const idx f = dofmap.free_index(DofMap::dof_of(v, c));
+        const idx f = dofmap.free_index(kDofPerVertex * v + c);
         return MfCore::Dof{f, f};
       });
   return MatrixFreeOperator(std::move(core));

@@ -128,7 +128,8 @@ class MfCore {
 /// The serial matrix-free operator: K_ff of the unloaded-state tangent
 /// over the free dofs, a drop-in for la::Csr in the solve-phase Backend
 /// concept (rows/apply + fused residual) and the serial reference of
-/// dla::DistMf. Apply runs under an obs span "mf.apply".
+/// dla::DistMf. Apply runs under an obs span "mf.apply". Elasticity only:
+/// build rejects a dof map without 3 dofs per vertex.
 class MatrixFreeOperator final : public la::LinearOperator {
  public:
   static MatrixFreeOperator build(const mesh::Mesh& mesh,

@@ -56,59 +56,11 @@ real supg_tau(const Vec3& v, const Mat3& k, real h) {
 
 }  // namespace
 
-ScalarDofMap::ScalarDofMap(idx num_vertices)
-    : nv_(num_vertices),
-      constrained_(static_cast<std::size_t>(num_vertices), 0),
-      bc_value_(static_cast<std::size_t>(num_vertices), 0),
-      free_index_(static_cast<std::size_t>(num_vertices), kInvalidIdx) {
-  finalize();
-}
-
-void ScalarDofMap::fix(idx vertex, real value) {
-  PROM_CHECK(vertex >= 0 && vertex < nv_);
-  constrained_[vertex] = 1;
-  bc_value_[vertex] = value;
-}
-
-void ScalarDofMap::fix_all(std::span<const idx> vertices, real value) {
-  for (idx v : vertices) fix(v, value);
-}
-
-void ScalarDofMap::finalize() {
-  free_dofs_.clear();
-  for (idx v = 0; v < nv_; ++v) {
-    if (!constrained_[v]) {
-      free_index_[v] = static_cast<idx>(free_dofs_.size());
-      free_dofs_.push_back(v);
-    } else {
-      free_index_[v] = kInvalidIdx;
-    }
-  }
-}
-
-std::vector<real> ScalarDofMap::full_from_free(
-    std::span<const real> free_values, real bc_scale) const {
-  PROM_CHECK(static_cast<idx>(free_values.size()) == num_free());
-  std::vector<real> full(static_cast<std::size_t>(nv_));
-  for (idx v = 0; v < nv_; ++v) {
-    full[v] = constrained_[v] ? bc_scale * bc_value_[v]
-                              : free_values[free_index_[v]];
-  }
-  return full;
-}
-
-std::vector<real> ScalarDofMap::free_from_full(
-    std::span<const real> full_values) const {
-  PROM_CHECK(static_cast<idx>(full_values.size()) == nv_);
-  std::vector<real> out(static_cast<std::size_t>(num_free()));
-  for (idx i = 0; i < num_free(); ++i) out[i] = full_values[free_dofs_[i]];
-  return out;
-}
-
-ScalarAssembly assemble_scalar(const mesh::Mesh& mesh,
-                               const ScalarDofMap& dofmap,
+ScalarAssembly assemble_scalar(const mesh::Mesh& mesh, const DofMap& dofmap,
                                const ScalarCoefficients& coeffs) {
   PROM_CHECK(dofmap.num_vertices() == mesh.num_vertices());
+  // One dof per vertex: the scatter below indexes the map by vertex id.
+  dofmap.require_dofs_per_vertex(1, "assemble_scalar");
   PROM_CHECK_MSG(static_cast<bool>(coeffs.diffusion),
                  "ScalarCoefficients::diffusion is required");
   const int npc = mesh::nodes_per_cell(mesh.kind());
@@ -219,11 +171,11 @@ ScalarAssembly assemble_scalar(const mesh::Mesh& mesh,
   return out;
 }
 
-ScalarSystem assemble_scalar_system(const mesh::Mesh& mesh,
-                                    const ScalarDofMap& dofmap,
+LinearSystem assemble_scalar_system(const mesh::Mesh& mesh,
+                                    const DofMap& dofmap,
                                     const ScalarCoefficients& coeffs) {
   ScalarAssembly a = assemble_scalar(mesh, dofmap, coeffs);
-  ScalarSystem sys;
+  LinearSystem sys;
   sys.stiffness = std::move(a.stiffness);
   sys.rhs.resize(a.load.size());
   for (std::size_t i = 0; i < sys.rhs.size(); ++i) {

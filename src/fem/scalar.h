@@ -5,9 +5,11 @@
 //
 // with per-element coefficient callbacks — the diffusion tensor K covers
 // jump-coefficient Poisson problems, the velocity field v (with optional
-// SUPG stabilization) covers advection–diffusion. The assembled free-dof
-// operator is a plain la::Csr that the same multigrid stack consumes at
-// block size 1 (mg::Hierarchy::build_scalar).
+// SUPG stabilization) covers advection–diffusion. The constraints come in
+// a fem::DofMap with one dof per vertex (the dof is the vertex id), and
+// the assembled free-dof operator is a plain la::Csr that the same
+// multigrid stack consumes: mg::Hierarchy::build reads the block size 1
+// from that map.
 #pragma once
 
 #include <functional>
@@ -15,53 +17,13 @@
 #include <vector>
 
 #include "common/config.h"
+#include "fem/assembly.h"
 #include "geom/mat3.h"
 #include "geom/vec3.h"
 #include "la/csr.h"
 #include "mesh/mesh.h"
 
 namespace prom::fem {
-
-/// Maps a vertex to its (single) global dof and tracks Dirichlet
-/// constraints with prescribed values — the scalar counterpart of DofMap,
-/// with vertex == dof so no component indexing.
-class ScalarDofMap {
- public:
-  explicit ScalarDofMap(idx num_vertices);
-
-  idx num_vertices() const { return nv_; }
-  idx num_dofs() const { return nv_; }
-
-  /// Prescribes the value at `vertex`.
-  void fix(idx vertex, real value);
-  void fix_all(std::span<const idx> vertices, real value = 0);
-
-  bool is_constrained(idx vertex) const { return constrained_[vertex] != 0; }
-  real bc_value(idx vertex) const { return bc_value_[vertex]; }
-
-  /// Builds the free-dof numbering; call after all fix() calls.
-  void finalize();
-
-  idx num_free() const { return static_cast<idx>(free_dofs_.size()); }
-  const std::vector<idx>& free_dofs() const { return free_dofs_; }
-  /// Free index of `vertex` or kInvalidIdx if constrained.
-  idx free_index(idx vertex) const { return free_index_[vertex]; }
-
-  /// Expands a free-dof vector to a full (per-vertex) vector, inserting
-  /// `bc_scale * bc_value` at constrained vertices.
-  std::vector<real> full_from_free(std::span<const real> free_values,
-                                   real bc_scale = 1) const;
-
-  /// Restricts a full vector to the free dofs.
-  std::vector<real> free_from_full(std::span<const real> full_values) const;
-
- private:
-  idx nv_;
-  std::vector<char> constrained_;
-  std::vector<real> bc_value_;
-  std::vector<idx> free_index_;
-  std::vector<idx> free_dofs_;
-};
 
 /// Coefficient callbacks for the scalar equation, evaluated per quadrature
 /// point with the owning cell id (jump coefficients key off the cell or
@@ -88,20 +50,16 @@ struct ScalarAssembly {
 };
 
 /// Assembles the scalar operator, the source load, and the Dirichlet
-/// coupling on the free dofs. TET4 uses the 4-point rule, HEX8 the 2x2x2
-/// rule. Deterministic for any kernel-thread count (same fixed cell
+/// coupling on the free dofs of `dofmap`, which must carry one dof per
+/// vertex (prom::Error otherwise). TET4 uses the 4-point rule, HEX8 the
+/// 2x2x2 rule. Deterministic for any kernel-thread count (same fixed cell
 /// chunking + chunk-order merge as FeProblem::assemble).
-ScalarAssembly assemble_scalar(const mesh::Mesh& mesh,
-                               const ScalarDofMap& dofmap,
+ScalarAssembly assemble_scalar(const mesh::Mesh& mesh, const DofMap& dofmap,
                                const ScalarCoefficients& coeffs);
 
 /// Convenience: the linear system K_ff u_f = load - K_fc u_c.
-struct ScalarSystem {
-  la::Csr stiffness;
-  std::vector<real> rhs;
-};
-ScalarSystem assemble_scalar_system(const mesh::Mesh& mesh,
-                                    const ScalarDofMap& dofmap,
+LinearSystem assemble_scalar_system(const mesh::Mesh& mesh,
+                                    const DofMap& dofmap,
                                     const ScalarCoefficients& coeffs);
 
 /// L2-norm error ||u_h - u_exact|| over the mesh, quadrature of the same

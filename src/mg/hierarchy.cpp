@@ -25,44 +25,20 @@ Hierarchy Hierarchy::build(const mesh::Mesh& mesh, const fem::DofMap& dofmap,
 Hierarchy Hierarchy::build_grids(const mesh::Mesh& mesh,
                                  const fem::DofMap& dofmap, la::Csr a_fine,
                                  const MgOptions& opts) {
-  PROM_CHECK(dofmap.num_vertices() == mesh.num_vertices());
   PROM_CHECK(a_fine.nrows == dofmap.num_free() &&
              a_fine.ncols == dofmap.num_free());
+  return mis_grids(mesh, dofmap, std::move(a_fine), opts);
+}
+
+Hierarchy Hierarchy::mis_grids(const mesh::Mesh& mesh,
+                               const fem::DofMap& dofmap, la::Csr a_fine,
+                               const MgOptions& opts) {
+  PROM_CHECK(dofmap.num_vertices() == mesh.num_vertices());
+  const int ncomp = dofmap.dofs_per_vertex();
   std::vector<char> dof_free(static_cast<std::size_t>(dofmap.num_dofs()));
   for (idx d = 0; d < dofmap.num_dofs(); ++d) {
     dof_free[d] = dofmap.is_constrained(d) ? 0 : 1;
   }
-  return build_grids_any(mesh, 3, std::move(dof_free), dofmap.free_dofs(),
-                         std::move(a_fine), opts);
-}
-
-Hierarchy Hierarchy::build_scalar(const mesh::Mesh& mesh,
-                                  const fem::ScalarDofMap& dofmap,
-                                  la::Csr a_fine, const MgOptions& opts) {
-  Hierarchy h = build_grids_scalar(mesh, dofmap, std::move(a_fine), opts);
-  h.build_operators();
-  return h;
-}
-
-Hierarchy Hierarchy::build_grids_scalar(const mesh::Mesh& mesh,
-                                        const fem::ScalarDofMap& dofmap,
-                                        la::Csr a_fine,
-                                        const MgOptions& opts) {
-  PROM_CHECK(dofmap.num_vertices() == mesh.num_vertices());
-  PROM_CHECK(a_fine.nrows == dofmap.num_free() &&
-             a_fine.ncols == dofmap.num_free());
-  std::vector<char> dof_free(static_cast<std::size_t>(dofmap.num_dofs()));
-  for (idx v = 0; v < dofmap.num_dofs(); ++v) {
-    dof_free[v] = dofmap.is_constrained(v) ? 0 : 1;
-  }
-  return build_grids_any(mesh, 1, std::move(dof_free), dofmap.free_dofs(),
-                         std::move(a_fine), opts);
-}
-
-Hierarchy Hierarchy::build_grids_any(const mesh::Mesh& mesh, int ncomp,
-                                     std::vector<char> dof_free,
-                                     std::vector<idx> fine_free,
-                                     la::Csr a_fine, const MgOptions& opts) {
   Hierarchy h;
   h.opts_ = opts;
   h.block_size_ = ncomp;
@@ -71,7 +47,7 @@ Hierarchy Hierarchy::build_grids_any(const mesh::Mesh& mesh, int ncomp,
   MgLevel fine;
   fine.a = std::move(a_fine);
   fine.num_vertices = mesh.num_vertices();
-  fine.free_dofs = std::move(fine_free);
+  fine.free_dofs = dofmap.free_dofs();
   h.levels_.push_back(std::move(fine));
 
   // Geometry of the level currently being coarsened. The coarsening is
@@ -147,13 +123,6 @@ Hierarchy Hierarchy::build_grids_any(const mesh::Mesh& mesh, int ncomp,
 }
 
 namespace {
-
-/// Free-dof list of a finalized dof map, plus the constraint flags the
-/// MIS chain continues from.
-template <typename AnyDofMap>
-std::vector<idx> free_list(const AnyDofMap& dm) {
-  return dm.free_dofs();
-}
 
 /// Vertex-weight restriction for one bisection round: n_coarse x n_fine,
 /// column f holding fine vertex f's interpolation weights on the coarse
@@ -231,30 +200,6 @@ std::vector<idx> refined_region_rows(const mesh::Mesh& mesh,
 
 }  // namespace
 
-Hierarchy Hierarchy::build_grids_refined(
-    const std::vector<const mesh::Mesh*>& meshes,
-    const std::vector<const fem::DofMap*>& dofmaps,
-    const std::vector<mesh::RefineResult>& rounds, la::Csr a_fine,
-    const MgOptions& opts) {
-  std::vector<std::vector<idx>> level_free;
-  for (const fem::DofMap* dm : dofmaps) level_free.push_back(free_list(*dm));
-  return build_grids_refined_any(meshes, rounds, std::move(level_free), 3,
-                                 std::move(a_fine), opts);
-}
-
-Hierarchy Hierarchy::build_grids_refined_scalar(
-    const std::vector<const mesh::Mesh*>& meshes,
-    const std::vector<const fem::ScalarDofMap*>& dofmaps,
-    const std::vector<mesh::RefineResult>& rounds, la::Csr a_fine,
-    const MgOptions& opts) {
-  std::vector<std::vector<idx>> level_free;
-  for (const fem::ScalarDofMap* dm : dofmaps) {
-    level_free.push_back(free_list(*dm));
-  }
-  return build_grids_refined_any(meshes, rounds, std::move(level_free), 1,
-                                 std::move(a_fine), opts);
-}
-
 Hierarchy Hierarchy::build_refined(
     const std::vector<const mesh::Mesh*>& meshes,
     const std::vector<const fem::DofMap*>& dofmaps,
@@ -266,31 +211,25 @@ Hierarchy Hierarchy::build_refined(
   return h;
 }
 
-Hierarchy Hierarchy::build_refined_scalar(
+Hierarchy Hierarchy::build_grids_refined(
     const std::vector<const mesh::Mesh*>& meshes,
-    const std::vector<const fem::ScalarDofMap*>& dofmaps,
+    const std::vector<const fem::DofMap*>& dofmaps,
     const std::vector<mesh::RefineResult>& rounds, la::Csr a_fine,
-    const MgOptions& opts) {
-  Hierarchy h = build_grids_refined_scalar(meshes, dofmaps, rounds,
-                                           std::move(a_fine), opts);
-  h.build_operators();
-  return h;
-}
-
-Hierarchy Hierarchy::build_grids_refined_any(
-    const std::vector<const mesh::Mesh*>& meshes,
-    const std::vector<mesh::RefineResult>& rounds,
-    std::vector<std::vector<idx>> level_free, int ncomp, la::Csr a_fine,
     const MgOptions& opts) {
   const int R = static_cast<int>(rounds.size());
   PROM_CHECK(static_cast<int>(meshes.size()) == R + 1);
-  PROM_CHECK(static_cast<int>(level_free.size()) == R + 1);
+  PROM_CHECK(static_cast<int>(dofmaps.size()) == R + 1);
   PROM_CHECK(R >= 1);
-  for (const mesh::Mesh* m : meshes) {
-    PROM_CHECK_MSG(m->kind() == mesh::CellKind::kTet4,
+  const int ncomp = dofmaps[0]->dofs_per_vertex();
+  for (int r = 0; r <= R; ++r) {
+    PROM_CHECK_MSG(meshes[r]->kind() == mesh::CellKind::kTet4,
                    "build_refined: refinement levels must be TET4 meshes");
+    PROM_CHECK(dofmaps[r]->num_vertices() == meshes[r]->num_vertices());
+    PROM_CHECK_MSG(dofmaps[r]->dofs_per_vertex() == ncomp,
+                   "build_refined: the dof maps of a refined family must "
+                   "all carry the same dofs per vertex");
   }
-  PROM_CHECK(a_fine.nrows == static_cast<idx>(level_free[R].size()));
+  PROM_CHECK(a_fine.nrows == dofmaps[R]->num_free());
 
   Hierarchy h;
   h.opts_ = opts;
@@ -301,7 +240,7 @@ Hierarchy Hierarchy::build_grids_refined_any(
   MgLevel fine;
   fine.a = std::move(a_fine);
   fine.num_vertices = meshes[R]->num_vertices();
-  fine.free_dofs = level_free[R];
+  fine.free_dofs = dofmaps[R]->free_dofs();
   h.levels_.push_back(std::move(fine));
 
   // Refinement levels, finest first: level R - r is meshes[r].
@@ -311,27 +250,23 @@ Hierarchy Hierarchy::build_grids_refined_any(
     la::Csr r_vertex =
         refinement_restriction(rounds[r], meshes[r + 1]->num_vertices());
     MgLevel next;
+    next.free_dofs = dofmaps[r]->free_dofs();
     next.r = coarsen::expand_restriction_to_dofs(
-        r_vertex, h.levels_.back().free_dofs, level_free[r], ncomp);
+        r_vertex, h.levels_.back().free_dofs, next.free_dofs, ncomp);
     next.num_vertices = n_coarse;
-    next.free_dofs = level_free[r];
     // Ownership chain for the distributed build: every coarse vertex IS
     // fine vertex with the same id (bisection only appends midpoints).
     next.selected_from_fine.resize(static_cast<std::size_t>(n_coarse));
     for (idx v = 0; v < n_coarse; ++v) next.selected_from_fine[v] = v;
     next.smooth_rows =
-        refined_region_rows(*meshes[r], rounds[r], level_free[r], ncomp);
+        refined_region_rows(*meshes[r], rounds[r], next.free_dofs, ncomp);
     h.levels_.push_back(std::move(next));
   }
 
   // MIS/Delaunay chain below the unrefined mesh: reuse the standard grid
   // build on meshes[0] and splice its coarse levels in (its level 0
   // duplicates the refinement-coarsest level above and is dropped).
-  std::vector<char> dof_free(
-      static_cast<std::size_t>(ncomp) * meshes[0]->num_vertices(), 0);
-  for (idx d : level_free[0]) dof_free[d] = 1;
-  Hierarchy mis = build_grids_any(*meshes[0], ncomp, std::move(dof_free),
-                                  level_free[0], la::Csr{}, opts);
+  Hierarchy mis = mis_grids(*meshes[0], *dofmaps[0], la::Csr{}, opts);
   for (std::size_t l = 1; l < mis.levels_.size(); ++l) {
     h.levels_.push_back(std::move(mis.levels_[l]));
   }

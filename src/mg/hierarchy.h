@@ -11,7 +11,6 @@
 #include "coarsen/coarsen.h"
 #include "common/config.h"
 #include "fem/assembly.h"
-#include "fem/scalar.h"
 #include "la/csr.h"
 #include "mesh/mesh.h"
 #include "mesh/refine.h"
@@ -85,7 +84,7 @@ struct MgLevel : LevelSolve {
 
   // Grid diagnostics (Figure 7 / DESIGN.md hierarchy stats).
   idx num_vertices = 0;
-  std::vector<idx> free_dofs;       ///< vertex-local dof ids (3*v+c), free
+  std::vector<idx> free_dofs;           ///< free dof ids (block_size*v + c)
   std::vector<idx> selected_from_fine;  ///< fine-level vertex of each vertex
   idx lost_vertices = 0;
   nnz_t graph_edges_removed = 0;
@@ -101,7 +100,10 @@ struct MgLevel : LevelSolve {
 class Hierarchy {
  public:
   /// Builds grids + operators from the fine mesh, its constraints, and the
-  /// assembled fine matrix on the free dofs.
+  /// assembled fine matrix on the free dofs. The block size is the dof
+  /// map's dofs per vertex (3 for elasticity, 1 for the scalar classes):
+  /// the coarsening sees only the vertex graph, and only the restriction's
+  /// dof expansion (a Kronecker I_b of the vertex weights) depends on it.
   static Hierarchy build(const mesh::Mesh& mesh, const fem::DofMap& dofmap,
                          la::Csr a_fine, const MgOptions& opts = {});
 
@@ -117,23 +119,11 @@ class Hierarchy {
                                const fem::DofMap& dofmap, la::Csr a_fine,
                                const MgOptions& opts = {});
 
-  /// Scalar (block-size-1) counterpart of build: same MIS coarsening on
-  /// the vertex graph, same Galerkin chain, but one dof per vertex —
-  /// restriction rows are the bare vertex weights (no Kronecker I_3).
-  static Hierarchy build_scalar(const mesh::Mesh& mesh,
-                                const fem::ScalarDofMap& dofmap,
-                                la::Csr a_fine, const MgOptions& opts = {});
-
-  /// Grids-only scalar build (see build_grids).
-  static Hierarchy build_grids_scalar(const mesh::Mesh& mesh,
-                                      const fem::ScalarDofMap& dofmap,
-                                      la::Csr a_fine,
-                                      const MgOptions& opts = {});
-
   /// Grids for an adaptively refined mesh family (mesh::refine_local):
   /// `meshes[0]` is the unrefined tet mesh, `meshes.back()` the finest;
   /// `rounds[r]` records the bisections taking meshes[r] to meshes[r+1];
-  /// `dofmaps[r]` holds meshes[r]'s constraints (finalized). The levels
+  /// `dofmaps[r]` holds meshes[r]'s constraints (finalized), every map
+  /// with the same dofs per vertex (prom::Error otherwise). The levels
   /// are the refinement meshes finest-first — prolongation interpolates
   /// midpoints from their bisected-edge endpoints, smoothing on each
   /// refinement level is restricted to the region that round subdivided
@@ -146,24 +136,10 @@ class Hierarchy {
       const std::vector<mesh::RefineResult>& rounds, la::Csr a_fine,
       const MgOptions& opts = {});
 
-  /// Scalar (block-size-1) counterpart of build_grids_refined.
-  static Hierarchy build_grids_refined_scalar(
-      const std::vector<const mesh::Mesh*>& meshes,
-      const std::vector<const fem::ScalarDofMap*>& dofmaps,
-      const std::vector<mesh::RefineResult>& rounds, la::Csr a_fine,
-      const MgOptions& opts = {});
-
   /// build_grids_refined + Galerkin operators/smoothers (serial solves).
   static Hierarchy build_refined(
       const std::vector<const mesh::Mesh*>& meshes,
       const std::vector<const fem::DofMap*>& dofmaps,
-      const std::vector<mesh::RefineResult>& rounds, la::Csr a_fine,
-      const MgOptions& opts = {});
-
-  /// build_grids_refined_scalar + operators (serial scalar solves).
-  static Hierarchy build_refined_scalar(
-      const std::vector<const mesh::Mesh*>& meshes,
-      const std::vector<const fem::ScalarDofMap*>& dofmaps,
       const std::vector<mesh::RefineResult>& rounds, la::Csr a_fine,
       const MgOptions& opts = {});
 
@@ -196,25 +172,21 @@ class Hierarchy {
   const MgLevel& level(int l) const { return levels_[l]; }
   const MgOptions& options() const { return opts_; }
 
-  /// Dofs per vertex of the operators in this hierarchy: 3 for the
-  /// elasticity stack, 1 for the scalar equation classes. The distributed
-  /// build (dla::DistHierarchy) derives vertex ownership from free dofs
-  /// through this.
+  /// Dofs per vertex of the operators in this hierarchy, read from the
+  /// dof map it was built from: 3 for elasticity, 1 for the scalar
+  /// equation classes. The distributed build (dla::DistHierarchy) derives
+  /// vertex ownership from free dofs through this.
   int block_size() const { return block_size_; }
 
   /// One-line-per-level summary (vertices, dofs, nnz) for logs/benches.
   std::string describe() const;
 
  private:
-  static Hierarchy build_grids_any(const mesh::Mesh& mesh, int ncomp,
-                                   std::vector<char> dof_free,
-                                   std::vector<idx> fine_free, la::Csr a_fine,
-                                   const MgOptions& opts);
-  static Hierarchy build_grids_refined_any(
-      const std::vector<const mesh::Mesh*>& meshes,
-      const std::vector<mesh::RefineResult>& rounds,
-      std::vector<std::vector<idx>> level_free, int ncomp, la::Csr a_fine,
-      const MgOptions& opts);
+  /// build_grids without the fine-matrix shape check: the refined build
+  /// runs it on its coarsest refinement mesh with no matrix.
+  static Hierarchy mis_grids(const mesh::Mesh& mesh,
+                             const fem::DofMap& dofmap, la::Csr a_fine,
+                             const MgOptions& opts);
   void build_operators();
 
   MgOptions opts_;

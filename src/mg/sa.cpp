@@ -110,6 +110,7 @@ std::vector<idx> aggregate_nodes(const graph::Graph& strength,
 
 std::vector<real> rigid_body_modes(const mesh::Mesh& mesh,
                                    const fem::DofMap& dofmap) {
+  dofmap.require_dofs_per_vertex(kDofPerVertex, "rigid_body_modes");
   const idx n = dofmap.num_free();
   std::vector<real> b(static_cast<std::size_t>(n) * 6, 0);
   const Vec3 center = mesh.bounding_box().center();

@@ -19,10 +19,10 @@ TEST(MakeSphereProblem, BoundaryConditionsMatchPaper) {
     const Vec3& x = p.mesh.coord(v);
     const bool on_x0 = x.x < 1e-9;
     const bool on_top = x.z > side - 1e-9;
-    EXPECT_EQ(p.dofmap.is_constrained(fem::DofMap::dof_of(v, 0)), on_x0);
+    EXPECT_EQ(p.dofmap.is_constrained(p.dofmap.dof_of(v, 0)), on_x0);
     if (on_top) {
-      EXPECT_TRUE(p.dofmap.is_constrained(fem::DofMap::dof_of(v, 2)));
-      EXPECT_DOUBLE_EQ(p.dofmap.bc_value(fem::DofMap::dof_of(v, 2)), -0.36);
+      EXPECT_TRUE(p.dofmap.is_constrained(p.dofmap.dof_of(v, 2)));
+      EXPECT_DOUBLE_EQ(p.dofmap.bc_value(p.dofmap.dof_of(v, 2)), -0.36);
     }
   }
 }
@@ -31,8 +31,8 @@ TEST(MakeBoxProblem, ClampsBottomPressesTop) {
   const ModelProblem p = make_box_problem(2, 0.1);
   idx clamped = 0, pressed = 0;
   for (idx v = 0; v < p.mesh.num_vertices(); ++v) {
-    if (p.dofmap.is_constrained(fem::DofMap::dof_of(v, 0))) ++clamped;
-    const idx zdof = fem::DofMap::dof_of(v, 2);
+    if (p.dofmap.is_constrained(p.dofmap.dof_of(v, 0))) ++clamped;
+    const idx zdof = p.dofmap.dof_of(v, 2);
     if (p.dofmap.is_constrained(zdof) && p.dofmap.bc_value(zdof) < 0) {
       ++pressed;
     }

@@ -62,7 +62,7 @@ RefinedProblem build_refined_problem() {
 
 /// Scalar (block-size-1) counterpart on the jump-coefficient Poisson
 /// problem — the refined chain at one dof per vertex.
-RefinedProblem build_refined_scalar_problem() {
+RefinedProblem build_refined_poisson_problem() {
   const app::ModelProblem p = app::make_poisson_het_problem(6, 1e3);
   app::AdaptiveOptions ao;
   ao.rounds = 2;
@@ -76,9 +76,9 @@ RefinedProblem build_refined_scalar_problem() {
   out.rhs = out.loop.sys.rhs;
   out.num_vertices = out.loop.final_mesh().num_vertices();
   la::Csr a = out.a_serial;
-  out.hierarchy = mg::Hierarchy::build_refined_scalar(
-      out.loop.mesh_ptrs(), out.loop.scalar_dofmap_ptrs(), out.loop.rounds,
-      std::move(a), mo);
+  out.hierarchy =
+      mg::Hierarchy::build_refined(out.loop.mesh_ptrs(), out.loop.dofmap_ptrs(),
+                                   out.loop.rounds, std::move(a), mo);
   return out;
 }
 
@@ -177,7 +177,7 @@ TEST_P(EquivRanks, RefinedPcgHistoryMatchesSerial) {
 }
 
 TEST_P(EquivRanks, RefinedScalarPcgHistoryMatchesSerial) {
-  const RefinedProblem prob = build_refined_scalar_problem();
+  const RefinedProblem prob = build_refined_poisson_problem();
   ASSERT_GE(prob.hierarchy.num_levels(), 4);
   ASSERT_EQ(prob.hierarchy.block_size(), 1);
   mg::MgSolveOptions so;
@@ -201,8 +201,8 @@ TEST_P(EquivRanks, RefinedScalarPcgHistoryMatchesSerial) {
 // matrix is the whole point of the primitive.
 TEST_P(EquivRanks, RepartitionMeshMatchesFromGlobalPermuted) {
   const int p = GetParam();
-  const RefinedProblem prob = build_refined_scalar_problem();
-  const fem::ScalarDofMap& dm = prob.loop.final_scalar_dofmap();
+  const RefinedProblem prob = build_refined_poisson_problem();
+  const fem::DofMap& dm = prob.loop.final_dofmap();
   const idx n = prob.a_serial.nrows;
 
   // Initial ownership: the stale, inherited cut.

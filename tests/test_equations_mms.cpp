@@ -79,9 +79,11 @@ struct Pde {
 /// vertex pinned to the exact solution, returning the L2 error.
 real mms_l2_error(const mesh::Mesh& mesh, const Exact& exact, const Pde& pde,
                   std::vector<std::function<bool(const Vec3&)>> boundary) {
-  fem::ScalarDofMap dm(mesh.num_vertices());
+  fem::DofMap dm(mesh.num_vertices(), 1);
   for (const auto& pred : boundary) {
-    for (idx v : mesh.vertices_where(pred)) dm.fix(v, exact.u(mesh.coord(v)));
+    for (idx v : mesh.vertices_where(pred)) {
+      dm.fix(v, 0, exact.u(mesh.coord(v)));
+    }
   }
   dm.finalize();
   EXPECT_GT(dm.num_free(), 0);
@@ -107,7 +109,7 @@ real mms_l2_error(const mesh::Mesh& mesh, const Exact& exact, const Pde& pde,
            c * exact.u(x);
   };
 
-  fem::ScalarSystem sys = fem::assemble_scalar_system(mesh, dm, coeffs);
+  fem::LinearSystem sys = fem::assemble_scalar_system(mesh, dm, coeffs);
   const bool symmetric = vel == Vec3{};
   mg::MgOptions mo =
       app::default_mg_options(symmetric ? app::EquationClass::kPoissonHet
@@ -115,7 +117,7 @@ real mms_l2_error(const mesh::Mesh& mesh, const Exact& exact, const Pde& pde,
   mo.coarsest_max_dofs = 100;
   std::vector<real> rhs = std::move(sys.rhs);
   const mg::Hierarchy h =
-      mg::Hierarchy::build_scalar(mesh, dm, std::move(sys.stiffness), mo);
+      mg::Hierarchy::build(mesh, dm, std::move(sys.stiffness), mo);
   EXPECT_EQ(h.block_size(), 1);
 
   mg::MgSolveOptions so;
@@ -222,13 +224,13 @@ TEST(EquationsMms, ReactionFactoryConvergesAtSecondOrder) {
   for (int step = 0; step < 2; ++step) {
     const idx n = step == 0 ? 4 : 8;
     const app::ModelProblem p = app::make_reaction_problem(n);
-    fem::ScalarSystem sys =
-        fem::assemble_scalar_system(p.mesh, p.scalar_dofmap, p.coeffs);
+    fem::LinearSystem sys =
+        fem::assemble_scalar_system(p.mesh, p.dofmap, p.coeffs);
     mg::MgOptions mo = app::default_mg_options(p.equation);
     mo.coarsest_max_dofs = 100;
     std::vector<real> rhs = std::move(sys.rhs);
-    const mg::Hierarchy h = mg::Hierarchy::build_scalar(
-        p.mesh, p.scalar_dofmap, std::move(sys.stiffness), mo);
+    const mg::Hierarchy h =
+        mg::Hierarchy::build(p.mesh, p.dofmap, std::move(sys.stiffness), mo);
     mg::MgSolveOptions so;
     so.rtol = 1e-11;
     so.max_iters = 400;
@@ -236,7 +238,7 @@ TEST(EquationsMms, ReactionFactoryConvergesAtSecondOrder) {
     std::vector<real> x(rhs.size(), 0);
     const la::KrylovResult r = mg::mg_krylov_solve(h, rhs, x, so);
     ASSERT_TRUE(r.converged);
-    const std::vector<real> full = p.scalar_dofmap.full_from_free(x);
+    const std::vector<real> full = p.dofmap.full_from_free(x);
     errs[step] = fem::scalar_l2_error(p.mesh, full, exact);
     ASSERT_GT(errs[step], 0);
   }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -14,34 +16,104 @@
 namespace prom::fem {
 namespace {
 
+/// Runs `fn`, which must throw a prom::Error whose message contains
+/// `needle`.
+template <typename Fn>
+void expect_error_naming(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+    return;
+  }
+  ADD_FAILURE() << "no prom::Error naming " << needle;
+}
+
 TEST(DofMap, FixAndFinalize) {
-  DofMap dm(4);  // 12 dofs
-  EXPECT_EQ(dm.num_dofs(), 12);
-  EXPECT_EQ(dm.num_free(), 12);
-  dm.fix(0, 2, -1.5);
-  dm.fix(3, 0, 0.0);
-  dm.finalize();
-  EXPECT_EQ(dm.num_free(), 10);
-  EXPECT_TRUE(dm.is_constrained(DofMap::dof_of(0, 2)));
-  EXPECT_DOUBLE_EQ(dm.bc_value(DofMap::dof_of(0, 2)), -1.5);
-  EXPECT_EQ(dm.free_index(DofMap::dof_of(0, 2)), kInvalidIdx);
-  EXPECT_NE(dm.free_index(DofMap::dof_of(1, 0)), kInvalidIdx);
+  for (const int dpv : {1, 3}) {
+    SCOPED_TRACE("dofs per vertex " + std::to_string(dpv));
+    DofMap dm(4, dpv);
+    EXPECT_EQ(dm.dofs_per_vertex(), dpv);
+    EXPECT_EQ(dm.num_dofs(), 4 * dpv);
+    EXPECT_EQ(dm.num_free(), 4 * dpv);
+    const idx last = dm.dof_of(0, dpv - 1);
+    dm.fix(0, dpv - 1, -1.5);
+    dm.fix(3, 0, 0.0);
+    dm.finalize();
+    EXPECT_EQ(dm.num_free(), 4 * dpv - 2);
+    EXPECT_TRUE(dm.is_constrained(last));
+    EXPECT_DOUBLE_EQ(dm.bc_value(last), -1.5);
+    EXPECT_EQ(dm.free_index(last), kInvalidIdx);
+    EXPECT_NE(dm.free_index(dm.dof_of(1, 0)), kInvalidIdx);
+    // Free dofs are numbered in ascending dof order; at one dof per
+    // vertex the dof is the vertex, so that is ascending vertex id.
+    std::vector<idx> ascending;
+    for (idx d = 0; d < dm.num_dofs(); ++d) {
+      if (!dm.is_constrained(d)) ascending.push_back(d);
+    }
+    EXPECT_EQ(dm.free_dofs(), ascending);
+    for (idx i = 0; i < dm.num_free(); ++i) {
+      EXPECT_EQ(dm.free_index(ascending[i]), i);
+    }
+    if (dpv == 1) {
+      EXPECT_EQ(dm.free_dofs(), (std::vector<idx>{1, 2}));
+    }
+
+    dm.scale_bc(2);
+    EXPECT_DOUBLE_EQ(dm.bc_value(last), -3.0);
+
+    // fix_all prescribes every component of each listed vertex.
+    dm.fix_all(std::vector<idx>{1}, 0.5);
+    dm.finalize();
+    EXPECT_EQ(dm.num_free(), 3 * dpv - 2);
+    for (int c = 0; c < dpv; ++c) {
+      EXPECT_DOUBLE_EQ(dm.bc_value(dm.dof_of(1, c)), 0.5);
+      EXPECT_EQ(dm.free_index(dm.dof_of(1, c)), kInvalidIdx);
+    }
+  }
 }
 
 TEST(DofMap, FullFreeRoundTrip) {
-  DofMap dm(2);
-  dm.fix(0, 0, 2.0);
-  dm.finalize();
-  std::vector<real> free_values(5);
-  for (int i = 0; i < 5; ++i) free_values[i] = 10.0 + i;
-  const auto full = dm.full_from_free(free_values);
-  EXPECT_DOUBLE_EQ(full[0], 2.0);
-  EXPECT_DOUBLE_EQ(full[1], 10.0);
-  const auto back = dm.free_from_full(full);
-  EXPECT_EQ(back, free_values);
-  // Scaled BC insertion.
-  const auto half = dm.full_from_free(free_values, 0.5);
-  EXPECT_DOUBLE_EQ(half[0], 1.0);
+  for (const int dpv : {1, 3}) {
+    SCOPED_TRACE("dofs per vertex " + std::to_string(dpv));
+    DofMap dm(2, dpv);
+    dm.fix(0, 0, 2.0);
+    dm.finalize();
+    const idx nfree = 2 * dpv - 1;
+    ASSERT_EQ(dm.num_free(), nfree);
+    std::vector<real> free_values(static_cast<std::size_t>(nfree));
+    for (idx i = 0; i < nfree; ++i) free_values[i] = 10.0 + i;
+    const auto full = dm.full_from_free(free_values);
+    ASSERT_EQ(static_cast<idx>(full.size()), 2 * dpv);
+    EXPECT_DOUBLE_EQ(full[0], 2.0);
+    EXPECT_DOUBLE_EQ(full[1], 10.0);
+    const auto back = dm.free_from_full(full);
+    EXPECT_EQ(back, free_values);
+    // Scaled BC insertion.
+    const auto half = dm.full_from_free(free_values, 0.5);
+    EXPECT_DOUBLE_EQ(half[0], 1.0);
+  }
+}
+
+TEST(DofMap, FixRejectsAComponentPastDofsPerVertex) {
+  DofMap scalar(2, 1);
+  expect_error_naming([&] { scalar.fix(0, 1, 0.0); }, "DofMap::fix");
+  DofMap elastic(2);
+  expect_error_naming([&] { elastic.fix(1, 3, 0.0); }, "DofMap::fix");
+  EXPECT_NO_THROW(elastic.fix(1, 2, 0.0));
+  expect_error_naming([] { (void)DofMap(2, 0); }, "dofs per vertex");
+}
+
+TEST(DofMap, ElasticityConsumersRejectAScalarMap) {
+  const mesh::Mesh m = mesh::box_hex(2, 2, 2, {0, 0, 0}, {1, 1, 1});
+  const DofMap scalar(m.num_vertices(), 1);
+  const std::vector<Material> mats = {Material{}};
+  expect_error_naming([&] { (void)FeProblem(m, mats, scalar); },
+                      "FeProblem");
+  expect_error_naming(
+      [&] { (void)MatrixFreeOperator::build(m, mats, scalar); },
+      "MatrixFreeOperator::build");
 }
 
 TEST(DofMap, ScaleBc) {
@@ -142,7 +214,7 @@ TEST_F(AssemblyFixture, CompressionProducesDownwardDisplacementField) {
   const auto u_full = prob.dofmap().full_from_free(x);
   // All z-displacements between the BC values.
   for (idx v = 0; v < mesh_.num_vertices(); ++v) {
-    const real uz = u_full[DofMap::dof_of(v, 2)];
+    const real uz = u_full[dofmap_.dof_of(v, 2)];
     EXPECT_LE(uz, 1e-12);
     EXPECT_GE(uz, -0.01 - 1e-12);
   }

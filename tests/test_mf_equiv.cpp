@@ -15,9 +15,11 @@
 #include <vector>
 
 #include "app/driver.h"
+#include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "dla/dist_bsr.h"
+#include "dla/dist_mf.h"
 #include "dla/dist_mg.h"
 #include "fem/assembly.h"
 #include "fem/matrix_free.h"
@@ -185,6 +187,29 @@ TEST(MfEquivalence, ApplyIsBitwiseIdenticalAcrossKernelThreadCounts) {
 }
 
 // --- serial vs distributed -------------------------------------------------
+
+TEST(MfEquivalence, DistMfRejectsAOneDofPerVertexMap) {
+  // The element kernels are elasticity's: a one-dof-per-vertex map must
+  // fail by name, before any slot is indexed at the wrong stride.
+  const app::ModelProblem p = app::make_poisson_het_problem(3);
+  const la::Csr k = app::assemble_system(p, p.mesh, p.dofmap).stiffness;
+  const std::vector<fem::Material> mats = {fem::Material{}};
+  const idx n = k.nrows;
+  std::vector<idx> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), idx{0});
+  std::string what;
+  parx::Runtime::run(1, [&](parx::Comm& comm) {
+    const dla::RowDist rows = dla::RowDist::block(n, 1);
+    const dla::DistCsr a(comm, k, rows, rows);
+    const dla::MfProblem mf{&p.mesh, &mats, &p.dofmap, /*bbar=*/true};
+    try {
+      (void)dla::DistMf::build(comm, mf, a, perm);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+  });
+  EXPECT_NE(what.find("DistMf::build"), std::string::npos) << what;
+}
 
 struct DistProblem {
   app::ModelProblem model;

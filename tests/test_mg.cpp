@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "app/driver.h"
+#include "app/refine.h"
 #include "common/error.h"
 #include "fem/assembly.h"
 #include "la/vec.h"
@@ -312,6 +313,51 @@ TEST(AgglomEnv, AcceptsIdxRangeAndRejectsEverythingElse) {
                           "-1", "12abc", "abc", " "}) {
     const EnvScope env(var, bad);
     EXPECT_THROW(agglom_min_rows_from_env(), Error) << bad;
+  }
+}
+
+TEST(RefineEnv, AcceptsZeroToSixtyFourAndRejectsEverythingElse) {
+  const char* var = "PROM_REFINE";
+  {
+    const EnvScope env(var, std::nullopt);
+    EXPECT_EQ(app::refine_rounds_from_env(), 0);
+  }
+  const std::pair<const char*, int> good[] = {{"", 0}, {"0", 0}, {"64", 64}};
+  for (const auto& [text, want] : good) {
+    const EnvScope env(var, text);
+    EXPECT_EQ(app::refine_rounds_from_env(), want) << text;
+  }
+  for (const char* bad : {"-1", "65", "2x", "abc"}) {
+    const EnvScope env(var, bad);
+    try {
+      (void)app::refine_rounds_from_env();
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const Error& e) {
+      // The message names the variable and its range.
+      EXPECT_NE(std::string(e.what()).find("PROM_REFINE"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("[0, 64]"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(EquationEnv, ParsesTheThreeClassesAndRejectsOthers) {
+  const char* var = "PROM_EQUATION";
+  {
+    const EnvScope env(var, std::nullopt);
+    EXPECT_EQ(app::equation_from_env(), app::EquationClass::kElasticity);
+  }
+  const std::pair<const char*, app::EquationClass> known[] = {
+      {"elasticity", app::EquationClass::kElasticity},
+      {"poisson_het", app::EquationClass::kPoissonHet},
+      {"advdiff", app::EquationClass::kAdvDiff}};
+  for (const auto& [name, eq] : known) {
+    const EnvScope env(var, name);
+    EXPECT_EQ(app::equation_from_env(), eq) << name;
+  }
+  for (const char* bad : {"Elasticity", "poisson", " advdiff"}) {
+    const EnvScope env(var, bad);
+    EXPECT_THROW(app::equation_from_env(), Error) << bad;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -280,15 +281,14 @@ TEST(RefinedHierarchy, ScalarRefinedSolveMatchesUnrefinedHierarchy) {
   so.max_iters = 400;
 
   la::Csr a1 = loop.sys.stiffness;
-  const mg::Hierarchy h_ref = mg::Hierarchy::build_refined_scalar(
-      loop.mesh_ptrs(), loop.scalar_dofmap_ptrs(), loop.rounds,
-      std::move(a1), mo);
+  const mg::Hierarchy h_ref = mg::Hierarchy::build_refined(
+      loop.mesh_ptrs(), loop.dofmap_ptrs(), loop.rounds, std::move(a1), mo);
   std::vector<real> x_ref(rhs.size(), 0);
   ASSERT_TRUE(mg::mg_pcg_solve(h_ref, rhs, x_ref, so).converged);
 
   la::Csr a2 = loop.sys.stiffness;
-  const mg::Hierarchy h_mis = mg::Hierarchy::build_scalar(
-      loop.final_mesh(), loop.final_scalar_dofmap(), std::move(a2), mo);
+  const mg::Hierarchy h_mis = mg::Hierarchy::build(
+      loop.final_mesh(), loop.final_dofmap(), std::move(a2), mo);
   std::vector<real> x_mis(rhs.size(), 0);
   ASSERT_TRUE(mg::mg_pcg_solve(h_mis, rhs, x_mis, so).converged);
 
@@ -297,6 +297,28 @@ TEST(RefinedHierarchy, ScalarRefinedSolveMatchesUnrefinedHierarchy) {
   ASSERT_GT(scale, 0);
   for (std::size_t i = 0; i < x_ref.size(); ++i) {
     EXPECT_NEAR(x_ref[i], x_mis[i], 1e-7 * scale) << "entry " << i;
+  }
+}
+
+TEST(RefinedHierarchy, RejectsAFamilyWhoseMapsDisagree) {
+  // An elasticity family whose base map carries one dof per vertex:
+  // build_grids_refined must refuse it by name instead of expanding the
+  // restrictions at the wrong block size.
+  const app::ModelProblem p = app::make_box_problem(3);
+  app::AdaptiveOptions ao;
+  ao.rounds = 1;
+  const app::AdaptiveLoop loop = app::run_adaptive_refinement(p, ao);
+  const fem::DofMap scalar_base(loop.base.num_vertices(), 1);
+  const std::vector<const fem::DofMap*> mixed = {&scalar_base,
+                                                 &loop.final_dofmap()};
+  try {
+    (void)mg::Hierarchy::build_grids_refined(loop.mesh_ptrs(), mixed,
+                                             loop.rounds, loop.sys.stiffness);
+    ADD_FAILURE() << "a family with mixed dofs per vertex was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("same dofs per vertex"),
+              std::string::npos)
+        << e.what();
   }
 }
 

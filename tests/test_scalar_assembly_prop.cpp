@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "app/driver.h"
 #include "coarsen/restriction.h"
+#include "common/error.h"
 #include "common/parallel.h"
 #include "fem/scalar.h"
 #include "la/csr.h"
@@ -43,8 +45,8 @@ fem::ScalarCoefficients advdiff_coeffs() {
 }
 
 /// All-Dirichlet dofmap (value 0 on the whole boundary of the unit box).
-fem::ScalarDofMap dirichlet_map(const mesh::Mesh& mesh) {
-  fem::ScalarDofMap dm(mesh.num_vertices());
+fem::DofMap dirichlet_map(const mesh::Mesh& mesh) {
+  fem::DofMap dm(mesh.num_vertices(), 1);
   const real eps = 1e-9;
   dm.fix_all(mesh.vertices_where([&](const Vec3& x) {
     return x.x < eps || x.x > 1 - eps || x.y < eps || x.y > 1 - eps ||
@@ -80,7 +82,7 @@ real asymmetry(const la::Csr& a) {
 
 TEST(ScalarAssemblyProp, PureDiffusionStiffnessIsSymmetric) {
   const mesh::Mesh mesh = mesh::box_hex(5, 5, 5, {0, 0, 0}, {1, 1, 1});
-  const fem::ScalarDofMap dm = dirichlet_map(mesh);
+  const fem::DofMap dm = dirichlet_map(mesh);
   const fem::ScalarAssembly a =
       fem::assemble_scalar(mesh, dm, diffusion_only());
   ASSERT_GT(a.stiffness.nrows, 0);
@@ -91,7 +93,7 @@ TEST(ScalarAssemblyProp, PureNeumannDiffusionHasConstantNullspace) {
   // No constraints, no advection/reaction: K * ones == 0 (constants are in
   // the kernel — every row sums to zero up to quadrature rounding).
   const mesh::Mesh mesh = mesh::box_hex(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  fem::ScalarDofMap dm(mesh.num_vertices());  // all free
+  fem::DofMap dm(mesh.num_vertices(), 1);  // all free
   const fem::ScalarAssembly a =
       fem::assemble_scalar(mesh, dm, diffusion_only());
   ASSERT_EQ(a.stiffness.nrows, mesh.num_vertices());
@@ -104,7 +106,7 @@ TEST(ScalarAssemblyProp, PureNeumannDiffusionHasConstantNullspace) {
 
 TEST(ScalarAssemblyProp, DiffusionIsSpdAdvectionIsNot) {
   const mesh::Mesh mesh = mesh::box_hex(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  const fem::ScalarDofMap dm = dirichlet_map(mesh);
+  const fem::DofMap dm = dirichlet_map(mesh);
 
   // Dirichlet diffusion: positive definite — LDL^T succeeds with all
   // pivots positive (DenseLdlt rejects non-positive pivots by design).
@@ -127,14 +129,14 @@ TEST(ScalarAssemblyProp, DiffusionIsSpdAdvectionIsNot) {
 
 TEST(ScalarAssemblyProp, BitwiseDeterministicAcrossKernelThreads) {
   const mesh::Mesh mesh = mesh::box_hex(6, 6, 6, {0, 0, 0}, {1, 1, 1});
-  const fem::ScalarDofMap dm = dirichlet_map(mesh);
+  const fem::DofMap dm = dirichlet_map(mesh);
   const fem::ScalarCoefficients coeffs = advdiff_coeffs();
 
   common::set_kernel_threads(1);
-  const fem::ScalarSystem ref = fem::assemble_scalar_system(mesh, dm, coeffs);
+  const fem::LinearSystem ref = fem::assemble_scalar_system(mesh, dm, coeffs);
   for (int threads : {2, 8}) {
     common::set_kernel_threads(threads);
-    const fem::ScalarSystem got =
+    const fem::LinearSystem got =
         fem::assemble_scalar_system(mesh, dm, coeffs);
     ASSERT_EQ(got.stiffness.vals.size(), ref.stiffness.vals.size())
         << threads << " threads";
@@ -150,6 +152,19 @@ TEST(ScalarAssemblyProp, BitwiseDeterministicAcrossKernelThreads) {
     }
   }
   common::set_kernel_threads(0);  // restore the default policy
+}
+
+TEST(ScalarAssemblyProp, RejectsAnElasticityDofMap) {
+  const mesh::Mesh mesh = mesh::box_hex(2, 2, 2, {0, 0, 0}, {1, 1, 1});
+  const fem::DofMap elastic(mesh.num_vertices());  // 3 dofs per vertex
+  try {
+    (void)fem::assemble_scalar(mesh, elastic, diffusion_only());
+    ADD_FAILURE() << "assemble_scalar accepted a 3-dof map";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("assemble_scalar"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScalarGalerkin, ExpandRestrictionAtNcompOneIsIdentityExpansion) {
@@ -181,12 +196,12 @@ TEST(ScalarGalerkin, CoarseOperatorMatchesExplicitTripleProduct) {
   // The scalar hierarchy's Galerkin operator must agree with the triple
   // product assembled the long way: spgemm(spgemm(R, A), R^T).
   const app::ModelProblem p = app::make_poisson_het_problem(6, 1e3);
-  fem::ScalarSystem sys =
-      fem::assemble_scalar_system(p.mesh, p.scalar_dofmap, p.coeffs);
+  fem::LinearSystem sys =
+      fem::assemble_scalar_system(p.mesh, p.dofmap, p.coeffs);
   mg::MgOptions mo;
   mo.coarsest_max_dofs = 20;
-  const mg::Hierarchy h = mg::Hierarchy::build_scalar(
-      p.mesh, p.scalar_dofmap, std::move(sys.stiffness), mo);
+  const mg::Hierarchy h =
+      mg::Hierarchy::build(p.mesh, p.dofmap, std::move(sys.stiffness), mo);
   ASSERT_GE(h.num_levels(), 2);
   EXPECT_EQ(h.block_size(), 1);
 

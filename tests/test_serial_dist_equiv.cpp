@@ -51,20 +51,20 @@ Problem build_problem(mg::SmootherKind kind) {
 /// Point Jacobi both serially and distributed (processor-block Jacobi
 /// degenerates to it), so the smoother is backend-identical like the
 /// elasticity cases above.
-Problem build_scalar_problem(app::EquationClass eq) {
+Problem scalar_class_problem(app::EquationClass eq) {
   const app::ModelProblem p = eq == app::EquationClass::kPoissonHet
                                   ? app::make_poisson_het_problem(7, 1e3)
                                   : app::make_advdiff_problem(7, 20.0);
-  fem::ScalarSystem sys =
-      fem::assemble_scalar_system(p.mesh, p.scalar_dofmap, p.coeffs);
+  fem::LinearSystem sys =
+      fem::assemble_scalar_system(p.mesh, p.dofmap, p.coeffs);
   mg::MgOptions mo = app::default_mg_options(eq);
   mo.smoother = mg::SmootherKind::kJacobi;
   mo.coarsest_max_dofs = 30;
   Problem out;
   out.rhs = std::move(sys.rhs);
   out.num_vertices = p.mesh.num_vertices();
-  out.hierarchy = mg::Hierarchy::build_scalar(p.mesh, p.scalar_dofmap,
-                                              std::move(sys.stiffness), mo);
+  out.hierarchy =
+      mg::Hierarchy::build(p.mesh, p.dofmap, std::move(sys.stiffness), mo);
   return out;
 }
 
@@ -235,7 +235,7 @@ void expect_histories_match(const la::KrylovResult& ref,
 // halo plans, and agglomeration all at block size 1.
 TEST_P(EquivRanks, ScalarPoissonPcgHistoryMatchesSerial) {
   const Problem prob =
-      build_scalar_problem(app::EquationClass::kPoissonHet);
+      scalar_class_problem(app::EquationClass::kPoissonHet);
   ASSERT_GE(prob.hierarchy.num_levels(), 2);
   ASSERT_EQ(prob.hierarchy.block_size(), 1);
   mg::MgSolveOptions so;
@@ -256,7 +256,7 @@ TEST_P(EquivRanks, ScalarPoissonPcgHistoryMatchesSerial) {
 // reductions, so the distributed driver must track the serial history as
 // tightly as PCG does.
 TEST_P(EquivRanks, AdvdiffGmresHistoryMatchesSerial) {
-  const Problem prob = build_scalar_problem(app::EquationClass::kAdvDiff);
+  const Problem prob = scalar_class_problem(app::EquationClass::kAdvDiff);
   ASSERT_GE(prob.hierarchy.num_levels(), 2);
   ASSERT_EQ(prob.hierarchy.block_size(), 1);
   mg::MgSolveOptions so;
@@ -276,7 +276,7 @@ TEST_P(EquivRanks, AdvdiffGmresHistoryMatchesSerial) {
 // Same operator through the short-recurrence driver (rho/alpha/omega are
 // replicated scalars from the same reductions).
 TEST_P(EquivRanks, AdvdiffBicgstabHistoryMatchesSerial) {
-  const Problem prob = build_scalar_problem(app::EquationClass::kAdvDiff);
+  const Problem prob = scalar_class_problem(app::EquationClass::kAdvDiff);
   mg::MgSolveOptions so;
   so.rtol = 1e-8;
   so.track_history = true;
@@ -422,9 +422,9 @@ TEST(SerialIsOneRank, BoxSmootherCycleFormatMatrixIsBitwise) {
 TEST(SerialIsOneRank, ScalarClassesAreBitwise) {
   const mg::MgSolveOptions pcg =
       pinned_options(mg::CycleKind::kFmg, la::KrylovKind::kPcg);
-  expect_p1_bitwise(build_scalar_problem(app::EquationClass::kPoissonHet),
+  expect_p1_bitwise(scalar_class_problem(app::EquationClass::kPoissonHet),
                     pcg, mg::MatrixFormat::kCsr);
-  const Problem advdiff = build_scalar_problem(app::EquationClass::kAdvDiff);
+  const Problem advdiff = scalar_class_problem(app::EquationClass::kAdvDiff);
   for (const la::KrylovKind krylov :
        {la::KrylovKind::kGmres, la::KrylovKind::kBicgstab}) {
     SCOPED_TRACE(la::to_string(krylov));

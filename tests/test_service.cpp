@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/service.h"
@@ -133,28 +134,31 @@ TEST(ServiceCache, HitMissAndFingerprintSemantics) {
   // options resolve to distinct cache entries.
   const std::string base = service.fingerprint("box");
   EXPECT_NE(base, service.fingerprint("other-mesh"));
-  {
-    ServiceConfig sc = small_config(2, mg::MatrixFormat::kBsr3);
-    EXPECT_NE(base, SolveService(sc).fingerprint("box"));
-  }
-  {
-    ServiceConfig sc = small_config(4, mg::MatrixFormat::kCsr);
-    EXPECT_NE(base, SolveService(sc).fingerprint("box"));
-  }
-  {
+  using Change = std::pair<const char*, void (*)(ServiceConfig&)>;
+  const Change changes[] = {
+      {"format", [](ServiceConfig& c) { c.format = mg::MatrixFormat::kBsr3; }},
+      {"ranks", [](ServiceConfig& c) { c.nranks = 4; }},
+      {"cycle", [](ServiceConfig& c) { c.cycle = mg::CycleKind::kV; }},
+      {"smoother",
+       [](ServiceConfig& c) { c.mg.smoother = mg::SmootherKind::kChebyshev; }},
+      {"seed", [](ServiceConfig& c) { c.mg.coarsen.seed ^= 1; }},
+      {"face tol", [](ServiceConfig& c) { c.mg.coarsen.face.tol = 0.9; }},
+      {"inside eps",
+       [](ServiceConfig& c) { c.mg.coarsen.restriction.inside_eps = 0.03; }},
+      {"near hops",
+       [](ServiceConfig& c) { c.mg.coarsen.restriction.near_hops = 4; }},
+      {"long edge factor",
+       [](ServiceConfig& c) {
+         c.mg.coarsen.restriction.long_edge_factor = 3.0;
+       }},
+      // Reals key at round-trip precision: 6 significant digits would
+      // print both as 0.6.
+      {"omega", [](ServiceConfig& c) { c.mg.omega = 0.6000001; }},
+  };
+  for (const auto& [name, change] : changes) {
     ServiceConfig sc = small_config(2, mg::MatrixFormat::kCsr);
-    sc.cycle = mg::CycleKind::kV;
-    EXPECT_NE(base, SolveService(sc).fingerprint("box"));
-  }
-  {
-    ServiceConfig sc = small_config(2, mg::MatrixFormat::kCsr);
-    sc.mg.smoother = mg::SmootherKind::kChebyshev;
-    EXPECT_NE(base, SolveService(sc).fingerprint("box"));
-  }
-  {
-    ServiceConfig sc = small_config(2, mg::MatrixFormat::kCsr);
-    sc.mg.coarsen.seed ^= 1;
-    EXPECT_NE(base, SolveService(sc).fingerprint("box"));
+    change(sc);
+    EXPECT_NE(base, SolveService(sc).fingerprint("box")) << name;
   }
   // The identical config reproduces the identical key.
   EXPECT_EQ(base,
@@ -479,7 +483,7 @@ TEST(ServiceFormat, ScalarClassesUnderBsr3SolveAsCsr) {
       return het ? make_poisson_het_problem(4, 1e3)
                  : make_advdiff_problem(4, 10.0);
     };
-    const idx n = make().scalar_dofmap.num_free();
+    const idx n = make().dofmap.num_free();
     const la::MultiVec rhs = make_rhs_block(n, 2);
     const FormatOutcome bsr =
         solve_in_format(2, mg::MatrixFormat::kBsr3, "scalar", make(), rhs);
@@ -661,7 +665,7 @@ TEST(ServiceEntry, HoldsItsFineStiffnessOnce) {
                         entry->refined->final_dofmap());
       fresh = fem::assemble_linear_system(fe).stiffness;
     } else if (c.scalar) {
-      fresh = fem::assemble_scalar_system(problem.mesh, problem.scalar_dofmap,
+      fresh = fem::assemble_scalar_system(problem.mesh, problem.dofmap,
                                           problem.coeffs)
                   .stiffness;
     } else {
